@@ -16,7 +16,6 @@ from .errors import (
     NotUnimodularError,
     ShadowspecError,
     SingularOperatorError,
-    TailBoundError,
 )
 from .operators import (
     DenseOperator,

@@ -1,9 +1,10 @@
 """Command-line surface: analyze | shadow | probe | example17.
 
 Exit codes are a stable scripting contract: 0 ok, 2 input error, 3 numerical
-failure, 4 decay/tail certificate failure.  Reports embed the config that
+failure, 4 decay certificate failure.  Reports embed the config that
 produced them and contain no timestamps, so identical invocations produce
-byte-identical files.  Output files are written atomically (write-then-rename).
+byte-identical files.  Output files are written atomically: each write goes
+to its own temporary file in the target directory, which is then renamed.
 """
 
 import os
@@ -25,17 +26,13 @@ import argparse
 import json
 import math
 import sys
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    ContourThroughSpectrumError,
-    DecayCertificateError,
-    ShadowspecError,
-    TailBoundError,
-)
+from .errors import ContourThroughSpectrumError, DecayCertificateError, ShadowspecError
 from .operators import (
     DenseOperator,
     ShiftOperator,
@@ -63,6 +60,10 @@ EXIT_CERTIFICATE = 4
 GAIN_SWEEP_Q = (1.2, 1.1, 1.05, 1.01)
 TREND_WINDOWS = (8, 16, 32, 64)
 
+# mkstemp creates files 0600; reports get the usual umask-derived mode instead
+_UMASK = os.umask(0)
+os.umask(_UMASK)
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -82,8 +83,8 @@ class RunConfig:
             raise ValueError("tol must be positive")
         if self.delta < 0:
             raise ValueError("delta must be nonnegative")
-        if self.q is not None and self.q <= 1:
-            raise ValueError("q must exceed 1")
+        if self.q is not None and not (0.0 < self.q < 1.0):
+            raise ValueError("q must lie in (0, 1)")
 
     def to_json(self) -> dict:
         # the destination path is deliberately not embedded: identical
@@ -103,9 +104,15 @@ class RunConfig:
 
 def _write_atomic(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
+    try:
+        os.chmod(tmp, 0o666 & ~_UMASK)
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _dump_json(doc: dict) -> str:
@@ -333,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--nodes", type=int, default=256, help="contour quadrature nodes")
         p.add_argument("--window", type=int, default=20, help="window half-width N")
         p.add_argument("--delta", type=float, default=1e-3, help="pseudo-orbit defect bound")
-        p.add_argument("--q", type=float, default=None, help="geometric rate override (q > 1 gains, q < 1 shadows)")
+        p.add_argument("--q", type=float, default=None, help="shadow envelope rate in (worst decay rate, 1); default midway")
         p.add_argument("--kind", choices=("dense", "shift"), default=None, help="expected operator kind")
     return parser
 
@@ -361,9 +368,9 @@ def main(argv=None) -> int:
 
     try:
         return COMMANDS[cfg.command](cfg)
-    except (DecayCertificateError, TailBoundError) as exc:
+    except DecayCertificateError as exc:
         detail = ""
-        if isinstance(exc, DecayCertificateError) and exc.r_plus is not None:
+        if exc.r_plus is not None:
             detail = f" (r_plus={exc.r_plus:.6f}, r_minus={exc.r_minus:.6f})"
         print(f"certificate failure: {exc}{detail}", file=sys.stderr)
         return EXIT_CERTIFICATE

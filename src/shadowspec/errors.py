@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 The CLI maps these onto its exit-code contract: input/validation problems
-exit 2, numerical failures exit 3, decay/tail certificate failures exit 4.
+exit 2, numerical failures exit 3, decay certificate failures exit 4.
 """
 
 
@@ -42,13 +42,10 @@ class ConvergenceError(ShadowspecError, RuntimeError):
 
 
 class DecayCertificateError(ShadowspecError, RuntimeError):
-    """Power-norm decay rates do not certify a valid splitting (some rate >= 1)."""
+    """Power-norm decay does not certify a valid splitting: some rate >= 1, or
+    the power envelope is not bounded past the decay order."""
 
     def __init__(self, message, r_plus=None, r_minus=None):
         super().__init__(message)
         self.r_plus = r_plus
         self.r_minus = r_minus
-
-
-class TailBoundError(ShadowspecError, RuntimeError):
-    """Series truncation horizon too short for the requested accuracy."""

@@ -288,6 +288,18 @@ class DecayRates:
     def worst(self) -> float:
         return max(self.r_plus, self.r_minus)
 
+    @classmethod
+    def from_norms(cls, norms_fwd: np.ndarray, norms_bwd: np.ndarray) -> "DecayRates":
+        """Rates from the kernel norms of orders 0..n_max (`splitting_power_stacks`)."""
+        n_max = len(norms_fwd) - 1
+        if n_max < 8:
+            raise ValueError("n_max must be >= 8")
+        return cls(
+            r_plus=_tail_max_root(np.clip(norms_fwd[1:], 1e-300, 1e300)),
+            r_minus=_tail_max_root(np.clip(norms_bwd[1:], 1e-300, 1e300)),
+            n_max=n_max,
+        )
+
     def to_json(self) -> dict:
         return {"r_plus": self.r_plus, "r_minus": self.r_minus, "n_max": self.n_max}
 
@@ -342,16 +354,8 @@ def decay_rates(a: DenseOperator, b: DenseOperator, n_max: int) -> DecayRates:
     power norm, and for a broken one the construction's recurrence residual
     exposes the disagreement downstream.
     """
-    if n_max < 8:
-        raise ValueError("n_max must be >= 8")
     _, _, norms_fwd, norms_bwd = splitting_power_stacks(a, b, n_max)
-    roots_plus = np.clip(norms_fwd[1:], 1e-300, 1e300) ** (1.0 / np.arange(1, n_max + 1))
-    roots_minus = np.clip(norms_bwd[1:], 1e-300, 1e300) ** (1.0 / np.arange(1, n_max + 1))
-    return DecayRates(
-        r_plus=float(np.max(roots_plus[n_max // 2 :])),
-        r_minus=float(np.max(roots_minus[n_max // 2 :])),
-        n_max=n_max,
-    )
+    return DecayRates.from_norms(norms_fwd, norms_bwd)
 
 
 def geometric_envelope_constant(

@@ -7,9 +7,11 @@ the bounded solution of x_{n+1} = A x_n + z_n is written down explicitly as
 
     x_n = sum_{k>=0} A^k B z_{n-k-1}  -  sum_{k>=1} A^{-k} (I-B) z_{n+k-1},
 
-truncated at a geometric tail horizon; subtracting it from the pseudo-orbit
-leaves a genuine trajectory, and the shadowing distance obeys the a-priori
-bound K*(1+q)/(1-q)*delta.  An independent least-squares oracle fits the best
+with z = 0 outside the window.  That is the discrete exponential-dichotomy
+Green's function, so it is evaluated exactly by one forward and one backward
+sweep over the window; subtracting it from the pseudo-orbit leaves a genuine
+trajectory, and the shadowing distance obeys the a-priori bound
+K*(1+q)/(1-q)*delta.  An independent least-squares oracle fits the best
 genuine trajectory directly, with no knowledge of the splitting.
 
 The sequence-space operators probed here act on windows of vectors:
@@ -27,12 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DecayCertificateError,
-    DimensionMismatchError,
-    NotUnimodularError,
-    TailBoundError,
-)
+from .errors import DecayCertificateError, DimensionMismatchError, NotUnimodularError
 from .operators import (
     DenseOperator,
     ShiftOperator,
@@ -45,7 +42,8 @@ from .operators import (
     vec_scale,
     vec_sub,
 )
-from .projector import decay_rates, splitting_power_stacks
+# decay_rates stays bound here too: shadowbench's tests read it through this module
+from .projector import DecayRates, decay_rates, splitting_power_stacks  # noqa: F401
 
 __all__ = [
     "PseudoOrbit",
@@ -62,9 +60,6 @@ __all__ = [
     "bgain_test_sequence",
     "rotate_orbit",
 ]
-
-TAIL_EPS = 1e-12
-TAIL_CAP = 50_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,7 +224,7 @@ class ShadowResult:
     sup over the window of the distance to that trajectory, and
     epsilon_bound = K*(1+q)/(1-q)*delta is the a-priori constant it is held
     against.  recurrence_residual certifies that the correction sequence
-    solved x_{n+1} = A x_n + z_n to truncation accuracy.
+    solved x_{n+1} = A x_n + z_n to rounding accuracy.
     """
 
     anchor: np.ndarray
@@ -237,7 +232,6 @@ class ShadowResult:
     epsilon_bound: float
     q_used: float
     K_used: float
-    tail_K: int
     r_plus: float
     r_minus: float
     recurrence_residual: float
@@ -249,7 +243,6 @@ class ShadowResult:
             "epsilon_bound": self.epsilon_bound,
             "q_used": self.q_used,
             "K_used": self.K_used,
-            "tail_K": self.tail_K,
             "r_plus": self.r_plus,
             "r_minus": self.r_minus,
             "recurrence_residual": self.recurrence_residual,
@@ -260,26 +253,39 @@ def construct_shadow(
     op: DenseOperator,
     b: DenseOperator,
     orbit: PseudoOrbit,
-    tail_K: int | None = None,
+    *,
     q: float | None = None,
     decay_order: int = 32,
 ) -> ShadowResult:
     """Shadow a pseudo-orbit of a dense operator through the splitting B.
 
-    The decay certificate (both power-norm rates < 1) is checked first; q
-    defaults to the midpoint between the measured worst rate and 1, and the
-    tail horizon to the first k with q^k below 1e-12.  The correction x_n is
-    the truncated two-sided series, the genuine trajectory is seeded by
-    anchor = y_0 - x_0 and propagated outward from the window origin (stable:
-    each direction only ever amplifies by |lambda|_max^N, and the anchor is
-    taken where the orbit is smallest).
+    One stack of power kernels M_k = (BA)^k B and N_k = ((I-B)A^{-1})^k (I-B),
+    k = 0..m with m = decay_order, carries the whole certificate: the decay
+    rates (both < 1), q (default: the midpoint between the worst rate and 1)
+    and K = max_{k<=m} max(||M_k||, ||N_k||) / q^k.  Since M_{k+m} =
+    (BA)^m M_k, that maximum bounds every k once ||(BA)^m|| < q^m, and
+    likewise backward; otherwise DecayCertificateError is raised.
+
+    The correction is the two-sided series restricted to the window, computed
+    by two sweeps with the same per-step re-projection as the kernels:
+
+        u_n = B (A u_{n-1} + z_{n-1}),             u = 0 at the left edge,
+        v_n = (I-B) A^{-1} (v_{n+1} + (I-B) z_n),  v = 0 at the right edge,
+
+    and x = u - v.  The genuine trajectory is seeded by anchor = y_0 - x_0 and
+    propagated outward from the window origin (stable: each direction only
+    ever amplifies by |lambda|_max^N, and the anchor is taken where the orbit
+    is smallest).
     """
     if not isinstance(op, DenseOperator) or not isinstance(b, DenseOperator):
         raise TypeError("construct_shadow needs dense operator and splitting")
     d = op.dim
     states = [_dense_state(s, d) for s in orbit.states]
+    a, b_mat = op.entries, b.entries
+    ainv = inverse(op).entries
 
-    rates = decay_rates(op, b, decay_order)
+    fwd, bwd, norms_fwd, norms_bwd = splitting_power_stacks(op, b, decay_order)
+    rates = DecayRates.from_norms(norms_fwd, norms_bwd)
     if rates.worst >= 1.0:
         raise DecayCertificateError(
             f"splitting not certified: r_plus={rates.r_plus:.6f}, r_minus={rates.r_minus:.6f}",
@@ -290,54 +296,33 @@ def construct_shadow(
         q = 0.5 * (1.0 + rates.worst)
     if not (rates.worst < q < 1.0):
         raise ValueError(f"q must lie in (worst rate {rates.worst:.6f}, 1)")
-    explicit_tail = tail_K is not None
-    if tail_K is None:
-        tail_K = int(math.ceil(math.log(TAIL_EPS) / math.log(q)))
-    if tail_K > TAIL_CAP:
-        raise TailBoundError(
-            f"tail horizon {tail_K} exceeds cap {TAIL_CAP}; splitting decays too slowly"
+    m = decay_order
+    tail_fwd = float(np.linalg.norm(fwd[m - 1] @ a, 2))
+    tail_bwd = float(np.linalg.norm(bwd[m - 1] @ ainv, 2))
+    if max(tail_fwd, tail_bwd) >= q ** m:
+        raise DecayCertificateError(
+            f"envelope not certified past order {m}: ||(BA)^{m}||={tail_fwd:.3e}, "
+            f"||((I-B)A^-1)^{m}||={tail_bwd:.3e}, q^{m}={q ** m:.3e}",
+            r_plus=rates.r_plus,
+            r_minus=rates.r_minus,
         )
-
-    fwd, bwd, norms_fwd, norms_bwd = splitting_power_stacks(op, b, tail_K)
-    qpow = q ** np.arange(tail_K + 1)
+    qpow = q ** np.arange(m + 1)
     K = float(max(np.max(norms_fwd / qpow), np.max(norms_bwd / qpow)))
-
-    def _tail(k: int) -> float:
-        # geometric tail of the series per unit defect
-        return K * q ** k / (1.0 - q)
-
-    if _tail(tail_K) >= 1e-10 and not explicit_tail:
-        # default horizon targeted q^k alone; stretch it to absorb K/(1-q)
-        tail_K = int(math.ceil(math.log(1e-10 * (1.0 - q) / K) / math.log(q)))
-        if tail_K > TAIL_CAP:
-            raise TailBoundError(
-                f"tail horizon {tail_K} exceeds cap {TAIL_CAP}; splitting decays too slowly"
-            )
-        fwd, bwd, norms_fwd, norms_bwd = splitting_power_stacks(op, b, tail_K)
-        qpow = q ** np.arange(tail_K + 1)
-        K = float(max(np.max(norms_fwd / qpow), np.max(norms_bwd / qpow)))
-    if _tail(tail_K) >= 1e-10:
-        raise TailBoundError(
-            f"tail bound {_tail(tail_K):.3e} at horizon {tail_K} too large for the 1e-10 target"
-        )
 
     W = len(states)
     x = np.zeros((d, W), dtype=np.complex128)
     if W > 1:
         z = np.stack(orbit.defects, axis=1)  # d x (W-1)
-        for k in range(0, tail_K + 1):
-            width = W - 1 - k
-            if width <= 0:
-                break
-            x[:, k + 1 : k + 1 + width] += fwd[k] @ z[:, :width]
-        for k in range(1, tail_K + 1):
-            width = W - k
-            if width <= 0:
-                break
-            x[:, :width] -= bwd[k] @ z[:, k - 1 : k - 1 + width]
-        residual = float(
-            np.max(np.linalg.norm(x[:, 1:] - op.entries @ x[:, :-1] - z, axis=0))
-        )
+        comp = np.eye(d, dtype=np.complex128) - b_mat
+        u = np.zeros(d, dtype=np.complex128)
+        for n in range(1, W):
+            u = b_mat @ (a @ u + z[:, n - 1])
+            x[:, n] = u
+        v = np.zeros(d, dtype=np.complex128)
+        for n in range(W - 2, -1, -1):
+            v = comp @ (ainv @ (v + comp @ z[:, n]))
+            x[:, n] -= v
+        residual = float(np.max(np.linalg.norm(x[:, 1:] - a @ x[:, :-1] - z, axis=0)))
     else:
         residual = 0.0
 
@@ -346,11 +331,9 @@ def construct_shadow(
     traj = np.empty((d, W), dtype=np.complex128)
     traj[:, idx0] = anchor
     for j in range(idx0 + 1, W):
-        traj[:, j] = op.entries @ traj[:, j - 1]
-    if idx0 > 0:
-        ainv = inverse(op).entries
-        for j in range(idx0 - 1, -1, -1):
-            traj[:, j] = ainv @ traj[:, j + 1]
+        traj[:, j] = a @ traj[:, j - 1]
+    for j in range(idx0 - 1, -1, -1):
+        traj[:, j] = ainv @ traj[:, j + 1]
     eps = float(np.max(np.linalg.norm(np.stack(states, axis=1) - traj, axis=0)))
 
     return ShadowResult(
@@ -359,7 +342,6 @@ def construct_shadow(
         epsilon_bound=float(K * (1.0 + q) / (1.0 - q) * orbit.delta),
         q_used=float(q),
         K_used=K,
-        tail_K=int(tail_K),
         r_plus=rates.r_plus,
         r_minus=rates.r_minus,
         recurrence_residual=residual,

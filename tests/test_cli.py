@@ -1,11 +1,15 @@
 import json
 import math
+import os
+import stat
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 import shadowspec as ss
-from shadowspec.cli import main
+from shadowspec.cli import _write_atomic, main
 
 W_HI = 2.0 * math.sqrt(2.0)
 W_LO = 1.0 / W_HI
@@ -140,6 +144,31 @@ class TestShadow:
         rc = main(["shadow", "--input", str(shift_op_file), "--output", str(tmp_path / "x.json")])
         assert rc == 2
 
+    def test_q_override_is_used(self, dense_op_file, tmp_path):
+        out = tmp_path / "shadow.json"
+        assert main(["shadow", "--input", str(dense_op_file), "--output", str(out), "--q", "0.9"]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["shadow"]["q_used"] == 0.9
+        assert doc["config"]["q"] == 0.9
+        assert "tail_K" not in doc["shadow"]
+
+    @pytest.mark.parametrize("q", ["1.5", "1.0", "0", "-0.5"])
+    def test_q_outside_unit_interval_is_input_error(self, dense_op_file, tmp_path, q):
+        rc = main(["shadow", "--input", str(dense_op_file), "--output", str(tmp_path / "x.json"),
+                   "--q", q])
+        assert rc == 2
+
+    def test_uncertified_envelope_tail_exits_with_certificate_failure(self, tmp_path, capsys):
+        payload = ss.operator_to_json(ss.diagonal([0.5, 1e6]))
+        payload["splitting"] = ss.operator_to_json(ss.DenseOperator([[1.0, 1.0], [0.0, 0.0]]))
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps(payload))
+        out = tmp_path / "shadow.json"
+        rc = main(["shadow", "--input", str(path), "--output", str(out), "--window", "5"])
+        assert rc == 4
+        assert "envelope not certified" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestProbe:
     def test_csv_ladder(self, dense_op_file, tmp_path):
@@ -152,6 +181,49 @@ class TestProbe:
         gains = [float(line.split(",")[1]) for line in lines[1:]]
         assert ns == [1, 2, 4, 8]
         assert all(g > 0 for g in gains)
+
+
+class TestWriteAtomic:
+    def test_concurrent_writers_to_one_path(self, tmp_path):
+        target = tmp_path / "out" / "report.json"
+        errors = []
+
+        def writer(tag):
+            try:
+                for i in range(300):
+                    _write_atomic(target, f"{tag} {i}\n")
+            except Exception as exc:
+                errors.append(exc)
+
+        tags = "abcd"  # more writers than cores
+        threads = [threading.Thread(target=writer, args=(tag,)) for tag in tags]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert target.read_text() in {f"{tag} 299\n" for tag in tags}
+        assert [p.name for p in target.parent.iterdir()] == ["report.json"]
+
+    def test_file_mode_follows_the_umask(self, tmp_path):
+        # mkstemp alone would leave the report readable by its owner only
+        umask = os.umask(0)
+        os.umask(umask)
+        target = tmp_path / "report.json"
+        _write_atomic(target, "{}\n")
+        assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        target = tmp_path / "report.json"
+        with pytest.raises(UnicodeEncodeError):
+            _write_atomic(target, "\ud800")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestExample17:

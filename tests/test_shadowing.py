@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import shadowspec as ss
-from _helpers import random_hyperbolic, random_invertible
+from _helpers import conjugated_diagonal, random_hyperbolic, random_invertible
 
 W_HI = 2.0 * math.sqrt(2.0)
 W_LO = 1.0 / W_HI
@@ -122,6 +122,62 @@ class TestConstructShadow:
         with pytest.raises(ss.DecayCertificateError) as err:
             ss.construct_shadow(ss.identity(2), ss.identity(2), orbit)
         assert err.value.r_plus >= 1.0
+
+    @pytest.mark.parametrize("window", [(-8, 8), (-3, 9), (0, 10), (-10, 0)])
+    def test_sweeps_match_the_double_sum(self, window):
+        # brute force: x_n = sum_k (BA)^k B z_{n-1-k} - sum_{k>=1} ((I-B)A^-1)^k (I-B) z_{n+k-1}
+        # over the window; y_n - A^n anchor is exactly x_n, so the anchor and
+        # the sup distance expose every term
+        rng = np.random.default_rng(404)
+        a, _ = conjugated_diagonal(rng, [0.5, 0.7, 1.4, 2.0])  # non-normal, both sides
+        b = ss.riesz_projector(a)
+        orbit = ss.generate_pseudo_orbit(a, np.zeros(4, dtype=complex), 1e-3, window, rng_seed=8)
+        res = ss.construct_shadow(a, b, orbit)
+
+        fwd_step = b.entries @ a.entries
+        comp = np.eye(4) - b.entries
+        bwd_step = comp @ ss.inverse(a).entries
+        z = orbit.defects
+        w = len(orbit.states)
+        x = np.zeros((w, 4), dtype=complex)
+        for n in range(w):
+            for k in range(n):
+                x[n] += np.linalg.matrix_power(fwd_step, k) @ b.entries @ z[n - 1 - k]
+            for k in range(1, w - n):
+                x[n] -= np.linalg.matrix_power(bwd_step, k) @ comp @ z[n + k - 1]
+        idx0 = -orbit.n_lo
+        assert np.max(np.abs(res.anchor - (orbit.states[idx0] - x[idx0]))) < 1e-12
+        assert res.epsilon_achieved == pytest.approx(np.max(np.linalg.norm(x, axis=1)), abs=1e-12)
+
+    def test_envelope_constant_covers_the_old_tail_horizon(self):
+        # K comes from decay_order powers plus the tail certificate; it must
+        # still dominate the envelope out to the horizon q^k < 1e-12
+        rng = np.random.default_rng(405)
+        for _ in range(6):
+            a, _ = random_hyperbolic(rng, 4)
+            b = ss.riesz_projector(a)
+            orbit = ss.generate_pseudo_orbit(a, np.zeros(4, dtype=complex), 1e-3, (-5, 5), rng_seed=1)
+            res = ss.construct_shadow(a, b, orbit)
+            horizon = math.ceil(math.log(1e-12) / math.log(res.q_used))
+            assert res.K_used >= ss.geometric_envelope_constant(a, b, res.q_used, horizon)
+
+    def test_uncertified_envelope_tail_rejected(self):
+        # B projects onto e_0 along (1, -1): not A-invariant, so (BA)^m = M_{m-1} A
+        # picks up the expanding entry and the envelope past order m is not bounded,
+        # although both decay rates sit below 1
+        a = ss.diagonal([0.5, 1e6])
+        b = ss.DenseOperator([[1.0, 1.0], [0.0, 0.0]])
+        orbit = ss.generate_pseudo_orbit(a, np.zeros(2, dtype=complex), 1e-3, (-5, 5), rng_seed=0)
+        with pytest.raises(ss.DecayCertificateError, match="envelope not certified") as err:
+            ss.construct_shadow(a, b, orbit)
+        assert err.value.r_plus < 1.0 and err.value.r_minus < 1.0
+
+    def test_q_outside_the_rate_interval_rejected(self):
+        a = ss.diagonal([2.0, 0.5])
+        orbit = ss.generate_pseudo_orbit(a, np.zeros(2, dtype=complex), 1e-3, (-3, 3), rng_seed=0)
+        for q in (0.4, 1.0):
+            with pytest.raises(ValueError):
+                ss.construct_shadow(a, ss.diagonal([0.0, 1.0]), orbit, q=q)
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=20, deadline=None)

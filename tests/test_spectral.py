@@ -183,6 +183,15 @@ class TestExpansivityWitness:
         assert witness.per_n_minima[1] <= expected + 1e-6
 
 
+    def test_unit_circle_eigenvector_is_not_missed(self):
+        # e_0 never grows under diag(1, 2, 0.5); random samples alone drift
+        # away from it once the other powers grow and report a false success
+        witness = ss.expansivity_witness(ss.diagonal([1.0, 2.0, 0.5]), n_max=20, samples=48)
+        assert witness.expansive_at is None
+        assert witness.sphere_min == pytest.approx(1.0, abs=1e-12)
+        assert abs(witness.counterexample[0]) == pytest.approx(1.0, abs=1e-12)
+
+
 class TestShiftEigenvector:
     def test_backward_shift_eigenvector_profile(self):
         s = ss.ShiftOperator("backward", W_HI, W_LO, 0)
