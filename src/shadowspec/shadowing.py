@@ -21,7 +21,12 @@ second are the sequence-space signatures of shadowing.  Window probes use the
 l2 norm (exact minimum gain via SVD) although the sequence operators natively
 live on l1/l-infinity; on finite windows the norms are equivalent and every
 probe is labelled as the l2 surrogate it is.  The l1 gain itself is evaluated
-exactly on the two-sided geometric test family via `bgain_test_sequence`.
+exactly on the two-sided geometric test family via `bgain_test_sequence`, in
+one array pass over the rows of the truncated script-B image.
+
+Shift probes never build the window matrix: the stencils couple (time, index)
+only to (time +- 1, index +- 1), so the matrix splits into scalar bidiagonal
+chains, each resolved to high relative accuracy (see `_shift_chain_gain`).
 """
 
 import math
@@ -389,26 +394,6 @@ def _dense_power_blocks(op: DenseOperator, n_lo: int, n_hi: int) -> list:
     return [blocks[n] for n in range(n_lo, n_hi + 1)]
 
 
-def _shift_cumulative_weight(op: ShiftOperator, j: int, n: int) -> float:
-    """Scalar weight of T^n applied to e_j (whose image is a single basis vector)."""
-    w = 1.0
-    if op.direction == "forward":
-        if n >= 0:
-            for m in range(n):
-                w *= op.edge_weight(j + m)
-        else:
-            for m in range(1, -n + 1):
-                w /= op.edge_weight(j - m)
-    else:
-        if n >= 0:
-            for m in range(n):
-                w *= op.edge_weight(j - m - 1)
-        else:
-            for m in range(-n):
-                w /= op.edge_weight(j + m)
-    return w
-
-
 def shadow_oracle_lsq(op, orbit: PseudoOrbit) -> OracleResult:
     """Independent shadowing oracle: minimize sum_n ||y_n - T^n x||^2 over x.
 
@@ -438,40 +423,48 @@ def shadow_oracle_lsq(op, orbit: PseudoOrbit) -> OracleResult:
         raise TypeError(f"not an operator: {op!r}")
     step = 1 if op.direction == "forward" else -1
     times = range(orbit.n_lo, orbit.n_hi + 1)
-    chains = set()
-    for n in times:
-        for i in orbit.state(n).coefficients:
-            chains.add(i - n * step)
-    chains = sorted(chains)
+    chains = sorted({i - n * step for n in times for i in orbit.state(n).coefficients})
+    if not chains:
+        return OracleResult(best_anchor=SupportedVector({}), epsilon_achieved=0.0, condition=1.0)
+    chains = np.array(chains)
+    times = np.array(times)
+    # pos[c, k]: index of T^n e_j for chain j = chains[c] at time n = times[k];
+    # every listed coefficient of the orbit lies on one chain
+    pos = chains[:, None] + step * times[None, :]
+    lo = int(pos.min())
+    ys = np.zeros((len(times), int(pos.max()) - lo + 1), dtype=np.complex128)
+    for k, y in enumerate(orbit.states):
+        for i, v in y.coefficients.items():
+            ys[k, i - lo] = v
 
-    weights = {
-        j: {n: _shift_cumulative_weight(op, j, n) for n in times} for j in chains
-    }
-    anchor = {}
-    dens = []
-    for j in chains:
-        num = 0j
-        den = 0.0
-        for n in times:
-            pi = weights[j][n]
-            num += pi * orbit.state(n).get(j + n * step)  # weights are real
-            den += pi * pi
-        anchor[j] = num / den
-        dens.append(den)
+    # weight of T^n e_j: one cumulative product of hop weights per chain,
+    # outward from n = 0 (a hop crosses the edge at the lower of its two indices)
+    hop = np.where(
+        np.minimum(pos[:, :-1], pos[:, 1:]) >= op.crossover, op.weight_pos, op.weight_neg
+    )
+    k0 = -orbit.n_lo
+    ahead = np.multiply.accumulate(hop[:, k0:], axis=1)
+    behind = np.divide.accumulate(
+        np.hstack([np.ones((len(chains), 1)), hop[:, :k0][:, ::-1]]), axis=1
+    )
+    weights = np.hstack([behind[:, ::-1], ahead])
 
-    eps = 0.0
-    for n in times:
-        y = orbit.state(n)
-        indices = set(y.coefficients) | {j + n * step for j in chains}
-        sq = 0.0
-        for i in indices:
-            j = i - n * step
-            pred = weights[j][n] * anchor[j] if j in anchor else 0j
-            sq += abs(y.get(i) - pred) ** 2
-        eps = max(eps, math.sqrt(sq))
-    cond = math.sqrt(max(dens) / min(dens)) if dens else 1.0
+    # for the expanding shift the residual cancels about |w|^N of the
+    # anchor's digits, so the anchor is formed exactly as a per-time loop
+    # would: sums in time order (accumulate, not pairwise) and real divisions
+    # (numpy's complex division multiplies by a reciprocal)
+    rows = np.arange(len(times))
+    dens = np.add.accumulate(weights * weights, axis=1)[:, -1]
+    num = np.add.accumulate(weights * ys[rows, pos - lo], axis=1)[:, -1]
+    anchor = num.real / dens + 1j * (num.imag / dens)
+    ys[rows, pos - lo] -= weights * anchor[:, None]  # ys is now the residual
+    # hypot is what abs() of a Python complex computes; np.abs rounds differently
+    eps = float(np.max(np.sqrt(np.sum(np.hypot(ys.real, ys.imag) ** 2, axis=1))))
+    cond = math.sqrt(float(dens.max() / dens.min()))
     return OracleResult(
-        best_anchor=SupportedVector(anchor), epsilon_achieved=eps, condition=cond
+        best_anchor=SupportedVector(dict(zip(chains.tolist(), anchor))),
+        epsilon_achieved=eps,
+        condition=cond,
     )
 
 
@@ -483,6 +476,22 @@ def _block_for(op, which: str, m: int | None) -> np.ndarray:
     if m is None:
         raise ValueError("shift operators need a materialization half-width M")
     return materialize(base, m).entries
+
+
+def _block_bidiagonal(
+    block: np.ndarray, rows: int, cols: int, eye_at: int, block_at: int
+) -> np.ndarray:
+    """Block matrix whose block row r holds I in block column r + eye_at and
+    -block in block column r + block_at, wherever those columns exist."""
+    d = block.shape[0]
+    out = np.zeros((rows * d, cols * d), dtype=np.complex128)
+    placed = ((eye_at, np.eye(d, dtype=np.complex128)), (block_at, -block))
+    for r in range(rows):
+        for offset, value in placed:
+            c = r + offset
+            if 0 <= c < cols:
+                out[r * d : (r + 1) * d, c * d : (c + 1) * d] = value
+    return out
 
 
 def windowed_operator(op, kind: str, n: int, m: int | None = None) -> np.ndarray:
@@ -498,48 +507,109 @@ def windowed_operator(op, kind: str, n: int, m: int | None = None) -> np.ndarray
     if n < 1:
         raise ValueError("N must be >= 1")
     if kind == "script-S":
-        block = _block_for(op, "plain", m)
-    elif kind == "script-B":
-        block = _block_for(op, "adjoint", m)
-    else:
-        raise ValueError("kind must be 'script-S' or 'script-B'")
-    d = block.shape[0]
-    eye = np.eye(d, dtype=np.complex128)
-    rows = 2 * n
-    cols = 2 * n + 1
-    out = np.zeros((rows * d, cols * d), dtype=np.complex128)
-    for j in range(rows):
-        if kind == "script-S":
-            out[j * d : (j + 1) * d, (j + 1) * d : (j + 2) * d] = eye
-            out[j * d : (j + 1) * d, j * d : (j + 1) * d] = -block
-        else:
-            out[j * d : (j + 1) * d, j * d : (j + 1) * d] = eye
-            out[j * d : (j + 1) * d, (j + 1) * d : (j + 2) * d] = -block
-    return out
+        return _block_bidiagonal(_block_for(op, "plain", m), 2 * n, 2 * n + 1, 1, 0)
+    if kind == "script-B":
+        return _block_bidiagonal(_block_for(op, "adjoint", m), 2 * n, 2 * n + 1, 0, 1)
+    raise ValueError("kind must be 'script-S' or 'script-B'")
 
 
 def _compression_script_b(op, n: int, m: int | None) -> np.ndarray:
     """script-B restricted to window-supported sequences, with the zero-padded
     boundary rows kept (a tall (2N+2) x (2N+1) block matrix).
 
+    Row r realizes x_{r-1} - T* x_r with x indexed 0..2N and zero outside.
     The literal interior stencil always has a d-dimensional kernel (pick the
     last block state freely and back-substitute), so min ||Bx||/||x|| over the
     full window space is identically zero there; the compression is the object
     whose gain actually witnesses bounded-belowness.
     """
-    block = _block_for(op, "adjoint", m)
-    d = block.shape[0]
-    eye = np.eye(d, dtype=np.complex128)
-    cols = 2 * n + 1
-    rows = cols + 1
-    out = np.zeros((rows * d, cols * d), dtype=np.complex128)
-    for r in range(rows):
-        # row r realizes x_{r-1} - T* x_r with x indexed 0..2N, zero outside
-        if r - 1 >= 0:
-            out[r * d : (r + 1) * d, (r - 1) * d : r * d] = eye
-        if r < cols:
-            out[r * d : (r + 1) * d, r * d : (r + 1) * d] += -block
-    return out
+    return _block_bidiagonal(_block_for(op, "adjoint", m), 2 * n + 2, 2 * n + 1, -1, 0)
+
+
+def _shift_chain_gain(op: ShiftOperator, kind: str, n: int, m) -> float:
+    """Smallest singular value of a shift's window matrix, chain by chain.
+
+    Both stencils couple (time, index) only to (time +- 1, index +- 1), so the
+    matrix `window_probe` would build from `materialize(., M)` splits into
+    scalar chains.  Listed alternately by row and column, a chain is a path
+    whose hops carry 1 (identity block) or a shift weight (T block): a
+    bidiagonal matrix.  The gain is the least smallest singular value.
+
+    Every step is a product or hypot of hop weights, so tiny gains keep full
+    relative accuracy: chains with an extra column are rotated square
+    (Givens, bottom-up); the reciprocal column norms tau of the square R's
+    inverse bound sigma_min(R) within [1 / ||1/tau||_2, min tau]; and only
+    chains whose lower bound reaches the least upper bound get an SVD,
+    batched by size.  LAPACK leaves a real upper bidiagonal as it is and
+    resolves it by dqds.
+    """
+    if m is None:
+        raise ValueError("shift operators need a materialization half-width M")
+    m = int(m)
+    if m < 1:
+        raise ValueError("half_width must be >= 1")
+    if n < (1 if kind == "script-S" else 0):
+        raise ValueError("N must be >= 1")
+    base = op if kind == "script-S" else adjoint(op)
+    # path nodes: script-B is row_0, col_0, row_1, ..., col_2N, row_2N+1 and
+    # script-S is col_0, row_0, ..., row_2N-1, col_2N; the hop after an even
+    # node crosses a T block and moves the index by `step`, the next keeps it
+    step = (1 if base.direction == "forward" else -1) * (1 if kind == "script-S" else -1)
+    nodes = 4 * n + 3 if kind == "script-B" else 4 * n + 1
+    moved = step * ((np.arange(nodes) + 1) // 2)
+    index = np.arange(-m - moved.max(), m - moved.min() + 1)[:, None] + moved
+    inside = np.abs(index) <= m  # materialize drops what leaves -M..M
+    hops = np.where(
+        np.minimum(index[:, :-1], index[:, :-1] + step) >= base.crossover,
+        base.weight_pos,
+        base.weight_neg,
+    )
+    hops[:, 1::2] = 1.0
+    hops[~(inside[:, :-1] & inside[:, 1:])] = 0.0
+    hops = np.pad(hops, ((0, 0), (0, 1)))  # a zero past the last node
+
+    # a chain with `count` nodes from `first` is the k x k (k x (k+1) for odd
+    # count) upper bidiagonal with diagonal a_i and superdiagonal b_i;
+    # rows are padded to k_max with decoupled ones
+    count = inside.sum(axis=1)
+    size = count[count >= 2] // 2
+    first = np.argmax(inside[count >= 2], axis=1)
+    hops = hops[count >= 2]
+    k_max = int(size.max())
+    chain = np.arange(len(size))[:, None]
+    at = np.minimum(first[:, None] + 2 * np.arange(k_max), nodes - 2)  # clips padding only
+    pad = np.arange(k_max) >= size[:, None]
+    a = np.where(pad, 1.0, hops[chain, at])
+    b = np.where(pad, 0.0, hops[chain, at + 1])
+
+    extra = np.zeros(len(size))  # the extra column's entry, chased upward
+    for i in range(k_max - 1, -1, -1):
+        extra = np.where(size - 1 == i, b[:, i], extra)
+        rho = np.hypot(a[:, i], extra)
+        if i:
+            b[:, i - 1], extra = b[:, i - 1] * (a[:, i] / rho), b[:, i - 1] * (extra / rho)
+        a[:, i] = rho
+    b[chain[:, 0], size - 1] = 0.0
+
+    tau = np.empty_like(a)
+    tau[:, 0] = a[:, 0]
+    with np.errstate(invalid="ignore"):  # 0/0 once tau underflows
+        for i in range(1, k_max):
+            tau[:, i] = a[:, i] * (tau[:, i - 1] / np.hypot(tau[:, i - 1], b[:, i - 1]))
+        tau[pad] = np.inf
+        upper = tau.min(axis=1)
+        lower = upper / np.sqrt(np.sum((upper[:, None] / tau) ** 2, axis=1))
+    # a NaN bound keeps its chain; the slack covers rounding in the bounds
+    keep = np.flatnonzero(~(lower > upper.min() * (1.0 + 1e-9)))
+    gain = np.inf
+    for k in np.unique(size[keep]):
+        sel = keep[size[keep] == k]
+        diag = np.arange(k)
+        mats = np.zeros((len(sel), k, k))
+        mats[:, diag, diag] = a[sel, :k]
+        mats[:, diag[:-1], diag[:-1] + 1] = b[sel, : k - 1]
+        gain = min(gain, float(np.linalg.svd(mats, compute_uv=False)[:, -1].min()))
+    return gain
 
 
 @dataclass(frozen=True)
@@ -569,13 +639,14 @@ def window_probe(op, kind: str, n: int, m: int | None = None) -> WindowProbe:
     ||B(x)||/||x|| over window-supported sequences, and dominates the
     infinite-window bounded-below constant from above).
     """
-    if kind == "script-S":
-        mat = windowed_operator(op, kind, n, m)
-    elif kind == "script-B":
-        mat = _compression_script_b(op, n, m)
-    else:
+    if kind not in ("script-S", "script-B"):
         raise ValueError("kind must be 'script-S' or 'script-B'")
-    gain = float(np.linalg.svd(mat, compute_uv=False)[-1])
+    if isinstance(op, ShiftOperator):
+        gain = _shift_chain_gain(op, kind, n, m)
+    elif kind == "script-S":
+        gain = float(np.linalg.svd(windowed_operator(op, kind, n, m), compute_uv=False)[-1])
+    else:
+        gain = float(np.linalg.svd(_compression_script_b(op, n, m), compute_uv=False)[-1])
     return WindowProbe(N=n, gain=gain, operator_kind=kind)
 
 
@@ -622,24 +693,30 @@ def bgain_test_sequence(op, x, q: float, n_trunc: int | None = None) -> BGainRes
         raise ValueError(f"truncation {n_trunc} leaves q^-N = {q**-n_trunc:.2e} > 1e-14")
 
     t_star_x = apply(adjoint(op), x)
+    if isinstance(x, SupportedVector):
+        # the indices of x - T*x, in the order SupportedVector lists them
+        support = list(dict.fromkeys([*x.coefficients, *t_star_x.coefficients]))
+        x_arr, tx_arr = (np.array([v.get(i) for i in support]) for v in (x, t_star_x))
+    else:
+        x_arr, tx_arr = np.asarray(x, dtype=np.complex128), t_star_x
 
-    def scale(n: int) -> float:
-        return q ** n if n < 0 else q ** (-n)
-
-    norm_y1 = sum(scale(n) * norm_x for n in range(-n_trunc, n_trunc + 1))
-    total = 0.0
-    for n in range(-n_trunc, n_trunc + 2):
-        s_prev = scale(n - 1) if n - 1 >= -n_trunc else 0.0
-        s_cur = scale(n) if n <= n_trunc else 0.0
-        # row n of script-B: y_{n-1} - T* y_n = s_prev * x - s_cur * T* x
-        total += vec_norm(vec_sub(vec_scale(s_prev, x), vec_scale(s_cur, t_star_x)))
+    # row n = -N..N+1 of script-B: y_{n-1} - T* y_n = s_prev * x - s_cur * T* x,
+    # with s = q^{-|n|} on -N..N and 0 outside.  Python's pow, in-order sums
+    # and hypot give the digits of SupportedVector.norm and a running sum.
+    scales = np.array([q ** -abs(n) for n in range(-n_trunc, n_trunc + 1)])
+    s_prev = np.concatenate([[0.0], scales])[:, None]
+    s_cur = np.concatenate([scales, [0.0]])[:, None]
+    rows = s_prev * x_arr - s_cur * tx_arr
+    norms = np.sqrt(np.add.accumulate(np.hypot(rows.real, rows.imag) ** 2, axis=1)[:, -1])
+    total = np.add.accumulate(norms)[-1]
+    norm_y1 = np.add.accumulate(scales * norm_x)[-1]
 
     identity = (
         vec_norm(vec_sub(vec_scale(1.0 / q, x), t_star_x)) * q
         + vec_norm(vec_sub(vec_scale(q, x), t_star_x))
     ) / ((1.0 + q) * norm_x)
     return BGainResult(
-        gain_measured=total / norm_y1,
+        gain_measured=float(total / norm_y1),
         gain_identity=float(identity),
         q=q,
         truncation=n_trunc,

@@ -22,13 +22,24 @@ def random_unitary(rng, dim):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+# The suite's calls (d <= 8) accept within 12 draws; at d = 8 a draw is
+# accepted with probability about 0.15, so 200 misses in a row has odds near
+# 1e-14.  At d = 64 cond(V) never gets near the cap.
+MAX_SIMILARITY_DRAWS = 200
+
+
 def mild_similarity(rng, dim, strength=0.25, cond_cap=6.0):
-    while True:
+    """V = I + strength*G (complex Gaussian G) with cond(V) <= cond_cap, by
+    rejection; RuntimeError after MAX_SIMILARITY_DRAWS rejected draws."""
+    for _ in range(MAX_SIMILARITY_DRAWS):
         v = np.eye(dim, dtype=np.complex128) + strength * (
             rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         )
         if np.linalg.cond(v) <= cond_cap:
             return v
+    raise RuntimeError(
+        f"no I + {strength}*G with cond <= {cond_cap} in {MAX_SIMILARITY_DRAWS} draws at d={dim}"
+    )
 
 
 def draw_moduli(rng, dim, bands):

@@ -182,6 +182,18 @@ class TestProbe:
         assert ns == [1, 2, 4, 8]
         assert all(g > 0 for g in gains)
 
+    def test_shift_ladder_at_window_64(self, shift_op_file, tmp_path):
+        # compressions to nested windows: the gains may only fall, and stay
+        # resolved while they shrink far below eps * ||matrix||
+        out = tmp_path / "probe.csv"
+        rc = main(["probe", "--input", str(shift_op_file), "--output", str(out), "--window", "64"])
+        assert rc == 0
+        rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+        assert [int(n) for n, _ in rows] == [8, 16, 32, 64]
+        gains = [float(g) for _, g in rows]
+        assert all(g > 0 for g in gains)
+        assert all(b <= a for a, b in zip(gains, gains[1:]))
+
 
 class TestWriteAtomic:
     def test_concurrent_writers_to_one_path(self, tmp_path):

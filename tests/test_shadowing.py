@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import shadowspec as ss
+from shadowspec.operators import vec_norm, vec_scale, vec_sub
 from _helpers import conjugated_diagonal, random_hyperbolic, random_invertible
 
 W_HI = 2.0 * math.sqrt(2.0)
@@ -393,3 +394,182 @@ class TestRotateOrbit:
         orbit = ss.generate_pseudo_orbit(a, np.ones(1, dtype=complex), 0.0, (0, 2), rng_seed=0)
         with pytest.raises(ss.NotUnimodularError):
             ss.rotate_orbit(orbit, 0.5)
+
+
+# ---------------------------------------------------------------------------
+# reference loops: the per-block, per-row and per-time forms the array code
+# replaced, kept as the oracles it is held to
+
+def _reference_stencil(block, kind, n):
+    d = block.shape[0]
+    eye = np.eye(d, dtype=np.complex128)
+    out = np.zeros((2 * n * d, (2 * n + 1) * d), dtype=np.complex128)
+    for j in range(2 * n):
+        if kind == "script-S":
+            out[j * d : (j + 1) * d, (j + 1) * d : (j + 2) * d] = eye
+            out[j * d : (j + 1) * d, j * d : (j + 1) * d] = -block
+        else:
+            out[j * d : (j + 1) * d, j * d : (j + 1) * d] = eye
+            out[j * d : (j + 1) * d, (j + 1) * d : (j + 2) * d] = -block
+    return out
+
+
+def _reference_compression(block_adj, n):
+    d = block_adj.shape[0]
+    eye = np.eye(d, dtype=np.complex128)
+    cols = 2 * n + 1
+    out = np.zeros(((cols + 1) * d, cols * d), dtype=np.complex128)
+    for r in range(cols + 1):
+        if r - 1 >= 0:
+            out[r * d : (r + 1) * d, (r - 1) * d : r * d] = eye
+        if r < cols:
+            out[r * d : (r + 1) * d, r * d : (r + 1) * d] += -block_adj
+    return out
+
+
+def _reference_gain_measured(op, x, q, n_trunc):
+    t_star_x = ss.apply(ss.adjoint(op), x)
+
+    def scale(n):
+        return q ** n if n < 0 else q ** (-n)
+
+    norm_y1 = sum(scale(n) * vec_norm(x) for n in range(-n_trunc, n_trunc + 1))
+    total = 0.0
+    for n in range(-n_trunc, n_trunc + 2):
+        s_prev = scale(n - 1) if n - 1 >= -n_trunc else 0.0
+        s_cur = scale(n) if n <= n_trunc else 0.0
+        total += vec_norm(
+            vec_sub(vec_scale(s_prev, x), vec_scale(s_cur, t_star_x))
+        )
+    return total / norm_y1
+
+
+def _reference_shift_oracle(op, orbit):
+    """Per-(chain, time) weights T^n e_j by repeated edge products."""
+    step = 1 if op.direction == "forward" else -1
+    times = range(orbit.n_lo, orbit.n_hi + 1)
+    chains = sorted({i - n * step for n in times for i in orbit.state(n).coefficients})
+
+    def weight(j, n):
+        w = 1.0
+        for m in range(abs(n)):
+            a = j + m * step if n > 0 else j - m * step
+            b = a + step if n > 0 else a - step
+            w = w * op.edge_weight(min(a, b)) if n > 0 else w / op.edge_weight(min(a, b))
+        return w
+
+    anchor, dens = {}, []
+    for j in chains:
+        num, den = 0j, 0.0
+        for n in times:
+            pi = weight(j, n)
+            num += pi * orbit.state(n).get(j + n * step)
+            den += pi * pi
+        anchor[j] = num / den
+        dens.append(den)
+    eps = 0.0
+    for n in times:
+        y = orbit.state(n)
+        sq = 0.0
+        for i in set(y.coefficients) | {j + n * step for j in chains}:
+            j = i - n * step
+            sq += abs(y.get(i) - (weight(j, n) * anchor[j] if j in anchor else 0j)) ** 2
+        eps = max(eps, math.sqrt(sq))
+    return anchor, eps, math.sqrt(max(dens) / min(dens))
+
+
+class TestBlockAssembly:
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_dense_windows_match_the_block_loops(self, n):
+        rng = np.random.default_rng(100 + n)
+        for dim in (1, 2, 4):
+            a = random_invertible(rng, dim)
+            adj = a.entries.conj().T
+            for kind in ("script-S", "script-B"):
+                block = a.entries if kind == "script-S" else adj
+                assert np.array_equal(
+                    ss.windowed_operator(a, kind, n), _reference_stencil(block, kind, n)
+                )
+            assert np.array_equal(
+                ss.shadowing._compression_script_b(a, n, None), _reference_compression(adj, n)
+            )
+
+
+class TestShiftChainProbe:
+    @pytest.mark.parametrize("kind", ["script-B", "script-S"])
+    @pytest.mark.parametrize("crossover", [-2, 0, 3])
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    def test_chains_match_dense_window_svd(self, direction, crossover, kind):
+        t = ss.ShiftOperator(direction, W_HI, W_LO, crossover)
+        for n in (1, 2, 3, 5, 8):
+            for m in (n + 8, n, 1):  # generous and tight materialization margins
+                if kind == "script-B":
+                    mat = _reference_compression(ss.materialize(ss.adjoint(t), m).entries, n)
+                else:
+                    mat = _reference_stencil(ss.materialize(t, m).entries, kind, n)
+                svals = np.linalg.svd(mat, compute_uv=False)
+                gain = ss.window_probe(t, kind, n, m).gain
+                assert abs(gain - svals[-1]) <= 1e-10 * svals[0], (n, m)
+
+    def test_tied_chains_match_dense_window_svd(self):
+        # equal weights make every chain a near-tie, so little is pruned
+        for weights in ((1.0, 1.0), (1.5, 0.9), (W_LO, W_HI)):
+            t = ss.ShiftOperator("forward", *weights, 1)
+            for n in (1, 4):
+                mat = _reference_compression(ss.materialize(ss.adjoint(t), n + 3).entries, n)
+                svals = np.linalg.svd(mat, compute_uv=False)
+                gain = ss.window_probe(t, "script-B", n, n + 3).gain
+                assert abs(gain - svals[-1]) <= 1e-10 * svals[0]
+
+    def test_tiny_gain_has_relative_accuracy(self):
+        # 3.1086244689504298e-15 is this compression's smallest singular
+        # value in 120-digit arithmetic; a dense SVD resolves it only to
+        # about 1e-16 absolute
+        t = ss.ShiftOperator("forward", W_HI, W_LO, 0)
+        gain = ss.window_probe(t, "script-B", 32, 40).gain
+        assert gain == pytest.approx(3.1086244689504298e-15, rel=1e-12)
+
+    def test_argument_errors(self):
+        t = ss.ShiftOperator("forward", W_HI, W_LO, 0)
+        with pytest.raises(ValueError):
+            ss.window_probe(t, "script-B", 3)
+        with pytest.raises(ValueError):
+            ss.window_probe(t, "script-S", 0, 5)
+        with pytest.raises(ValueError):
+            ss.window_probe(t, "script-B", 3, 0)
+        with pytest.raises(ValueError):
+            ss.window_probe(t, "script-X", 3, 5)
+
+
+class TestArrayGainAndOracle:
+    def test_gain_matches_row_loop(self):
+        rng = np.random.default_rng(55)
+        for trial in range(20):
+            q = float(rng.uniform(1.05, 2.0))
+            if trial % 2:
+                op = random_invertible(rng, int(rng.integers(1, 6)))
+                x = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
+                tol = 1e-14  # the row norms are summed in another order
+            else:
+                direction = "forward" if rng.uniform() < 0.5 else "backward"
+                wp, wn = np.exp(rng.uniform(np.log(0.2), np.log(5.0), size=2))
+                op = ss.ShiftOperator(direction, float(wp), float(wn), int(rng.integers(-2, 3)))
+                support = rng.integers(-3, 4, size=4)  # repeats leave gaps
+                x = ss.SupportedVector({int(i): complex(*rng.standard_normal(2)) for i in support})
+                tol = 0.0  # same operations in the same order
+            res = ss.bgain_test_sequence(op, x, q)
+            ref = _reference_gain_measured(op, x, q, res.truncation)
+            assert abs(res.gain_measured - ref) <= tol * ref
+
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    def test_shift_oracle_matches_time_loop(self, direction):
+        for crossover in (-2, 0, 3):
+            t = ss.ShiftOperator(direction, W_HI, W_LO, crossover)
+            seed = ss.SupportedVector({-3: 0.4, 0: 1.0 - 0.5j, 2: -0.3j, 5: 0.2})
+            for n_lo, n_hi in ((-6, 6), (0, 5), (-4, 0)):
+                orbit = ss.generate_pseudo_orbit(t, seed, 1e-3, (n_lo, n_hi), rng_seed=9)
+                res = ss.shadow_oracle_lsq(t, orbit)
+                anchor, eps, cond = _reference_shift_oracle(t, orbit)
+                assert res.best_anchor.coefficients == anchor
+                assert res.condition == cond
+                assert res.epsilon_achieved == pytest.approx(eps, rel=1e-13)
