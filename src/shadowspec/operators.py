@@ -32,10 +32,6 @@ __all__ = [
     "materialize",
     "rotate",
     "vec_norm",
-    "vec_add",
-    "vec_sub",
-    "vec_scale",
-    "vec_inner",
     "operator_to_json",
     "operator_from_json",
 ]
@@ -113,11 +109,14 @@ class SupportedVector:
     """Finitely supported vector over the integer-indexed basis.
 
     Only listed indices are nonzero; the norm is the l2 norm over the listed
-    support.  Instances are value-immutable: the coefficient map is copied at
+    support; ``a + b``, ``a - b`` and ``c * v`` keep the listing order.
+    Instances are value-immutable: the coefficient map is copied at
     construction and never mutated afterwards.
     """
 
     coefficients: dict
+    # numpy scalars and arrays defer to __rmul__ instead of broadcasting
+    __array_ufunc__ = None
 
     def __post_init__(self):
         coeffs = {int(k): complex(v) for k, v in self.coefficients.items()}
@@ -135,9 +134,11 @@ class SupportedVector:
     def norm(self) -> float:
         return float(np.sqrt(sum(abs(v) ** 2 for v in self.coefficients.values())))
 
-    def scaled(self, a) -> "SupportedVector":
+    def __mul__(self, a) -> "SupportedVector":
         a = complex(a)
         return SupportedVector({n: a * v for n, v in self.coefficients.items()})
+
+    __rmul__ = __mul__
 
     def __add__(self, other: "SupportedVector") -> "SupportedVector":
         out = dict(self.coefficients)
@@ -146,14 +147,7 @@ class SupportedVector:
         return SupportedVector(out)
 
     def __sub__(self, other: "SupportedVector") -> "SupportedVector":
-        return self + other.scaled(-1.0)
-
-    def inner(self, other: "SupportedVector") -> complex:
-        """<self, other>, linear in self and conjugate-linear in other."""
-        theirs = other.coefficients
-        return complex(
-            sum(v * theirs[n].conjugate() for n, v in self.coefficients.items() if n in theirs)
-        )
+        return self + -1.0 * other
 
     def to_window_array(self, half_width: int) -> np.ndarray:
         """Dense coefficient array on indices -half_width..half_width."""
@@ -168,6 +162,13 @@ def basis_vector(n: int, value=1.0) -> SupportedVector:
     return SupportedVector({n: value})
 
 
+def _dense_vector(v, dim: int) -> np.ndarray:
+    arr = np.asarray(v, dtype=np.complex128)
+    if arr.shape != (dim,):
+        raise DimensionMismatchError(f"vector of shape {arr.shape} does not match dimension {dim}")
+    return arr
+
+
 def apply(op, v):
     """Image of v under op.
 
@@ -177,12 +178,7 @@ def apply(op, v):
     if isinstance(op, DenseOperator):
         if isinstance(v, SupportedVector):
             raise DimensionMismatchError("dense operator expects a dense coefficient vector")
-        arr = np.asarray(v, dtype=np.complex128)
-        if arr.shape != (op.dim,):
-            raise DimensionMismatchError(
-                f"vector of shape {arr.shape} does not match operator dimension {op.dim}"
-            )
-        return op.entries @ arr
+        return op.entries @ _dense_vector(v, op.dim)
     if isinstance(op, ShiftOperator):
         if not isinstance(v, SupportedVector):
             raise DimensionMismatchError("shift operator expects a SupportedVector")
@@ -224,13 +220,18 @@ def inverse(op, rtol: float = SINGULARITY_RTOL):
         return ShiftOperator(flipped, 1.0 / op.weight_pos, 1.0 / op.weight_neg, op.crossover)
     if not isinstance(op, DenseOperator):
         raise TypeError(f"not an operator: {op!r}")
+    _require_nonsingular(op, rtol)
+    return DenseOperator(np.linalg.inv(op.entries))
+
+
+def _require_nonsingular(op: DenseOperator, rtol: float = SINGULARITY_RTOL) -> None:
+    """Invertibility rule of `inverse`: sigma_min > rtol * sigma_max."""
     svals = np.linalg.svd(op.entries, compute_uv=False)
     if svals[-1] <= rtol * svals[0]:
         raise SingularOperatorError(
             f"operator is numerically singular: smallest singular value {svals[-1]:.3e} "
             f"<= {rtol:.1e} * largest ({svals[0]:.3e})"
         )
-    return DenseOperator(np.linalg.inv(op.entries))
 
 
 def materialize(op: ShiftOperator, half_width: int) -> DenseOperator:
@@ -278,38 +279,10 @@ def rotate(op, lam):
     raise TypeError(f"not an operator: {op!r}")
 
 
-# ---------------------------------------------------------------------------
-# kind-generic vector helpers (dense ndarrays and SupportedVectors)
-
 def vec_norm(v) -> float:
     if isinstance(v, SupportedVector):
         return v.norm()
     return float(np.linalg.norm(np.asarray(v)))
-
-
-def vec_add(a, b):
-    if isinstance(a, SupportedVector):
-        return a + b
-    return np.asarray(a) + np.asarray(b)
-
-
-def vec_sub(a, b):
-    if isinstance(a, SupportedVector):
-        return a - b
-    return np.asarray(a) - np.asarray(b)
-
-
-def vec_scale(c, v):
-    if isinstance(v, SupportedVector):
-        return v.scaled(c)
-    return complex(c) * np.asarray(v, dtype=np.complex128)
-
-
-def vec_inner(a, b) -> complex:
-    """<a, b>, linear in a, conjugate-linear in b."""
-    if isinstance(a, SupportedVector):
-        return a.inner(b)
-    return complex(np.sum(np.asarray(a) * np.conj(np.asarray(b))))
 
 
 # ---------------------------------------------------------------------------
@@ -338,12 +311,18 @@ def operator_to_json(op) -> dict:
     raise TypeError(f"not an operator: {op!r}")
 
 
+def _integer_field(value, key: str) -> int:
+    if not float(value).is_integer():
+        raise ValueError(f"{key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
 def operator_from_json(data: dict):
     if not isinstance(data, dict) or "kind" not in data:
         raise ValueError("operator JSON must be an object with a 'kind' field")
     kind = data["kind"]
     if kind == "dense":
-        dim = int(data["dim"])
+        dim = _integer_field(data["dim"], "dim")
         pairs = data["entries"]
         if len(pairs) != dim * dim:
             raise ValueError(f"dense operator needs {dim * dim} entries, got {len(pairs)}")
@@ -354,6 +333,6 @@ def operator_from_json(data: dict):
             str(data["direction"]),
             float(data["weight_pos"]),
             float(data["weight_neg"]),
-            int(data.get("crossover", 0)),
+            _integer_field(data.get("crossover", 0), "crossover"),
         )
     raise ValueError(f"unknown operator kind {kind!r}")

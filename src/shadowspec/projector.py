@@ -371,5 +371,10 @@ def geometric_envelope_constant(
     if not (0.0 < q < 1.0):
         raise ValueError("q must lie in (0, 1)")
     _, _, norms_fwd, norms_bwd = splitting_power_stacks(a, b, k_max)
-    qpow = q ** np.arange(k_max + 1)
+    return _envelope_constant(norms_fwd, norms_bwd, q)
+
+
+def _envelope_constant(norms_fwd: np.ndarray, norms_bwd: np.ndarray, q: float) -> float:
+    """max_k max(norms_fwd[k], norms_bwd[k]) / q^k over the kernel orders 0..k_max."""
+    qpow = q ** np.arange(len(norms_fwd))
     return float(max(np.max(norms_fwd / qpow), np.max(norms_bwd / qpow)))

@@ -1,7 +1,10 @@
 """Pseudo-orbits, constructive shadowing, and sequence-space probes.
 
 A delta-pseudo-orbit is a finite window of states whose one-step recurrence
-defect never exceeds delta.  For a dense operator with a certified splitting
+defect never exceeds delta: arrays for dense operators, `SupportedVector`s
+for shifts, with `+`, `-` and scalar `*` for both.  `generate_pseudo_orbit`
+draws its defects up front, `orbit_from_defects` takes them from the caller,
+and both run one recurrence.  For a dense operator with a certified splitting
 B (forward powers of A damped through B, backward powers damped through I-B),
 the bounded solution of x_{n+1} = A x_n + z_n is written down explicitly as
 
@@ -36,19 +39,20 @@ import numpy as np
 
 from .errors import DecayCertificateError, DimensionMismatchError, NotUnimodularError
 from .operators import (
+    UNIMODULAR_TOL,
     DenseOperator,
     ShiftOperator,
     SupportedVector,
+    _dense_vector,
     adjoint,
     apply,
     inverse,
     materialize,
     vec_norm,
-    vec_scale,
-    vec_sub,
 )
+from .projector import DecayRates, _envelope_constant, splitting_power_stacks
 # decay_rates stays bound here too: shadowbench's tests read it through this module
-from .projector import DecayRates, decay_rates, splitting_power_stacks  # noqa: F401
+from .projector import decay_rates  # noqa: F401
 
 __all__ = [
     "PseudoOrbit",
@@ -115,35 +119,45 @@ class PseudoOrbit:
         return [vec_norm(z) for z in self.defects]
 
 
-def _dense_state(v, dim: int) -> np.ndarray:
-    arr = np.asarray(v, dtype=np.complex128)
-    if arr.shape != (dim,):
-        raise DimensionMismatchError(f"state of shape {arr.shape}, expected ({dim},)")
-    return arr
-
-
-def _draw_defect_like(state_image, delta: float, rng, on_sphere: bool):
-    """Random defect of norm delta (sphere) or at most delta (ball), shaped
-    like the given state: dense array, or SupportedVector on its support."""
-    if isinstance(state_image, SupportedVector):
-        support = state_image.support() or [0]
-        g = rng.standard_normal(len(support)) + 1j * rng.standard_normal(len(support))
+def _draw_defects(op, x0, delta: float, n_lo: int, n_hi: int, rng, on_sphere: bool) -> list:
+    """Defects z_n (n = n_lo..n_hi-1) drawn in the order n = 0..n_hi-1, -1..n_lo.
+    z_n lives where state n+1 does: on all d coordinates, or on the shift
+    seed's listed indices moved to time n+1."""
+    seed = x0.support() if isinstance(op, ShiftOperator) else None
+    size = op.dim if seed is None else len(seed)
+    defects = [None] * (n_hi - n_lo)
+    for n in [*range(n_hi), *range(-1, n_lo - 1, -1)]:
+        g = rng.standard_normal(size) + 1j * rng.standard_normal(size)
         r = np.linalg.norm(g)
-        if r == 0.0 or delta == 0.0:
-            return SupportedVector({support[0]: 0.0})
-        scale = delta / r
-        if not on_sphere:
-            scale *= rng.uniform() ** (1.0 / (2 * len(support)))
-        return SupportedVector({n: scale * c for n, c in zip(support, g)})
-    d = len(state_image)
-    g = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    r = np.linalg.norm(g)
-    if r == 0.0 or delta == 0.0:
-        return np.zeros(d, dtype=np.complex128)
-    scale = delta / r
-    if not on_sphere:
-        scale *= rng.uniform() ** (1.0 / (2 * d))
-    return scale * g
+        zero = r == 0.0 or delta == 0.0
+        if zero:
+            z = np.zeros(size, dtype=np.complex128)
+        else:
+            scale = delta / r
+            if not on_sphere:
+                scale *= rng.uniform() ** (1.0 / (2 * size))
+            z = scale * g
+        if seed is not None:
+            moved = (n + 1) * (1 if op.direction == "forward" else -1)
+            index = [i + moved for i in seed]
+            z = SupportedVector({index[0]: 0.0} if zero else dict(zip(index, z)))
+        defects[n - n_lo] = z
+    return defects
+
+
+def _propagate(op, x0, defects: list, n_lo: int):
+    """States from x0 at index 0 through x_{n+1} = T x_n + z_n, forward and,
+    by the exact inverse, backward; and the defects re-read off the states."""
+    op_inv = inverse(op)
+    idx0 = -n_lo
+    states = [None] * (len(defects) + 1)
+    states[idx0] = x0
+    for j in range(idx0, len(defects)):
+        states[j + 1] = apply(op, states[j]) + defects[j]
+    for j in range(idx0 - 1, -1, -1):
+        states[j] = apply(op_inv, states[j + 1] - defects[j])
+    actual = [states[j + 1] - apply(op, states[j]) for j in range(len(defects))]
+    return tuple(states), tuple(actual)
 
 
 def generate_pseudo_orbit(
@@ -156,41 +170,29 @@ def generate_pseudo_orbit(
 ) -> PseudoOrbit:
     """Random delta-pseudo-orbit seeded at index 0.
 
-    Forward states follow y_{n+1} = T y_n + z_n with z_n drawn on the
-    delta-sphere (or in the ball with on_sphere=False); backward states use
-    the exact inverse, y_n = T^{-1}(y_{n+1} - z_n), so the defect identity
-    holds on the whole window.  Defects are re-read off the final states, and
-    the draw order (all forward steps, then backward steps) is fixed, so a
-    seed pins the orbit bit-for-bit.
+    All defects z_n are drawn first, on the delta-sphere (or in the ball with
+    on_sphere=False) and in a fixed order, so a seed pins the orbit
+    bit-for-bit.  Forward states follow y_{n+1} = T y_n + z_n, backward states
+    the exact inverse y_n = T^{-1}(y_{n+1} - z_n), and the defects are re-read
+    off the final states.  A shift seed must list at least one index.
     """
     n_lo, n_hi = int(window[0]), int(window[1])
     if delta < 0:
         raise ValueError("delta must be nonnegative")
     if not (n_lo <= 0 <= n_hi):
         raise ValueError("window must straddle index 0")
-    rng = np.random.default_rng(rng_seed)
     if isinstance(op, DenseOperator):
-        x0 = _dense_state(x0, op.dim)
+        x0 = _dense_vector(x0, op.dim)
     elif not isinstance(x0, SupportedVector):
         raise DimensionMismatchError("shift orbits need a SupportedVector seed")
-
-    op_inv = inverse(op)
-    forward = [x0]
-    for _ in range(n_hi):
-        image = apply(op, forward[-1])
-        z = _draw_defect_like(image, delta, rng, on_sphere)
-        forward.append(image + z)
-    backward = [x0]
-    for _ in range(-n_lo):
-        cur = backward[-1]
-        z = _draw_defect_like(cur, delta, rng, on_sphere)
-        backward.append(apply(op_inv, vec_sub(cur, z)))
-    states = list(reversed(backward[1:])) + forward
-
-    defects = [
-        vec_sub(states[j + 1], apply(op, states[j])) for j in range(len(states) - 1)
-    ]
-    return PseudoOrbit(n_lo=n_lo, n_hi=n_hi, states=tuple(states), delta=delta, defects=tuple(defects))
+    elif not isinstance(op, ShiftOperator):
+        raise TypeError(f"not an operator: {op!r}")
+    elif not x0.coefficients:
+        raise ValueError("shift seed must list at least one index")
+    rng = np.random.default_rng(rng_seed)
+    defects = _draw_defects(op, x0, delta, n_lo, n_hi, rng, on_sphere)
+    states, actual = _propagate(op, x0, defects, n_lo)
+    return PseudoOrbit(n_lo=n_lo, n_hi=n_hi, states=states, delta=delta, defects=actual)
 
 
 def orbit_from_defects(op, x0, defects, window: tuple) -> PseudoOrbit:
@@ -207,18 +209,10 @@ def orbit_from_defects(op, x0, defects, window: tuple) -> PseudoOrbit:
     if len(defects) != n_hi - n_lo:
         raise ValueError("need exactly one defect per step")
     if isinstance(op, DenseOperator):
-        x0 = _dense_state(x0, op.dim)
-    op_inv = inverse(op)
-    idx0 = -n_lo
-    states = [None] * (n_hi - n_lo + 1)
-    states[idx0] = x0
-    for j in range(idx0, len(states) - 1):
-        states[j + 1] = apply(op, states[j]) + defects[j]
-    for j in range(idx0 - 1, -1, -1):
-        states[j] = apply(op_inv, vec_sub(states[j + 1], defects[j]))
-    actual = [vec_sub(states[j + 1], apply(op, states[j])) for j in range(len(states) - 1)]
+        x0 = _dense_vector(x0, op.dim)
+    states, actual = _propagate(op, x0, defects, n_lo)
     delta = max((vec_norm(z) for z in actual), default=0.0)
-    return PseudoOrbit(n_lo=n_lo, n_hi=n_hi, states=tuple(states), delta=delta, defects=tuple(actual))
+    return PseudoOrbit(n_lo=n_lo, n_hi=n_hi, states=states, delta=delta, defects=actual)
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,7 +279,7 @@ def construct_shadow(
     if not isinstance(op, DenseOperator) or not isinstance(b, DenseOperator):
         raise TypeError("construct_shadow needs dense operator and splitting")
     d = op.dim
-    states = [_dense_state(s, d) for s in orbit.states]
+    states = [_dense_vector(s, d) for s in orbit.states]
     a, b_mat = op.entries, b.entries
     ainv = inverse(op).entries
 
@@ -311,8 +305,7 @@ def construct_shadow(
             r_plus=rates.r_plus,
             r_minus=rates.r_minus,
         )
-    qpow = q ** np.arange(m + 1)
-    K = float(max(np.max(norms_fwd / qpow), np.max(norms_bwd / qpow)))
+    K = _envelope_constant(norms_fwd, norms_bwd, q)
 
     W = len(states)
     x = np.zeros((d, W), dtype=np.complex128)
@@ -408,7 +401,7 @@ def shadow_oracle_lsq(op, orbit: PseudoOrbit) -> OracleResult:
     """
     if isinstance(op, DenseOperator):
         d = op.dim
-        states = [_dense_state(s, d) for s in orbit.states]
+        states = [_dense_vector(s, d) for s in orbit.states]
         blocks = _dense_power_blocks(op, orbit.n_lo, orbit.n_hi)
         stacked = np.vstack(blocks)
         target = np.concatenate(states)
@@ -698,7 +691,8 @@ def bgain_test_sequence(op, x, q: float, n_trunc: int | None = None) -> BGainRes
         support = list(dict.fromkeys([*x.coefficients, *t_star_x.coefficients]))
         x_arr, tx_arr = (np.array([v.get(i) for i in support]) for v in (x, t_star_x))
     else:
-        x_arr, tx_arr = np.asarray(x, dtype=np.complex128), t_star_x
+        x = x_arr = np.asarray(x, dtype=np.complex128)
+        tx_arr = t_star_x
 
     # row n = -N..N+1 of script-B: y_{n-1} - T* y_n = s_prev * x - s_cur * T* x,
     # with s = q^{-|n|} on -N..N and 0 outside.  Python's pow, in-order sums
@@ -712,8 +706,7 @@ def bgain_test_sequence(op, x, q: float, n_trunc: int | None = None) -> BGainRes
     norm_y1 = np.add.accumulate(scales * norm_x)[-1]
 
     identity = (
-        vec_norm(vec_sub(vec_scale(1.0 / q, x), t_star_x)) * q
-        + vec_norm(vec_sub(vec_scale(q, x), t_star_x))
+        vec_norm((1.0 / q) * x - t_star_x) * q + vec_norm(q * x - t_star_x)
     ) / ((1.0 + q) * norm_x)
     return BGainResult(
         gain_measured=float(total / norm_y1),
@@ -731,15 +724,10 @@ def rotate_orbit(orbit: PseudoOrbit, lam: complex) -> PseudoOrbit:
     so the result composes with `rotate` on the operator side.
     """
     lam = complex(lam)
-    if abs(abs(lam) - 1.0) >= 1e-12:
-        raise NotUnimodularError(f"|lambda| = {abs(lam)!r} is not within 1e-12 of 1")
-    states = tuple(
-        vec_scale(lam ** (-n), orbit.state(n)) for n in range(orbit.n_lo, orbit.n_hi + 1)
-    )
-    defects = tuple(
-        vec_scale(lam ** (-(n + 1)), orbit.defect(n))
-        for n in range(orbit.n_lo, orbit.n_hi)
-    )
+    if abs(abs(lam) - 1.0) >= UNIMODULAR_TOL:
+        raise NotUnimodularError(f"|lambda| = {abs(lam)!r} is not within {UNIMODULAR_TOL} of 1")
+    states = tuple(lam ** (-n) * orbit.state(n) for n in range(orbit.n_lo, orbit.n_hi + 1))
+    defects = tuple(lam ** (-(n + 1)) * orbit.defect(n) for n in range(orbit.n_lo, orbit.n_hi))
     return PseudoOrbit(
         n_lo=orbit.n_lo, n_hi=orbit.n_hi, states=states, delta=orbit.delta, defects=defects
     )

@@ -20,11 +20,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, SingularOperatorError
+from .errors import ConvergenceError
 from .operators import (
     DenseOperator,
     ShiftOperator,
     SupportedVector,
+    _require_nonsingular,
     adjoint,
     inverse,
 )
@@ -149,12 +150,6 @@ def unit_circle_gap(eigs) -> float:
     return float(np.min(np.abs(np.abs(eigs) - 1.0)))
 
 
-def _check_invertible(a: DenseOperator) -> None:
-    svals = np.linalg.svd(a.entries, compute_uv=False)
-    if svals[-1] <= 1e-12 * svals[0]:
-        raise SingularOperatorError("operator is numerically singular; verdicts need invertibility")
-
-
 def classify_dense(a: DenseOperator, tol: float = DEFAULT_GAP_TOL) -> SpectralReport:
     """Three verdicts for a dense invertible operator.
 
@@ -163,7 +158,7 @@ def classify_dense(a: DenseOperator, tol: float = DEFAULT_GAP_TOL) -> SpectralRe
     same boolean: unit-circle gap above tol.  The measured gap is reported so
     callers can re-threshold.
     """
-    _check_invertible(a)
+    _require_nonsingular(a)
     eigs = eigenvalues(a)
     gap = unit_circle_gap(eigs)
     ok = bool(gap > tol)

@@ -14,6 +14,26 @@ from shadowspec.cli import _write_atomic, main
 W_HI = 2.0 * math.sqrt(2.0)
 W_LO = 1.0 / W_HI
 
+# example17 --seed 17 tables, pinned to the byte
+EXAMPLE17_SEED17_GAIN_SWEEP = (
+    'q,gain_measured,gain_identity\n'
+    '1.2,1.818181818182e-01,1.818181818182e-01\n'
+    '1.1,9.523809523810e-02,9.523809523810e-02\n'
+    '1.05,4.878048780488e-02,4.878048780488e-02\n'
+    '1.01,9.950248756219e-03,9.950248756219e-03\n'
+)
+EXAMPLE17_SEED17_ORACLE_TREND = (
+    'operator,N,epsilon\n'
+    'S,8,1.220261080726e-03\n'
+    'S,16,1.196698982463e-03\n'
+    'S,32,1.510679013893e-03\n'
+    'S,64,1.511778286180e-03\n'
+    'T,8,2.383447256748e+00\n'
+    'T,16,8.578784891751e+03\n'
+    'T,32,9.929260166692e+10\n'
+    'T,64,3.851268831426e+25\n'
+)
+
 
 @pytest.fixture
 def dense_op_file(tmp_path):
@@ -96,6 +116,22 @@ class TestAnalyze:
 
     def test_missing_file_is_input_error(self, tmp_path):
         assert main(["analyze", "--input", str(tmp_path / "nope.json")]) == 2
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"kind": "dense", "dim": 1.9, "entries": [[2.0, 0.0]]},
+            {"kind": "shift", "direction": "forward", "weight_pos": W_HI,
+             "weight_neg": W_LO, "crossover": 1.5},
+        ],
+    )
+    def test_non_integral_dim_or_crossover_is_input_error(self, tmp_path, capsys, payload):
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps(payload))
+        out = tmp_path / "x.json"
+        assert main(["analyze", "--input", str(path), "--output", str(out)]) == 2
+        assert "must be an integer" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestShadow:
@@ -269,3 +305,9 @@ class TestExample17:
         assert (out_dir / "gain_sweep.csv").exists()
         assert (out_dir / "oracle_trend.csv").exists()
         assert any("trend" in note for note in report["notes"])
+
+    def test_seed_17_tables_are_pinned(self, tmp_path):
+        out_dir = tmp_path / "bundle"
+        assert main(["example17", "--output", str(out_dir), "--seed", "17"]) == 0
+        assert (out_dir / "gain_sweep.csv").read_text() == EXAMPLE17_SEED17_GAIN_SWEEP
+        assert (out_dir / "oracle_trend.csv").read_text() == EXAMPLE17_SEED17_ORACLE_TREND

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import shadowspec as ss
-from shadowspec.operators import vec_norm, vec_scale, vec_sub
+from shadowspec.operators import vec_norm
 from _helpers import conjugated_diagonal, random_hyperbolic, random_invertible
 
 W_HI = 2.0 * math.sqrt(2.0)
@@ -438,9 +438,7 @@ def _reference_gain_measured(op, x, q, n_trunc):
     for n in range(-n_trunc, n_trunc + 2):
         s_prev = scale(n - 1) if n - 1 >= -n_trunc else 0.0
         s_cur = scale(n) if n <= n_trunc else 0.0
-        total += vec_norm(
-            vec_sub(vec_scale(s_prev, x), vec_scale(s_cur, t_star_x))
-        )
+        total += vec_norm(s_prev * x - s_cur * t_star_x)
     return total / norm_y1
 
 
@@ -573,3 +571,130 @@ class TestArrayGainAndOracle:
                 assert res.best_anchor.coefficients == anchor
                 assert res.condition == cond
                 assert res.epsilon_achieved == pytest.approx(eps, rel=1e-13)
+
+
+def _reference_draw(image, delta, rng, on_sphere):
+    """Defect shaped like the given state, drawn as the per-step loop drew it."""
+    if isinstance(image, ss.SupportedVector):
+        support = image.support() or [0]
+        g = rng.standard_normal(len(support)) + 1j * rng.standard_normal(len(support))
+        r = np.linalg.norm(g)
+        if r == 0.0 or delta == 0.0:
+            return ss.SupportedVector({support[0]: 0.0})
+        scale = delta / r
+        if not on_sphere:
+            scale *= rng.uniform() ** (1.0 / (2 * len(support)))
+        return ss.SupportedVector({n: scale * c for n, c in zip(support, g)})
+    d = len(image)
+    g = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    r = np.linalg.norm(g)
+    if r == 0.0 or delta == 0.0:
+        return np.zeros(d, dtype=np.complex128)
+    scale = delta / r
+    if not on_sphere:
+        scale *= rng.uniform() ** (1.0 / (2 * d))
+    return scale * g
+
+
+def _reference_pseudo_orbit(op, x0, delta, window, rng_seed, on_sphere):
+    """Per-step loop: draw each defect on the state it perturbs, forward steps
+    first, then backward steps through the exact inverse."""
+    n_lo, n_hi = window
+    rng = np.random.default_rng(rng_seed)
+    op_inv = ss.inverse(op)
+    forward = [x0]
+    for _ in range(n_hi):
+        image = ss.apply(op, forward[-1])
+        forward.append(image + _reference_draw(image, delta, rng, on_sphere))
+    backward = [x0]
+    for _ in range(-n_lo):
+        cur = backward[-1]
+        z = _reference_draw(cur, delta, rng, on_sphere)
+        backward.append(ss.apply(op_inv, cur - z))
+    states = list(reversed(backward[1:])) + forward
+    defects = [states[j + 1] - ss.apply(op, states[j]) for j in range(len(states) - 1)]
+    return states, defects
+
+
+def _reference_orbit_from_defects(op, x0, defects, window):
+    n_lo, n_hi = window
+    op_inv = ss.inverse(op)
+    idx0 = -n_lo
+    states = [None] * (n_hi - n_lo + 1)
+    states[idx0] = x0
+    for j in range(idx0, len(states) - 1):
+        states[j + 1] = ss.apply(op, states[j]) + defects[j]
+    for j in range(idx0 - 1, -1, -1):
+        states[j] = ss.apply(op_inv, states[j + 1] - defects[j])
+    actual = [states[j + 1] - ss.apply(op, states[j]) for j in range(len(states) - 1)]
+    return states, actual, max((vec_norm(z) for z in actual), default=0.0)
+
+
+def _bits(v):
+    """Exact value of a state or defect: listed indices in order, signed zeros kept."""
+    if isinstance(v, ss.SupportedVector):
+        return [(n, c.real.hex(), c.imag.hex()) for n, c in v.coefficients.items()]
+    return np.asarray(v).tobytes()
+
+
+ORBIT_WINDOWS = ((-8, 8), (0, 5), (-4, 0), (-64, 64))
+ORBIT_DRAWS = ((True, 1e-3), (False, 1e-3), (True, 0.0), (False, 0.0))
+
+
+def _dense_case(d):
+    rng = np.random.default_rng(100 + d)
+    op, _ = random_hyperbolic(rng, d, normal=True)
+    x0 = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return op, [x0]
+
+
+def _shift_case(direction, wp, wn, crossover):
+    seeds = [
+        ss.basis_vector(0),
+        ss.SupportedVector({5: 0.5 - 1j, -3: 1.0, 2: 2j, 0: -0.25}),
+        ss.SupportedVector({4: 1.0, -2: 0.0}),
+        ss.SupportedVector({0: 1.0, 3: -0.0}),  # a zero defect must keep this -0.0
+    ]
+    return ss.ShiftOperator(direction, wp, wn, crossover), seeds
+
+
+ORBIT_CASES = {
+    "dense-1": lambda: _dense_case(1),
+    "dense-3": lambda: _dense_case(3),
+    "dense-32": lambda: _dense_case(32),
+    "shift-forward-0": lambda: _shift_case("forward", W_HI, W_LO, 0),
+    "shift-backward-0": lambda: _shift_case("backward", W_HI, W_LO, 0),
+    "shift-backward-2": lambda: _shift_case("backward", 0.7, 1.6, 2),
+}
+
+
+class TestOrbitReference:
+    @pytest.mark.parametrize("case", sorted(ORBIT_CASES))
+    def test_orbits_match_the_per_step_loop(self, case):
+        op, seeds = ORBIT_CASES[case]()
+        for seed_no, x0 in enumerate(seeds):
+            for window in ORBIT_WINDOWS:
+                for draw_no, (on_sphere, delta) in enumerate(ORBIT_DRAWS):
+                    rng_seed = 1000 * seed_no + 10 * draw_no + window[1]
+                    orbit = ss.generate_pseudo_orbit(
+                        op, x0, delta, window, rng_seed=rng_seed, on_sphere=on_sphere
+                    )
+                    states, defects = _reference_pseudo_orbit(
+                        op, x0, delta, window, rng_seed, on_sphere
+                    )
+                    assert orbit.delta == delta
+                    assert [_bits(s) for s in orbit.states] == [_bits(s) for s in states]
+                    assert [_bits(z) for z in orbit.defects] == [_bits(z) for z in defects]
+
+                    replay = ss.orbit_from_defects(op, x0, defects, window)
+                    states, actual, ref_delta = _reference_orbit_from_defects(
+                        op, x0, defects, window
+                    )
+                    assert replay.delta == ref_delta
+                    assert [_bits(s) for s in replay.states] == [_bits(s) for s in states]
+                    assert [_bits(z) for z in replay.defects] == [_bits(z) for z in actual]
+
+    def test_shift_seed_without_listed_index_rejected(self):
+        op = ss.ShiftOperator("forward", W_HI, W_LO, 0)
+        with pytest.raises(ValueError, match="at least one index"):
+            ss.generate_pseudo_orbit(op, ss.SupportedVector({}), 1e-3, (-3, 3), rng_seed=0)
