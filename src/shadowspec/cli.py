@@ -85,6 +85,12 @@ class RunConfig:
             raise ValueError("delta must be nonnegative")
         if self.q is not None and not (0.0 < self.q < 1.0):
             raise ValueError("q must lie in (0, 1)")
+        if self.window < 0:
+            raise ValueError(f"--window must be nonnegative, got {self.window}")
+        try:
+            ContourConfig(nodes=self.nodes)
+        except ValueError as exc:
+            raise ValueError(f"--nodes {self.nodes}: {exc}") from None
 
     def to_json(self) -> dict:
         # the destination path is deliberately not embedded: identical
@@ -190,9 +196,10 @@ def cmd_shadow(cfg: RunConfig) -> int:
     if splitting is None:
         try:
             splitting = riesz_projector(op, ContourConfig(nodes=cfg.nodes))
-        except ContourThroughSpectrumError:
-            # no unit-circle gap: fall through to the trivial splitting so the
-            # decay certificate fails with its measured rates (exit 4)
+        except ContourThroughSpectrumError as exc:
+            # no resolved unit-circle gap: fall through to the trivial splitting
+            # so the decay certificate fails with its measured rates (exit 4)
+            print(f"no Riesz projector, using the identity splitting: {exc}", file=sys.stderr)
             splitting = identity(op.dim)
     x0 = np.zeros(op.dim, dtype=np.complex128)
     orbit = generate_pseudo_orbit(

@@ -39,7 +39,7 @@ __all__ = [
 UNIMODULAR_TOL = 1e-12
 
 # Invertibility cutoff: smallest singular value must exceed this multiple of
-# the largest one (configurable per call on `inverse`).
+# the largest one.
 SINGULARITY_RTOL = 1e-12
 
 
@@ -207,11 +207,11 @@ def adjoint(op):
     raise TypeError(f"not an operator: {op!r}")
 
 
-def inverse(op, rtol: float = SINGULARITY_RTOL):
+def inverse(op):
     """Inverse operator.
 
     Dense: numerical inverse, guarded by the smallest singular value
-    (raises SingularOperatorError below rtol * largest singular value).
+    (raises SingularOperatorError below SINGULARITY_RTOL * largest singular value).
     Shift: the opposite-direction shift with reciprocated edge weights,
     which is exact.
     """
@@ -220,17 +220,17 @@ def inverse(op, rtol: float = SINGULARITY_RTOL):
         return ShiftOperator(flipped, 1.0 / op.weight_pos, 1.0 / op.weight_neg, op.crossover)
     if not isinstance(op, DenseOperator):
         raise TypeError(f"not an operator: {op!r}")
-    _require_nonsingular(op, rtol)
+    _require_nonsingular(op)
     return DenseOperator(np.linalg.inv(op.entries))
 
 
-def _require_nonsingular(op: DenseOperator, rtol: float = SINGULARITY_RTOL) -> None:
-    """Invertibility rule of `inverse`: sigma_min > rtol * sigma_max."""
+def _require_nonsingular(op: DenseOperator) -> None:
+    """Invertibility rule of `inverse`: sigma_min > SINGULARITY_RTOL * sigma_max."""
     svals = np.linalg.svd(op.entries, compute_uv=False)
-    if svals[-1] <= rtol * svals[0]:
+    if svals[-1] <= SINGULARITY_RTOL * svals[0]:
         raise SingularOperatorError(
             f"operator is numerically singular: smallest singular value {svals[-1]:.3e} "
-            f"<= {rtol:.1e} * largest ({svals[0]:.3e})"
+            f"<= {SINGULARITY_RTOL:.1e} * largest ({svals[0]:.3e})"
         )
 
 

@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 LAURENT_ORDER_CAP = 64
+NODE_HALVING_RTOL = 1e-8  # bound on the estimated error of a coefficient, times max(1, max |C_n|)
 
 
 @dataclass(frozen=True)
@@ -66,19 +67,13 @@ def _contour_points(cfg: ContourConfig) -> np.ndarray:
     return cfg.radius * np.exp(1j * theta)
 
 
-def _guard_distance(a: DenseOperator, cfg: ContourConfig) -> float:
-    """Distance in modulus from the spectrum to the contour circle."""
-    eigs = np.linalg.eigvals(a.entries)
-    return float(np.min(np.abs(np.abs(eigs) - cfg.radius)))
-
-
 def _resolvent_samples(a: DenseOperator, cfg: ContourConfig) -> np.ndarray:
     """R(lambda_j) at every contour node, shape (nodes, dim, dim).
 
     Raises ContourThroughSpectrumError when an eigenvalue sits closer to the
     contour (in modulus) than half a node spacing.
     """
-    dist = _guard_distance(a, cfg)
+    dist = float(np.min(np.abs(np.abs(np.linalg.eigvals(a.entries)) - cfg.radius)))
     guard = max(1e-9, np.pi * cfg.radius / cfg.nodes)
     if dist < guard:
         raise ContourThroughSpectrumError(
@@ -114,18 +109,27 @@ def _coefficient_from_samples(
 
     With lambda = r*exp(i*theta) the integral reduces to the theta-average of
     lambda^{-n} R(lambda); the even-indexed nodes form the half-resolution
-    grid, so the certificate costs nothing extra.
+    grid, so the certificate costs nothing extra.  The full sum's error, about
+    residual^2 / scale by geometric convergence, must stay below NODE_HALVING_RTOL * scale.
     """
     weights = lam ** (-n)
     full = np.einsum("j,jkl->kl", weights, samples) / len(lam)
     half = np.einsum("j,jkl->kl", weights[::2], samples[::2]) / (len(lam) // 2)
-    return full, float(np.max(np.abs(full - half)))
+    residual = float(np.max(np.abs(full - half)))
+    scale = max(1.0, float(np.max(np.abs(full))))
+    if residual**2 > NODE_HALVING_RTOL * scale**2:
+        raise ContourThroughSpectrumError(
+            f"C_{n} unresolved by {len(lam)} nodes (add nodes or move the radius): node-halving "
+            f"residual {residual:.3e}, error ~{residual**2 / scale:.1e} > {NODE_HALVING_RTOL:.0e}"
+        )
+    return full, residual
 
 
 def laurent_coefficient(
     a: DenseOperator, n: int, cfg: ContourConfig = ContourConfig()
 ) -> DenseOperator:
-    """Laurent coefficient C_n of the resolvent on the configured circle."""
+    """Laurent coefficient C_n of the resolvent on the configured circle;
+    ContourThroughSpectrumError when the nodes do not resolve it."""
     if abs(n) > LAURENT_ORDER_CAP:
         raise ValueError(f"|n| capped at {LAURENT_ORDER_CAP}")
     samples = _resolvent_samples(a, cfg)
@@ -186,7 +190,7 @@ def laurent_table(
     a: DenseOperator, n_max: int, cfg: ContourConfig = ContourConfig()
 ) -> LaurentTable:
     """All Laurent coefficients for |n| <= n_max from a single set of
-    resolvent samples."""
+    resolvent samples; ContourThroughSpectrumError as `laurent_coefficient`."""
     if n_max < 1 or n_max > LAURENT_ORDER_CAP:
         raise ValueError(f"n_max must be in 1..{LAURENT_ORDER_CAP}")
     samples = _resolvent_samples(a, cfg)

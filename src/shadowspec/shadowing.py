@@ -662,7 +662,7 @@ class BGainResult:
         }
 
 
-def bgain_test_sequence(op, x, q: float, n_trunc: int | None = None) -> BGainResult:
+def bgain_test_sequence(op, x, q: float) -> BGainResult:
     """Gain of script-B on the sequence y_n = q^n x (n < 0), q^{-n} x (n >= 0).
 
     gain_measured sums ||y_{n-1} - T* y_n|| over the truncated window divided
@@ -680,8 +680,7 @@ def bgain_test_sequence(op, x, q: float, n_trunc: int | None = None) -> BGainRes
     norm_x = vec_norm(x)
     if norm_x == 0.0:
         raise ValueError("x must be nonzero")
-    if n_trunc is None:
-        n_trunc = int(math.ceil(14.0 * math.log(10.0) / math.log(q)))
+    n_trunc = int(math.ceil(14.0 * math.log(10.0) / math.log(q)))
     if q ** (-n_trunc) > 1e-14:
         raise ValueError(f"truncation {n_trunc} leaves q^-N = {q**-n_trunc:.2e} > 1e-14")
 

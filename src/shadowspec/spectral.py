@@ -14,6 +14,12 @@ approximate point spectrum is either the two boundary circles or, when point
 spectrum is present, the full closed annulus.  Eigenvalues of a finite
 truncation of a shift say nothing about the infinite operator's spectra and
 are only ever reported as labelled window artifacts.
+
+`expansivity_witness` decides uniform expansivity's power-doubling form (some
+n with max(||A^n x||, ||A^-n x||) >= 2 on the unit sphere) by its dual.  With
+P = (A^n)* A^n and Q = (A^-n)* A^-n the joint numerical range of (P, Q) is
+convex (Toeplitz-Hausdorff), so min over unit x of max(x*Px, x*Qx) equals
+max over t in [0, 1] of lambda_min(t P + (1-t) Q), which is concave in t.
 """
 
 from dataclasses import dataclass, field
@@ -53,6 +59,9 @@ DEFAULT_GAP_TOL = 1e-6
 EIGEN_DIM_CAP = 512
 DUALITY_DIM_CAP = 64
 DUALITY_GRID = 360
+
+WITNESS_SLACK = 1e-6  # expansivity_witness certifies norms >= 2 - WITNESS_SLACK
+WITNESS_GAP_RTOL = 1e-12  # relative dual/primal gap that ends its bisection
 
 
 @dataclass(frozen=True)
@@ -289,7 +298,6 @@ class DualityReport:
 
 def _multiset_distance(xs: np.ndarray, ys: np.ndarray) -> float:
     """Greedy nearest-neighbour matching distance between two complex multisets."""
-    xs = list(xs)
     ys = list(ys)
     worst = 0.0
     for x in xs:
@@ -299,9 +307,7 @@ def _multiset_distance(xs: np.ndarray, ys: np.ndarray) -> float:
     return float(worst)
 
 
-def duality_check(
-    a: DenseOperator, tol: float = DEFAULT_GAP_TOL, grid_points: int = DUALITY_GRID
-) -> DualityReport:
+def duality_check(a: DenseOperator, tol: float = DEFAULT_GAP_TOL) -> DualityReport:
     """Check, on a unit-circle grid, that lambda*I - A is surjective exactly when
     conj(lambda)*I - A* is bounded below, and that the eigenvalue multiset of A
     equals the conjugated eigenvalue multiset of A*.
@@ -313,7 +319,7 @@ def duality_check(
     """
     if a.dim > DUALITY_DIM_CAP:
         raise ValueError(f"duality_check capped at dimension {DUALITY_DIM_CAP}, got {a.dim}")
-    lam = np.exp(2j * np.pi * np.arange(grid_points) / grid_points)
+    lam = np.exp(2j * np.pi * np.arange(DUALITY_GRID) / DUALITY_GRID)
     eye = np.eye(a.dim, dtype=np.complex128)
 
     left_stack = lam[:, None, None] * eye - a.entries
@@ -330,7 +336,7 @@ def duality_check(
 
     return DualityReport(
         passes=bool(mismatches == 0 and multiset < 1e-8),
-        grid_points=grid_points,
+        grid_points=DUALITY_GRID,
         tol=tol,
         surjectivity_mismatches=mismatches,
         worst_value_discrepancy=worst_value,
@@ -340,103 +346,86 @@ def duality_check(
 
 @dataclass(frozen=True, eq=False)
 class ExpansivityWitness:
-    """Sampling outcome for the power-doubling definition of uniform expansivity.
+    """Outcome of the power-doubling definition of uniform expansivity.
 
-    Advisory only: the spectral verdict is authoritative.  A counterexample is
-    a unit vector whose forward and backward n-th power images both stay below
-    norm 2 at every probed n.
+    Advisory only: the spectral verdict is authoritative.  dual_weight t
+    certifies the success n: lambda_min(t P + (1-t) Q) >= (2 - WITNESS_SLACK)^2.
+    Else counterexample is a unit vector with both power images below the
+    threshold at the n of least per_n_minima, or None if no n was refuted.
     """
 
     expansive_at: int | None
     sphere_min: float
     counterexample: np.ndarray | None
     per_n_minima: dict = field(default_factory=dict)
+    dual_weight: float | None = None
 
 
-def _refine_on_sphere(f, x0, rng, iters=200):
-    """Greedy random-direction descent on the unit sphere."""
-    x = x0 / np.linalg.norm(x0)
-    fx = f(x)
-    step = 0.3
-    for _ in range(iters):
-        cand = x + step * (rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape))
-        cand /= np.linalg.norm(cand)
-        fc = f(cand)
-        if fc < fx:
-            x, fx = cand, fc
-        else:
-            step *= 0.95
-            if step < 1e-6:
-                break
-    return x, fx
+def _balanced_mix(pos, neg):
+    """Unit x = cu u + cv v, from bracket ends (x, A^n x, A^-n x), with x*(P-Q)x = 0:
+    |cv/cu| balances its diagonal, arg cv cancels its cross term and keeps ||x|| >= 1."""
+    (u, fu, bu), (v, fv, bv) = pos, neg
+    gu, gv = (np.vdot(f, f).real - np.vdot(b, b).real for f, b in ((fu, bu), (fv, bv)))
+    c = np.vdot(fu, fv) - np.vdot(bu, bv)
+    w = 1j * np.conj(c) / abs(c) if c else 1.0
+    w = -w if (w * np.vdot(u, v)).real < 0 else w
+    cu, cv = np.sqrt(-gv / (gu - gv)), w * np.sqrt(gu / (gu - gv))
+    scale = np.linalg.norm(cu * u + cv * v)
+    return tuple((cu * p + cv * q) / scale for p, q in zip(pos, neg))
 
 
-def expansivity_witness(
-    a: DenseOperator,
-    n_max: int,
-    samples: int = 64,
-    rng_seed: int = 0,
-    threshold_slack: float = 1e-6,
-) -> ExpansivityWitness:
-    """Search for the least n <= n_max at which every sampled (and locally
-    minimized) unit vector satisfies max(||A^n x||, ||A^-n x||) >= 2.
+def expansivity_witness(a: DenseOperator, n_max: int, samples: int = 64) -> ExpansivityWitness:
+    """Least n <= n_max at which every unit x has max(||A^n x||, ||A^-n x||)
+    >= 2 - WITNESS_SLACK, decided through the dual (module docstring).
 
-    Returns the first such n, or the best counterexample found (a unit vector
-    with both norms below 2).  A's unit eigenvectors join the random samples
-    at every n, so an eigenvalue on the unit circle is never missed; the best
-    candidate is refined only when none already fails.  Heuristic by
-    construction: a counterexample is hard evidence, a success only
-    corroborates the spectral verdict.
+    Each n bisects t, steered by the sign of x*(P-Q)x at the lambda_min
+    eigenvector x, until a candidate x (the eigenvector, or the balanced mix
+    of the bracket ends) below the threshold refutes n, or a t with
+    lambda_min >= threshold^2 certifies it and the dual value and best
+    candidate agree to WITNESS_GAP_RTOL or n has taken `samples` steps, or t
+    stops moving (n undecided, its minimum within rounding of the threshold).
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    rng = np.random.default_rng(rng_seed)
-    ainv = inverse(a)
-    eigvecs = np.linalg.eig(a.entries)[1].T  # unit-norm rows
-    fwd = np.eye(a.dim, dtype=np.complex128)
-    bwd = np.eye(a.dim, dtype=np.complex128)
-
-    threshold = 2.0 - threshold_slack
-    best_val = np.inf
-    best_x = None
-    per_n = {}
-
+    if n_max < 1 or samples < 1:
+        raise ValueError("n_max and samples must be >= 1")
+    ainv = inverse(a).entries
+    fwd = bwd = np.eye(a.dim, dtype=np.complex128)
+    threshold = 2.0 - WITNESS_SLACK
+    best_val, best_x, per_n = np.inf, None, {}
     for n in range(1, n_max + 1):
-        fwd = a.entries @ fwd
-        bwd = ainv.entries @ bwd
-
-        def f(x, _fwd=fwd, _bwd=bwd):
-            return max(np.linalg.norm(_fwd @ x), np.linalg.norm(_bwd @ x))
-
-        xs = rng.standard_normal((samples, a.dim)) + 1j * rng.standard_normal((samples, a.dim))
-        xs /= np.linalg.norm(xs, axis=1)[:, None]
-        xs = np.vstack([eigvecs, xs])
-        vals = np.maximum(
-            np.linalg.norm(xs @ fwd.T, axis=1), np.linalg.norm(xs @ bwd.T, axis=1)
-        )
-        i = int(np.argmin(vals))
-        if vals[i] < threshold:
-            # the candidates already refute n; refining cannot change the outcome
-            x_min, v_min = xs[i], float(vals[i])
-        else:
-            x_min, v_min = _refine_on_sphere(f, xs[i], rng)
-        per_n[n] = float(v_min)
-        if v_min >= threshold:
-            return ExpansivityWitness(
-                expansive_at=n,
-                sphere_min=float(v_min),
-                counterexample=None,
-                per_n_minima=per_n,
+        fwd, bwd = a.entries @ fwd, ainv @ bwd
+        lo, hi, ends = 0.0, 1.0, [None, None]
+        lam, dual_t, val, cand, t, steps = -1.0, None, np.inf, None, 0.5, 0
+        while lo < t < hi:
+            steps += 1
+            # sigma_min^2 of the stacked roots: t P + (1-t) Q would square cond
+            _, s, vh = np.linalg.svd(
+                np.vstack([np.sqrt(t) * fwd, np.sqrt(1.0 - t) * bwd]), full_matrices=False
             )
-        if v_min < best_val:
-            best_val, best_x = float(v_min), x_min
-
-    return ExpansivityWitness(
-        expansive_at=None,
-        sphere_min=best_val,
-        counterexample=best_x,
-        per_n_minima=per_n,
-    )
+            if s[-1] ** 2 > lam:
+                lam, dual_t = float(s[-1] ** 2), t
+            x = vh[-1].conj()
+            end = (x, fwd @ x, bwd @ x)
+            # the exact sign test that _balanced_mix's weights assume (gu > 0 >= gv)
+            if np.vdot(end[1], end[1]).real > np.vdot(end[2], end[2]).real:
+                lo, ends[0] = t, end
+            else:
+                hi, ends[1] = t, end
+            for y, fy, by in [end] + ([_balanced_mix(*ends)] if None not in ends else []):
+                y_val = float(max(np.linalg.norm(fy), np.linalg.norm(by)))
+                if y_val < val:
+                    val, cand = y_val, y
+            if val < threshold or lam >= threshold**2 and (
+                steps >= samples or val - np.sqrt(lam) <= WITNESS_GAP_RTOL * val
+            ):
+                break
+            t = 0.5 * (lo + hi)
+        if val >= threshold and lam >= threshold**2:
+            per_n[n] = float(np.sqrt(lam))
+            return ExpansivityWitness(n, per_n[n], None, per_n, dual_weight=dual_t)
+        per_n[n] = val
+        if val < best_val:
+            best_val, best_x = val, cand
+    return ExpansivityWitness(None, best_val, best_x if best_val < threshold else None, per_n)
 
 
 def shift_eigenvector(op: ShiftOperator, lam: complex, radius: int) -> SupportedVector:

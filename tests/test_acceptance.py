@@ -110,7 +110,7 @@ def test_criterion_4_finite_dimensional_equivalence():
             assert res.epsilon_achieved <= res.epsilon_bound
             checked += 1
             if dim == 2:
-                witness = ss.expansivity_witness(op, n_max=20, samples=48, rng_seed=trial)
+                witness = ss.expansivity_witness(op, n_max=20, samples=48)
                 assert witness.expansive_at is not None and witness.expansive_at <= 20
                 assert witness.sphere_min >= 2.0 - 1e-6
                 if witness_worst is None or witness.expansive_at > witness_worst:

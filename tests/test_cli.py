@@ -134,6 +134,27 @@ class TestAnalyze:
         assert not out.exists()
 
 
+class TestFlagValidation:
+    @pytest.mark.parametrize("command", ["analyze", "shadow", "probe", "example17"])
+    def test_negative_window_is_input_error(self, command, shift_op_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main([command, "--input", str(shift_op_file), "--output", str(out), "--window", "-3"])
+        assert rc == 2
+        assert "--window" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "shadow", "probe", "example17"])
+    @pytest.mark.parametrize("nodes", ["7", "100"])
+    def test_nodes_contour_config_rejects_are_input_errors(
+        self, command, nodes, dense_op_file, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        rc = main([command, "--input", str(dense_op_file), "--output", str(out), "--nodes", nodes])
+        assert rc == 2
+        assert f"--nodes {nodes}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestShadow:
     def test_reports_both_epsilons_and_bound(self, dense_op_file, tmp_path):
         out = tmp_path / "shadow.json"
@@ -193,6 +214,29 @@ class TestShadow:
         rc = main(["shadow", "--input", str(dense_op_file), "--output", str(tmp_path / "x.json"),
                    "--q", q])
         assert rc == 2
+
+    def test_unresolved_projector_falls_back_to_certificate_failure(self, tmp_path, capsys):
+        # 256 nodes cannot resolve eigenvalues 0.02 from the contour: the
+        # projector raises and the identity splitting fails its certificate
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps(ss.operator_to_json(ss.diagonal([1.02, 0.98]))))
+        out = tmp_path / "shadow.json"
+        assert main(["shadow", "--input", str(path), "--output", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "node-halving residual" in err and "certificate failure" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("moduli, nodes", [([1.1, 0.5], "256"), ([0.8, 1.25, 0.5], "128")])
+    def test_resolved_projector_near_the_circle_shadows(self, moduli, nodes, tmp_path):
+        # the node-halving residual (1.1^-128, 0.8^64) is far above the error
+        # of the returned projector (its square), which the rule bounds
+        v = np.triu(np.full((len(moduli), len(moduli)), 0.5)) + 0.5 * np.eye(len(moduli))
+        op = ss.DenseOperator(v @ np.diag(moduli) @ np.linalg.inv(v))
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps(ss.operator_to_json(op)))
+        out = tmp_path / "shadow.json"
+        assert main(["shadow", "--input", str(path), "--output", str(out), "--nodes", nodes]) == 0
+        assert out.exists()
 
     def test_uncertified_envelope_tail_exits_with_certificate_failure(self, tmp_path, capsys):
         payload = ss.operator_to_json(ss.diagonal([0.5, 1e6]))

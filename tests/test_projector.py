@@ -80,6 +80,40 @@ class TestLaurentCoefficient:
         with pytest.raises(ValueError):
             ss.laurent_coefficient(ss.diagonal([2.0, 0.5]), 65)
 
+    def test_unresolved_node_halving_residual_raises(self):
+        # the eigenvalues clear the node-spacing guard, but 256 nodes leave a
+        # node-halving residual of 0.08 and a projector off by 6.3e-3
+        a = ss.diagonal([1.02, 0.98])
+        with pytest.raises(ss.ContourThroughSpectrumError, match="node-halving residual"):
+            ss.riesz_projector(a)
+        p = ss.riesz_projector(a, ss.ContourConfig(nodes=4096))
+        assert max_abs(p.entries - np.diag([0.0, 1.0])) < 1e-10
+        with pytest.raises(ss.ContourThroughSpectrumError, match="node-halving residual"):
+            ss.laurent_table(a, 3)
+
+    def test_residual_rule_bounds_the_returned_sum_not_the_half_grid(self):
+        # 1.1^-128 ~ 5e-6 is the half grid's error; the 256-node sum is off by
+        # about its square, 1.1^-256 ~ 2.5e-11, and must be accepted
+        p = ss.riesz_projector(ss.diagonal([1.1, 0.5]))
+        assert max_abs(p.entries - np.diag([0.0, 1.0])) < 1e-10
+
+    @pytest.mark.parametrize("nodes", [16, 32, 64, 128, 256, 512])
+    def test_every_node_count_raises_or_is_accurate(self, nodes):
+        # moduli 0.8 and 1.25 bound the benchmark's bands: the error of the
+        # projector is about 0.8^nodes, so 64 nodes (6e-7) must raise and
+        # 128 (4e-13) must not
+        rng = np.random.default_rng(58)
+        a, _ = conjugated_diagonal(rng, [0.8, 1.25, 0.5, 2.0])
+        expected = eigen_projector_inside(a)
+        cfg = ss.ContourConfig(nodes=nodes)
+        try:
+            p = ss.riesz_projector(a, cfg)
+        except ss.ContourThroughSpectrumError:
+            assert nodes <= 64
+        else:
+            assert nodes >= 128
+            assert max_abs(p.entries - expected) < 1e-10
+
 
 class TestRieszProjector:
     def test_diagonal(self):

@@ -6,7 +6,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import shadowspec as ss
-from _helpers import conjugated_diagonal, random_invertible
+from _helpers import (
+    HYPERBOLIC_BANDS,
+    conjugated_diagonal,
+    draw_moduli,
+    random_hyperbolic,
+    random_invertible,
+)
 
 W_HI = 2.0 * math.sqrt(2.0)
 W_LO = 1.0 / W_HI
@@ -162,12 +168,12 @@ class TestDualityCheck:
 
 class TestExpansivityWitness:
     def test_doubling_map(self):
-        witness = ss.expansivity_witness(ss.diagonal([2.0, 2.0]), n_max=5, rng_seed=0)
+        witness = ss.expansivity_witness(ss.diagonal([2.0, 2.0]), n_max=5)
         assert witness.expansive_at == 1
         assert witness.sphere_min == pytest.approx(2.0, abs=1e-9)
 
     def test_identity_counterexample(self):
-        witness = ss.expansivity_witness(ss.identity(3), n_max=4, rng_seed=0)
+        witness = ss.expansivity_witness(ss.identity(3), n_max=4)
         assert witness.expansive_at is None
         assert witness.sphere_min == pytest.approx(1.0, abs=1e-9)
         x = witness.counterexample
@@ -176,7 +182,7 @@ class TestExpansivityWitness:
     def test_dim2_hyperbolic_found_at_one(self):
         # sphere minimum of max(|Ax|, |A^-1 x|) for diag(3, 1/3) is
         # sqrt(9/2 + 1/18) ~ 2.134, attained at equal mixing
-        witness = ss.expansivity_witness(ss.diagonal([3.0, 1.0 / 3.0]), n_max=5, rng_seed=1)
+        witness = ss.expansivity_witness(ss.diagonal([3.0, 1.0 / 3.0]), n_max=5)
         assert witness.expansive_at == 1
         expected = math.sqrt(9.0 / 2.0 + 1.0 / 18.0)
         assert witness.per_n_minima[1] >= 2.0 - 1e-6
@@ -190,6 +196,133 @@ class TestExpansivityWitness:
         assert witness.expansive_at is None
         assert witness.sphere_min == pytest.approx(1.0, abs=1e-12)
         assert abs(witness.counterexample[0]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_two_norm_tie_is_split_by_mixing(self):
+        # at n = 1 the dual optimum t = 1/2 has a two-dimensional eigenspace:
+        # both axis vectors reach exactly 2, their balanced mix only sqrt(17/8)
+        a = ss.diagonal([2.0, 0.5])
+        witness = ss.expansivity_witness(a, n_max=5)
+        assert witness.per_n_minima[1] == pytest.approx(math.sqrt(17.0 / 8.0), rel=1e-12)
+        assert witness.expansive_at == 2
+        assert witness.sphere_min == pytest.approx(math.sqrt(257.0 / 32.0), rel=1e-12)
+        _check_dual_weight(a.entries, witness)
+
+    def test_pinned_operator_needs_five_steps(self):
+        # a unit x has max(|A^4 x|, |A^-4 x|) = 1.366 here, so n = 4 must be refuted
+        op, _ = random_hyperbolic(np.random.default_rng(52), 3, normal=False)
+        witness = ss.expansivity_witness(op, n_max=20)
+        assert witness.expansive_at == 5
+        assert witness.per_n_minima[4] == pytest.approx(1.366, abs=1e-3)
+        _check_dual_weight(op.entries, witness)
+        _check_counterexample(op.entries, ss.expansivity_witness(op, n_max=4))
+
+    def test_certificates_reverify_on_random_operators(self):
+        rng = np.random.default_rng(71)
+        successes = refutations = 0
+        for trial in range(50):
+            dim = 2 + trial % 7
+            if trial % 4 == 3:  # an eigenvalue exactly on the unit circle
+                moduli = draw_moduli(rng, dim, HYPERBOLIC_BANDS)
+                moduli[0] = 1.0
+                op, _ = conjugated_diagonal(rng, moduli)
+            else:
+                op, _ = random_hyperbolic(rng, dim)
+            witness = ss.expansivity_witness(op, n_max=20, samples=48)
+            if trial % 4 == 3:
+                assert witness.expansive_at is None
+                _check_counterexample(op.entries, witness)
+                refutations += 1
+                continue
+            assert witness.expansive_at is not None
+            _check_dual_weight(op.entries, witness)
+            n = witness.expansive_at
+            # the grid closes in on the reported optimum and beats it by no more
+            # than the witness's stopping gap (relative 1e-12, plus rounding)
+            grid = _grid_dual_max(op.entries, n)
+            assert grid <= witness.sphere_min * (1.0 + 1e-11)
+            assert witness.sphere_min <= grid * (1.0 + 1e-9)
+            if n > 1:
+                earlier = ss.expansivity_witness(op, n_max=n - 1, samples=48)
+                _check_counterexample(op.entries, earlier)
+                refutations += 1
+            successes += 1
+        assert successes >= 30 and refutations >= 30
+
+    @pytest.mark.parametrize("n_max", [1, 5])
+    def test_few_samples_never_turn_undecided_into_refuted(self, n_max):
+        # lambda_min(t P + (1-t) Q) = 0.25 + 3.75 t reaches the threshold only
+        # for 1 - t <= 1.07e-6, about 20 halvings: n = 1 must still be certified
+        a = ss.diagonal([2.0, 2.0])
+        witness = ss.expansivity_witness(a, n_max=n_max, samples=10)
+        assert witness.expansive_at == 1 and witness.counterexample is None
+        _check_dual_weight(a.entries, witness)
+
+    @pytest.mark.parametrize("ulps", [-4, -1, 0, 1, 4])
+    def test_minimum_at_the_threshold_is_never_a_counterexample(self, ulps):
+        # the sphere minimum of diag(c, c) at n = 1 is c: within a few ulps of
+        # the threshold the witness may certify or leave n undecided, but a
+        # counterexample must lie below the threshold
+        c = WITNESS_THRESHOLD + ulps * np.spacing(WITNESS_THRESHOLD)
+        a = ss.diagonal([c, c])
+        witness = ss.expansivity_witness(a, n_max=1)
+        if witness.expansive_at is not None:
+            _check_dual_weight(a.entries, witness)
+        elif witness.counterexample is not None:
+            _check_counterexample(a.entries, witness)
+        else:
+            assert witness.sphere_min >= WITNESS_THRESHOLD
+
+    def test_rejects_nonpositive_samples(self):
+        with pytest.raises(ValueError):
+            ss.expansivity_witness(ss.diagonal([2.0, 0.5]), n_max=3, samples=0)
+
+
+WITNESS_THRESHOLD = 2.0 - 1e-6
+
+
+def _power_forms(entries, n):
+    fwd = np.linalg.matrix_power(entries, n)
+    bwd = np.linalg.inv(fwd)
+    return fwd.conj().T @ fwd, bwd.conj().T @ bwd
+
+
+def _check_dual_weight(entries, witness):
+    """lambda_min(t P + (1-t) Q) >= threshold^2 at the reported t, by one eigvalsh
+    (allowing eigvalsh's own backward error, a few eps times ||t P + (1-t) Q||)."""
+    p, q = _power_forms(entries, witness.expansive_at)
+    t = witness.dual_weight
+    assert 0.0 <= t <= 1.0
+    m = t * p + (1.0 - t) * q
+    lam_min = np.linalg.eigvalsh(m)[0]
+    allowance = 64 * np.finfo(float).eps * np.linalg.norm(m, 2)
+    assert lam_min >= WITNESS_THRESHOLD**2 - allowance
+    assert math.sqrt(lam_min) == pytest.approx(witness.sphere_min, rel=1e-9)
+
+
+def _check_counterexample(entries, witness):
+    """The reported vector is a unit vector whose n-th power images both stay
+    below the threshold, at the n of least recorded value."""
+    assert witness.expansive_at is None and witness.dual_weight is None
+    n = min(witness.per_n_minima, key=witness.per_n_minima.get)
+    x = witness.counterexample
+    fwd = np.linalg.matrix_power(entries, n)
+    value = max(np.linalg.norm(fwd @ x), np.linalg.norm(np.linalg.solve(fwd, x)))
+    assert np.linalg.norm(x) == pytest.approx(1.0, rel=1e-12)
+    assert value < WITNESS_THRESHOLD
+    assert value == pytest.approx(witness.sphere_min, rel=1e-9)
+
+
+def _grid_dual_max(entries, n):
+    """sqrt of max_t lambda_min(t P + (1-t) Q) on a 41-point t-grid, refined
+    eight times around the best point."""
+    p, q = _power_forms(entries, n)
+    lo, hi = 0.0, 1.0
+    for _ in range(9):
+        ts = np.linspace(lo, hi, 41)
+        vals = np.linalg.eigvalsh(ts[:, None, None] * p + (1.0 - ts)[:, None, None] * q)[:, 0]
+        k = int(np.argmax(vals))
+        lo, hi = ts[max(k - 1, 0)], ts[min(k + 1, 40)]
+    return math.sqrt(vals[k])
 
 
 class TestShiftEigenvector:
