@@ -7,27 +7,13 @@ byte-identical files.  Output files are written atomically: each write goes
 to its own temporary file in the target directory, which is then renamed.
 """
 
-import os
-
-# Best effort BLAS thread cap; only effective when numpy has not been
-# imported yet, i.e. when this module is the process entry point.
-_threads = os.environ.get("SHADOWSPEC_THREADS")
-if _threads and _threads.isdigit():
-    for _var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-        "VECLIB_MAXIMUM_THREADS",
-    ):
-        os.environ.setdefault(_var, _threads)
-
 import argparse
 import json
 import math
+import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -36,9 +22,11 @@ from .errors import ContourThroughSpectrumError, DecayCertificateError, Shadowsp
 from .operators import (
     DenseOperator,
     ShiftOperator,
+    _complex_pairs,
     adjoint,
     basis_vector,
     identity,
+    materialize,
     operator_from_json,
     operator_to_json,
 )
@@ -67,9 +55,11 @@ os.umask(_UMASK)
 
 @dataclass(frozen=True)
 class RunConfig:
+    """The parsed flags, one field per parser dest."""
+
     command: str
-    input_path: str | None
-    output_path: str | None
+    input: str | None
+    output: str | None
     tol: float
     seed: int
     nodes: int
@@ -95,17 +85,9 @@ class RunConfig:
     def to_json(self) -> dict:
         # the destination path is deliberately not embedded: identical
         # invocations must produce byte-identical reports wherever they land
-        return {
-            "command": self.command,
-            "input": self.input_path,
-            "tol": self.tol,
-            "seed": self.seed,
-            "nodes": self.nodes,
-            "window": self.window,
-            "delta": self.delta,
-            "q": self.q,
-            "kind": self.kind,
-        }
+        doc = asdict(self)
+        del doc["output"]
+        return doc
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -125,19 +107,18 @@ def _dump_json(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(cfg: RunConfig, doc: dict) -> None:
-    text = _dump_json(doc)
-    if cfg.output_path:
-        _write_atomic(Path(cfg.output_path), text)
-        print(f"wrote {cfg.output_path}")
+def _emit(cfg: RunConfig, text: str) -> None:
+    if cfg.output:
+        _write_atomic(Path(cfg.output), text)
+        print(f"wrote {cfg.output}")
     else:
         sys.stdout.write(text)
 
 
 def _load_operator(cfg: RunConfig):
-    if not cfg.input_path:
+    if not cfg.input:
         raise ValueError("--input is required for this command")
-    data = json.loads(Path(cfg.input_path).read_text(encoding="utf-8"))
+    data = json.loads(Path(cfg.input).read_text(encoding="utf-8"))
     op = operator_from_json(data)
     if cfg.kind and (
         (cfg.kind == "dense") != isinstance(op, DenseOperator)
@@ -161,31 +142,28 @@ def _verdict_line(name: str, verdicts) -> str:
 
 def cmd_analyze(cfg: RunConfig) -> int:
     op, _ = _load_operator(cfg)
+    extra = {}
     if isinstance(op, DenseOperator):
         report = classify_dense(op, tol=cfg.tol)
-        extra = {}
     else:
         report = classify_shift(op, tol=cfg.tol)
-        extra = {}
         if cfg.window > 0:
-            from .operators import materialize
-
             windowed = materialize(op, cfg.window)
             eigs = np.linalg.eigvals(windowed.entries)
             order = np.lexsort((eigs.imag, eigs.real))
             extra["window_artifact_eigenvalues"] = {
                 "label": "window artifact: finite truncation, not the operator's spectrum",
                 "half_width": cfg.window,
-                "values": [[float(eigs[i].real), float(eigs[i].imag)] for i in order],
+                "values": _complex_pairs(eigs[order]),
             }
     doc = {
         "config": cfg.to_json(),
         "operator": operator_to_json(op),
         "report": {**report.to_json(), **extra},
     }
-    if cfg.output_path:
+    if cfg.output:
         print(_verdict_line("operator", report.verdicts))
-    _emit(cfg, doc)
+    _emit(cfg, _dump_json(doc))
     return EXIT_OK
 
 
@@ -222,12 +200,12 @@ def cmd_shadow(cfg: RunConfig) -> int:
         f"epsilon_achieved={result.epsilon_achieved:.6e} "
         f"bound={result.epsilon_bound:.6e} oracle={oracle.epsilon_achieved:.6e}"
     )
-    _emit(cfg, doc)
+    _emit(cfg, _dump_json(doc))
     return EXIT_OK
 
 
 def _probe_ladder(n: int) -> list:
-    return sorted({max(1, n // 8), max(1, n // 4), max(1, n // 2), n})
+    return sorted({k for k in (n // 8, n // 4, n // 2) if k >= 1} | {n})
 
 
 def cmd_probe(cfg: RunConfig) -> int:
@@ -238,12 +216,7 @@ def cmd_probe(cfg: RunConfig) -> int:
         probe = window_probe(op, "script-B", n, m)
         rows.append((n, probe.gain))
         print(f"N={n:<6d} gain={probe.gain:.9e}")
-    csv = "N,gain\n" + "".join(f"{n},{gain:.12e}\n" for n, gain in rows)
-    if cfg.output_path:
-        _write_atomic(Path(cfg.output_path), csv)
-        print(f"wrote {cfg.output_path}")
-    else:
-        sys.stdout.write(csv)
+    _emit(cfg, "N,gain\n" + "".join(f"{n},{gain:.12e}\n" for n, gain in rows))
     return EXIT_OK
 
 
@@ -260,17 +233,7 @@ def cmd_example17(cfg: RunConfig) -> int:
     report_s = classify_shift(s, tol=cfg.tol)
 
     eigvec = shift_eigenvector(s, 1.0, radius=30)
-    sweep = []
-    for q in GAIN_SWEEP_Q:
-        res = bgain_test_sequence(t, eigvec, q)
-        sweep.append(
-            {
-                "q": q,
-                "gain_measured": res.gain_measured,
-                "gain_identity": res.gain_identity,
-                "truncation": res.truncation,
-            }
-        )
+    sweep = [bgain_test_sequence(t, eigvec, q).to_json() for q in GAIN_SWEEP_Q]
 
     delta = cfg.delta if cfg.delta > 0 else 1e-3
     trend = []
@@ -298,7 +261,7 @@ def cmd_example17(cfg: RunConfig) -> int:
         "notes": notes,
     }
 
-    out_dir = Path(cfg.output_path) if cfg.output_path else Path("example17_out")
+    out_dir = Path(cfg.output) if cfg.output else Path("example17_out")
     _write_atomic(out_dir / "report.json", _dump_json(bundle))
     gain_csv = "q,gain_measured,gain_identity\n" + "".join(
         f"{row['q']},{row['gain_measured']:.12e},{row['gain_identity']:.12e}\n"
@@ -355,20 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig(
-            command=args.command,
-            input_path=args.input,
-            output_path=args.output,
-            tol=args.tol,
-            seed=args.seed,
-            nodes=args.nodes,
-            window=args.window,
-            delta=args.delta,
-            q=args.q,
-            kind=args.kind,
-        )
-        if cfg.input_path and not Path(cfg.input_path).is_file():
-            raise FileNotFoundError(cfg.input_path)
+        cfg = RunConfig(**vars(args))
+        if cfg.input and not Path(cfg.input).is_file():
+            raise FileNotFoundError(cfg.input)
     except (ValueError, FileNotFoundError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -13,6 +13,8 @@ All values are immutable after construction and every operation here is pure,
 so concurrent use from multiple threads is safe.
 """
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,7 +98,7 @@ class ShiftOperator:
             raise ValueError("direction must be 'forward' or 'backward'")
         if not (self.weight_pos > 0 and self.weight_neg > 0):
             raise ValueError("shift weights must be positive")
-        if not (np.isfinite(self.weight_pos) and np.isfinite(self.weight_neg)):
+        if not (math.isfinite(self.weight_pos) and math.isfinite(self.weight_neg)):
             raise ValueError("shift weights must be finite")
 
     def edge_weight(self, m: int) -> float:
@@ -121,7 +123,7 @@ class SupportedVector:
     def __post_init__(self):
         coeffs = {int(k): complex(v) for k, v in self.coefficients.items()}
         for v in coeffs.values():
-            if not (np.isfinite(v.real) and np.isfinite(v.imag)):
+            if not cmath.isfinite(v):
                 raise ValueError("coefficients must be finite")
         object.__setattr__(self, "coefficients", coeffs)
 
@@ -132,7 +134,7 @@ class SupportedVector:
         return self.coefficients.get(n, 0j)
 
     def norm(self) -> float:
-        return float(np.sqrt(sum(abs(v) ** 2 for v in self.coefficients.values())))
+        return math.sqrt(sum(abs(v) ** 2 for v in self.coefficients.values()))
 
     def __mul__(self, a) -> "SupportedVector":
         a = complex(a)
@@ -291,14 +293,19 @@ def vec_norm(v) -> float:
 #   {"kind": "dense", "dim": n, "entries": [[re, im], ...]}   (row-major, n*n pairs)
 #   {"kind": "shift", "direction": "forward"|"backward",
 #    "weight_pos": w, "weight_neg": w, "crossover": k}
+#
+# Every complex number in a report travels as such a [re, im] pair.
+
+def _complex_pairs(values) -> list:
+    return [[float(z.real), float(z.imag)] for z in values]
+
 
 def operator_to_json(op) -> dict:
     if isinstance(op, DenseOperator):
-        flat = op.entries.reshape(-1)
         return {
             "kind": "dense",
             "dim": op.dim,
-            "entries": [[float(z.real), float(z.imag)] for z in flat],
+            "entries": _complex_pairs(op.entries.reshape(-1)),
         }
     if isinstance(op, ShiftOperator):
         return {

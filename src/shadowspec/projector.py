@@ -165,19 +165,6 @@ class LaurentTable:
     def coefficient(self, n: int) -> DenseOperator:
         return self.coefficients[n]
 
-    def to_json(self) -> dict:
-        return {
-            "n_max": self.n_max,
-            "r_plus": self.r_plus,
-            "r_minus": self.r_minus,
-            "node_doubling_residual": self.node_doubling_residual,
-            "config": {"radius": self.config.radius, "nodes": self.config.nodes},
-            "coefficients": {
-                str(n): [[float(z.real), float(z.imag)] for z in c.entries.reshape(-1)]
-                for n, c in sorted(self.coefficients.items())
-            },
-        }
-
 
 def _tail_max_root(norms: np.ndarray) -> float:
     """max over the last half of n of ||M_n||^(1/n), n starting at 1."""
@@ -224,14 +211,6 @@ class LaurentRelationsReport:
 
     def worst(self) -> float:
         return max(self.residual_c0, self.residual_positive, self.residual_negative)
-
-    def to_json(self) -> dict:
-        return {
-            "residual_c0": self.residual_c0,
-            "residual_positive": self.residual_positive,
-            "residual_negative": self.residual_negative,
-            "passes": self.passes,
-        }
 
 
 def verify_laurent_relations(
@@ -303,9 +282,6 @@ class DecayRates:
             r_minus=_tail_max_root(np.clip(norms_bwd[1:], 1e-300, 1e300)),
             n_max=n_max,
         )
-
-    def to_json(self) -> dict:
-        return {"r_plus": self.r_plus, "r_minus": self.r_minus, "n_max": self.n_max}
 
 
 def splitting_power_stacks(a: DenseOperator, b: DenseOperator, k_max: int):

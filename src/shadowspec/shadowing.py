@@ -33,7 +33,7 @@ chains, each resolved to high relative accuracy (see `_shift_chain_gain`).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from .operators import (
     DenseOperator,
     ShiftOperator,
     SupportedVector,
+    _complex_pairs,
     _dense_vector,
     adjoint,
     apply,
@@ -69,6 +70,9 @@ __all__ = [
     "bgain_test_sequence",
     "rotate_orbit",
 ]
+
+# Order m of the power kernels that certify a splitting in `construct_shadow`.
+DECAY_ORDER = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,16 +240,7 @@ class ShadowResult:
     recurrence_residual: float
 
     def to_json(self) -> dict:
-        return {
-            "anchor": [[float(z.real), float(z.imag)] for z in self.anchor],
-            "epsilon_achieved": self.epsilon_achieved,
-            "epsilon_bound": self.epsilon_bound,
-            "q_used": self.q_used,
-            "K_used": self.K_used,
-            "r_plus": self.r_plus,
-            "r_minus": self.r_minus,
-            "recurrence_residual": self.recurrence_residual,
-        }
+        return {**asdict(self), "anchor": _complex_pairs(self.anchor)}
 
 
 def construct_shadow(
@@ -254,12 +249,11 @@ def construct_shadow(
     orbit: PseudoOrbit,
     *,
     q: float | None = None,
-    decay_order: int = 32,
 ) -> ShadowResult:
     """Shadow a pseudo-orbit of a dense operator through the splitting B.
 
     One stack of power kernels M_k = (BA)^k B and N_k = ((I-B)A^{-1})^k (I-B),
-    k = 0..m with m = decay_order, carries the whole certificate: the decay
+    k = 0..m with m = DECAY_ORDER, carries the whole certificate: the decay
     rates (both < 1), q (default: the midpoint between the worst rate and 1)
     and K = max_{k<=m} max(||M_k||, ||N_k||) / q^k.  Since M_{k+m} =
     (BA)^m M_k, that maximum bounds every k once ||(BA)^m|| < q^m, and
@@ -283,7 +277,7 @@ def construct_shadow(
     a, b_mat = op.entries, b.entries
     ainv = inverse(op).entries
 
-    fwd, bwd, norms_fwd, norms_bwd = splitting_power_stacks(op, b, decay_order)
+    fwd, bwd, norms_fwd, norms_bwd = splitting_power_stacks(op, b, DECAY_ORDER)
     rates = DecayRates.from_norms(norms_fwd, norms_bwd)
     if rates.worst >= 1.0:
         raise DecayCertificateError(
@@ -295,7 +289,7 @@ def construct_shadow(
         q = 0.5 * (1.0 + rates.worst)
     if not (rates.worst < q < 1.0):
         raise ValueError(f"q must lie in (worst rate {rates.worst:.6f}, 1)")
-    m = decay_order
+    m = DECAY_ORDER
     tail_fwd = float(np.linalg.norm(fwd[m - 1] @ a, 2))
     tail_bwd = float(np.linalg.norm(bwd[m - 1] @ ainv, 2))
     if max(tail_fwd, tail_bwd) >= q ** m:
@@ -356,12 +350,11 @@ class OracleResult:
 
     def to_json(self) -> dict:
         if isinstance(self.best_anchor, SupportedVector):
-            anchor = {
-                str(n): [float(v.real), float(v.imag)]
-                for n, v in sorted(self.best_anchor.coefficients.items())
-            }
+            support = self.best_anchor.support()
+            values = _complex_pairs(self.best_anchor.get(n) for n in support)
+            anchor = dict(zip(map(str, support), values))
         else:
-            anchor = [[float(z.real), float(z.imag)] for z in np.asarray(self.best_anchor)]
+            anchor = _complex_pairs(np.asarray(self.best_anchor))
         return {
             "best_anchor": anchor,
             "epsilon_achieved": self.epsilon_achieved,
@@ -614,14 +607,6 @@ class WindowProbe:
     operator_kind: str
     norm_model: str = "l2 surrogate"
 
-    def to_json(self) -> dict:
-        return {
-            "N": self.N,
-            "gain": self.gain,
-            "operator_kind": self.operator_kind,
-            "norm_model": self.norm_model,
-        }
-
 
 def window_probe(op, kind: str, n: int, m: int | None = None) -> WindowProbe:
     """Minimum-gain probe of the windowed sequence operator.
@@ -654,12 +639,7 @@ class BGainResult:
     truncation: int
 
     def to_json(self) -> dict:
-        return {
-            "gain_measured": self.gain_measured,
-            "gain_identity": self.gain_identity,
-            "q": self.q,
-            "truncation": self.truncation,
-        }
+        return asdict(self)
 
 
 def bgain_test_sequence(op, x, q: float) -> BGainResult:

@@ -22,7 +22,7 @@ convex (Toeplitz-Hausdorff), so min over unit x of max(x*Px, x*Qx) equals
 max over t in [0, 1] of lambda_min(t P + (1-t) Q), which is concave in t.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .operators import (
     DenseOperator,
     ShiftOperator,
     SupportedVector,
+    _complex_pairs,
     _require_nonsingular,
     adjoint,
     inverse,
@@ -71,11 +72,7 @@ class Verdicts:
     shadowing: bool
 
     def to_json(self) -> dict:
-        return {
-            "hyperbolic": self.hyperbolic,
-            "uniformly_expansive": self.uniformly_expansive,
-            "shadowing": self.shadowing,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -131,9 +128,7 @@ class SpectralReport:
             "gap_sigma": self.gap_sigma,
             "verdicts": self.verdicts.to_json(),
             "justification": dict(self.justification),
-            "eigenvalues": None
-            if self.eigenvalues is None
-            else [[float(z.real), float(z.imag)] for z in self.eigenvalues],
+            "eigenvalues": None if self.eigenvalues is None else _complex_pairs(self.eigenvalues),
             "shift_spectra": None if self.shift_spectra is None else self.shift_spectra.to_json(),
         }
 
@@ -284,16 +279,6 @@ class DualityReport:
     surjectivity_mismatches: int
     worst_value_discrepancy: float
     eigen_multiset_discrepancy: float
-
-    def to_json(self) -> dict:
-        return {
-            "passes": self.passes,
-            "grid_points": self.grid_points,
-            "tol": self.tol,
-            "surjectivity_mismatches": self.surjectivity_mismatches,
-            "worst_value_discrepancy": self.worst_value_discrepancy,
-            "eigen_multiset_discrepancy": self.eigen_multiset_discrepancy,
-        }
 
 
 def _multiset_distance(xs: np.ndarray, ys: np.ndarray) -> float:

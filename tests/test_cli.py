@@ -35,6 +35,140 @@ EXAMPLE17_SEED17_ORACLE_TREND = (
 )
 
 
+# sorted key paths and JSON value types of four reports, pinned so that a
+# renamed, dropped or retyped key fails; "[]" marks the elements of an array
+ANALYZE_DENSE_SCHEMA = """
+$.config.command string
+$.config.delta float
+$.config.input string
+$.config.kind null
+$.config.nodes int
+$.config.q null
+$.config.seed int
+$.config.tol float
+$.config.window int
+$.operator.dim int
+$.operator.entries[][] float
+$.operator.kind string
+$.report.eigenvalues[][] float
+$.report.gap_sigma float
+$.report.justification.hyperbolic string
+$.report.justification.shadowing string
+$.report.justification.uniformly_expansive string
+$.report.shift_spectra null
+$.report.verdicts.hyperbolic bool
+$.report.verdicts.shadowing bool
+$.report.verdicts.uniformly_expansive bool
+"""
+ANALYZE_SHIFT_SCHEMA = """
+$.config.command string
+$.config.delta float
+$.config.input string
+$.config.kind null
+$.config.nodes int
+$.config.q null
+$.config.seed int
+$.config.tol float
+$.config.window int
+$.operator.crossover int
+$.operator.direction string
+$.operator.kind string
+$.operator.weight_neg float
+$.operator.weight_pos float
+$.report.eigenvalues null
+$.report.gap_sigma float
+$.report.justification.hyperbolic string
+$.report.justification.shadowing string
+$.report.justification.uniformly_expansive string
+$.report.shift_spectra.annulus_inner float
+$.report.shift_spectra.annulus_outer float
+$.report.shift_spectra.approx_point.kind string
+$.report.shift_spectra.approx_point.radii[] float
+$.report.shift_spectra.point_spectrum null
+$.report.verdicts.hyperbolic bool
+$.report.verdicts.shadowing bool
+$.report.verdicts.uniformly_expansive bool
+$.report.window_artifact_eigenvalues.half_width int
+$.report.window_artifact_eigenvalues.label string
+$.report.window_artifact_eigenvalues.values[][] float
+"""
+SHADOW_SCHEMA = """
+$.config.command string
+$.config.delta float
+$.config.input string
+$.config.kind null
+$.config.nodes int
+$.config.q null
+$.config.seed int
+$.config.tol float
+$.config.window int
+$.operator.dim int
+$.operator.entries[][] float
+$.operator.kind string
+$.oracle.best_anchor[][] float
+$.oracle.condition float
+$.oracle.epsilon_achieved float
+$.orbit.defect_norms[] float
+$.orbit.delta float
+$.orbit.window[] int
+$.shadow.K_used float
+$.shadow.anchor[][] float
+$.shadow.epsilon_achieved float
+$.shadow.epsilon_bound float
+$.shadow.q_used float
+$.shadow.r_minus float
+$.shadow.r_plus float
+$.shadow.recurrence_residual float
+"""
+EXAMPLE17_SCHEMA = """
+$.annulus_radii.inner float
+$.annulus_radii.outer float
+$.config.command string
+$.config.delta float
+$.config.input null
+$.config.kind null
+$.config.nodes int
+$.config.q null
+$.config.seed int
+$.config.tol float
+$.config.window int
+$.gain_sweep_for_T[].gain_identity float
+$.gain_sweep_for_T[].gain_measured float
+$.gain_sweep_for_T[].q float
+$.gain_sweep_for_T[].truncation int
+$.notes[] string
+$.oracle_epsilon_trend.delta float
+$.oracle_epsilon_trend.rows[].N int
+$.oracle_epsilon_trend.rows[].epsilon float
+$.oracle_epsilon_trend.rows[].operator string
+$.verdicts.S.eigenvalues null
+$.verdicts.S.gap_sigma float
+$.verdicts.S.justification.hyperbolic string
+$.verdicts.S.justification.shadowing string
+$.verdicts.S.justification.uniformly_expansive string
+$.verdicts.S.shift_spectra.annulus_inner float
+$.verdicts.S.shift_spectra.annulus_outer float
+$.verdicts.S.shift_spectra.approx_point.kind string
+$.verdicts.S.shift_spectra.approx_point.radii[] float
+$.verdicts.S.shift_spectra.point_spectrum.open_annulus[] float
+$.verdicts.S.verdicts.hyperbolic bool
+$.verdicts.S.verdicts.shadowing bool
+$.verdicts.S.verdicts.uniformly_expansive bool
+$.verdicts.T.eigenvalues null
+$.verdicts.T.gap_sigma float
+$.verdicts.T.justification.hyperbolic string
+$.verdicts.T.justification.shadowing string
+$.verdicts.T.justification.uniformly_expansive string
+$.verdicts.T.shift_spectra.annulus_inner float
+$.verdicts.T.shift_spectra.annulus_outer float
+$.verdicts.T.shift_spectra.approx_point.kind string
+$.verdicts.T.shift_spectra.approx_point.radii[] float
+$.verdicts.T.shift_spectra.point_spectrum null
+$.verdicts.T.verdicts.hyperbolic bool
+$.verdicts.T.verdicts.shadowing bool
+$.verdicts.T.verdicts.uniformly_expansive bool
+"""
+
 @pytest.fixture
 def dense_op_file(tmp_path):
     path = tmp_path / "op.json"
@@ -251,15 +385,20 @@ class TestShadow:
 
 
 class TestProbe:
-    def test_csv_ladder(self, dense_op_file, tmp_path):
+    @pytest.mark.parametrize("op_file", ["dense_op_file", "shift_op_file"])
+    @pytest.mark.parametrize(
+        "window, ladder", [(8, [1, 2, 4, 8]), (3, [1, 3]), (0, [0])], ids=["8", "3", "0"]
+    )
+    def test_csv_ladder(self, op_file, window, ladder, request, tmp_path):
+        path = request.getfixturevalue(op_file)
         out = tmp_path / "probe.csv"
-        rc = main(["probe", "--input", str(dense_op_file), "--output", str(out), "--window", "8"])
+        rc = main(["probe", "--input", str(path), "--output", str(out), "--window", str(window)])
         assert rc == 0
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "N,gain"
         ns = [int(line.split(",")[0]) for line in lines[1:]]
         gains = [float(line.split(",")[1]) for line in lines[1:]]
-        assert ns == [1, 2, 4, 8]
+        assert ns == ladder
         assert all(g > 0 for g in gains)
 
     def test_shift_ladder_at_window_64(self, shift_op_file, tmp_path):
@@ -273,6 +412,41 @@ class TestProbe:
         gains = [float(g) for _, g in rows]
         assert all(g > 0 for g in gains)
         assert all(b <= a for a, b in zip(gains, gains[1:]))
+
+
+JSON_TYPES = {dict: "object", list: "array", str: "string", bool: "bool",
+              int: "int", float: "float", type(None): "null"}
+
+
+def _schema(doc, path="$") -> set:
+    """A "path type" line for every leaf and every empty container of a JSON document."""
+    if isinstance(doc, dict) and doc:
+        return set().union(*(_schema(v, f"{path}.{k}") for k, v in doc.items()))
+    if isinstance(doc, list) and doc:
+        return set().union(*(_schema(v, f"{path}[]") for v in doc))
+    return {f"{path} {JSON_TYPES[type(doc)]}"}
+
+
+class TestReportSchema:
+    @pytest.mark.parametrize(
+        "args, expected",
+        [
+            (["analyze", "--input", "{dense}"], ANALYZE_DENSE_SCHEMA),
+            (["analyze", "--input", "{shift}", "--window", "3"], ANALYZE_SHIFT_SCHEMA),
+            (["shadow", "--input", "{dense}"], SHADOW_SCHEMA),
+        ],
+        ids=["analyze-dense", "analyze-shift", "shadow"],
+    )
+    def test_report_keys_and_types(self, args, expected, dense_op_file, shift_op_file, tmp_path):
+        out = tmp_path / "report.json"
+        args = [a.format(dense=dense_op_file, shift=shift_op_file) for a in args]
+        assert main(args + ["--output", str(out)]) == 0
+        assert sorted(_schema(json.loads(out.read_text()))) == expected.strip().splitlines()
+
+    def test_example17_report_keys_and_types(self, tmp_path):
+        assert main(["example17", "--output", str(tmp_path), "--seed", "17"]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert sorted(_schema(report)) == EXAMPLE17_SCHEMA.strip().splitlines()
 
 
 class TestWriteAtomic:

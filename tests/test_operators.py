@@ -216,6 +216,18 @@ class TestJsonFormat:
         assert shift.crossover == -2 and isinstance(shift.crossover, int)
 
 
+class TestShiftWeights:
+    @pytest.mark.parametrize("wp, wn", [(math.inf, 1.0), (1.0, np.float64(np.inf))])
+    def test_infinite_weight_rejected(self, wp, wn):
+        with pytest.raises(ValueError, match="shift weights must be finite"):
+            ss.ShiftOperator("forward", wp, wn)
+
+    @pytest.mark.parametrize("wp, wn", [(math.nan, 1.0), (1.0, 0.0), (-2.0, 1.0)])
+    def test_nan_or_nonpositive_weight_rejected(self, wp, wn):
+        with pytest.raises(ValueError, match="shift weights must be positive"):
+            ss.ShiftOperator("backward", wp, wn)
+
+
 class TestSupportedVector:
     def test_norm_over_listed_support(self):
         v = ss.SupportedVector({0: 3.0, 7: 4.0})
@@ -224,6 +236,19 @@ class TestSupportedVector:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             ss.SupportedVector({0: complex("nan")})
+
+    @pytest.mark.parametrize(
+        "value", [complex("nan"), complex(1, math.inf), -math.inf, np.float64(np.nan)]
+    )
+    def test_non_finite_message_in_either_part(self, value):
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            ss.SupportedVector({0: 1.0, 2: value})
+
+    def test_norm_is_the_correctly_rounded_python_float(self):
+        v = ss.SupportedVector({0: 1 + 2j, 1: 0.3, -4: 1e-3j})
+        squares = sum(abs(c) ** 2 for c in v.coefficients.values())
+        assert type(v.norm()) is float
+        assert v.norm() == float(np.sqrt(squares))
 
     def test_scalar_product_and_difference_keep_listing_order(self):
         a = ss.SupportedVector({3: 1.0, -1: 2j})

@@ -151,7 +151,7 @@ class TestConstructShadow:
         assert res.epsilon_achieved == pytest.approx(np.max(np.linalg.norm(x, axis=1)), abs=1e-12)
 
     def test_envelope_constant_covers_the_old_tail_horizon(self):
-        # K comes from decay_order powers plus the tail certificate; it must
+        # K comes from DECAY_ORDER powers plus the tail certificate; it must
         # still dominate the envelope out to the horizon q^k < 1e-12
         rng = np.random.default_rng(405)
         for _ in range(6):
