@@ -2,9 +2,10 @@
 
 Decides hyperbolicity, uniform expansivity and the shadowing property from
 spectra (dense matrices numerically, two-sided weighted shifts analytically),
-builds the unit-circle Riesz projector and resolvent Laurent coefficients by
-contour quadrature, and explicitly constructs shadow trajectories for
-pseudo-orbits, cross-checked by a least-squares oracle.
+builds the unit-circle Riesz projector by inverse-free repeated squaring and
+resolvent Laurent coefficients by contour quadrature, and explicitly
+constructs shadow trajectories for pseudo-orbits, cross-checked by a
+least-squares oracle.
 """
 
 from .errors import (
@@ -37,12 +38,14 @@ from .projector import (
     DecayRates,
     LaurentRelationsReport,
     LaurentTable,
+    RieszSplitting,
     decay_rates,
     geometric_envelope_constant,
     laurent_coefficient,
     laurent_table,
     resolvent,
     riesz_projector,
+    riesz_splitting,
     verify_laurent_relations,
 )
 from .shadowing import (

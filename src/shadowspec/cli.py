@@ -30,7 +30,7 @@ from .operators import (
     operator_from_json,
     operator_to_json,
 )
-from .projector import ContourConfig, riesz_projector
+from .projector import ContourConfig, riesz_splitting
 from .shadowing import (
     bgain_test_sequence,
     construct_shadow,
@@ -171,14 +171,16 @@ def cmd_shadow(cfg: RunConfig) -> int:
     op, splitting = _load_operator(cfg)
     if not isinstance(op, DenseOperator):
         raise ValueError("shadow experiments need a dense operator (or a dense splitting)")
+    source, certificate = "input", {}
     if splitting is None:
         try:
-            splitting = riesz_projector(op, ContourConfig(nodes=cfg.nodes))
+            riesz = riesz_splitting(op, ContourConfig(nodes=cfg.nodes))
+            source, splitting, certificate = "riesz", riesz.projector, riesz.to_json()
         except ContourThroughSpectrumError as exc:
             # no resolved unit-circle gap: fall through to the trivial splitting
             # so the decay certificate fails with its measured rates (exit 4)
             print(f"no Riesz projector, using the identity splitting: {exc}", file=sys.stderr)
-            splitting = identity(op.dim)
+            source, splitting = "identity", identity(op.dim)
     x0 = np.zeros(op.dim, dtype=np.complex128)
     orbit = generate_pseudo_orbit(
         op, x0, cfg.delta, (-cfg.window, cfg.window), rng_seed=cfg.seed
@@ -188,6 +190,11 @@ def cmd_shadow(cfg: RunConfig) -> int:
     doc = {
         "config": cfg.to_json(),
         "operator": operator_to_json(op),
+        "splitting": {
+            "source": source,
+            **dict.fromkeys(("steps", "node_halving_residual", "idempotency", "commutation")),
+            **certificate,
+        },
         "orbit": {
             "window": [orbit.n_lo, orbit.n_hi],
             "delta": orbit.delta,
@@ -307,7 +314,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", help="report destination (file, or directory for example17)")
         p.add_argument("--tol", type=float, default=1e-6, help="unit-circle gap tolerance")
         p.add_argument("--seed", type=int, default=0, help="rng seed")
-        p.add_argument("--nodes", type=int, default=256, help="contour quadrature nodes")
+        p.add_argument(
+            "--nodes", type=int, default=256,
+            help="contour nodes N (a power of two): the Riesz projector takes log2(N) "
+            "squaring steps, step j being the 2^j-node trapezoid rule",
+        )
         p.add_argument("--window", type=int, default=20, help="window half-width N")
         p.add_argument("--delta", type=float, default=1e-3, help="pseudo-orbit defect bound")
         p.add_argument("--q", type=float, default=None, help="shadow envelope rate in (worst decay rate, 1); default midway")

@@ -1,4 +1,4 @@
-"""Contour quadrature of the resolvent around the unit circle.
+"""Spectral projector and resolvent Laurent coefficients on circles around the origin.
 
 The resolvent R(lambda) = (lambda*I - A)^{-1} is holomorphic on any annulus
 free of spectrum, so on a circle of radius r inside that annulus its Laurent
@@ -6,17 +6,27 @@ coefficients are contour integrals
 
     C_n = (1/2*pi*i) * integral  lambda^{-n-1} R(lambda) d lambda,
 
-discretized here with the equispaced trapezoid rule (spectrally accurate for
-periodic analytic integrands).  C_{-1} is the spectral projector onto the
-part of the spectrum inside the circle; the remaining coefficients obey exact
-one-step recurrences against A and its inverse, which `verify_laurent_relations`
+discretized with the equispaced N-node trapezoid rule (spectrally accurate
+for periodic analytic integrands).  `laurent_coefficient` and `laurent_table`
+sample R at the nodes and take all the C_n they need from one discrete
+Fourier transform over the node axis; the coefficients obey exact one-step
+recurrences against A and its inverse, which `verify_laurent_relations`
 replays as a cross-check of the quadrature.
 
-Quadrature node evaluations are independent; the accumulation order is fixed
-(index order, numpy pairwise summation) so runs are reproducible.
+C_{-1} is the spectral projector onto the part of the spectrum inside the
+circle.  Its N-node trapezoid value is exactly (I - (A/r)^N)^{-1}, so doubling
+the nodes squares A/r.  `riesz_projector` therefore never samples R: it runs
+the inverse-free squaring iteration of Malyshev (1993) and Bai, Demmel & Gu
+(1997), in which step j represents (A/r)^(2^j) as B_j^{-1} A_j without forming
+the power, and solves (B_j - A_j) P_j = B_j, the 2^j-node rule, at the last
+two of log2(N) steps.  The two differ by the node-halving residual of the
+quadrature, so the node count keeps its meaning.
+
+Every sum is checked on its node-halving residual: the change when the
+half-resolution grid (every other node) replaces the full one.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,10 +38,12 @@ __all__ = [
     "LaurentTable",
     "LaurentRelationsReport",
     "DecayRates",
+    "RieszSplitting",
     "resolvent",
     "laurent_coefficient",
     "laurent_table",
     "riesz_projector",
+    "riesz_splitting",
     "verify_laurent_relations",
     "decay_rates",
     "geometric_envelope_constant",
@@ -40,6 +52,9 @@ __all__ = [
 
 LAURENT_ORDER_CAP = 64
 NODE_HALVING_RTOL = 1e-8  # bound on the estimated error of a coefficient, times max(1, max |C_n|)
+# bound on max|P^2 - P| / s^2, |tr(P^2 - P)| / (d * s) and max|AP - PA| / (s * max|A|),
+# with s = max(1, max|P|) and d the dimension
+PROJECTOR_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -62,11 +77,6 @@ class ContourConfig:
             raise ValueError("nodes must be a power of two, at least 16")
 
 
-def _contour_points(cfg: ContourConfig) -> np.ndarray:
-    theta = 2.0 * np.pi * np.arange(cfg.nodes) / cfg.nodes
-    return cfg.radius * np.exp(1j * theta)
-
-
 def _resolvent_samples(a: DenseOperator, cfg: ContourConfig) -> np.ndarray:
     """R(lambda_j) at every contour node, shape (nodes, dim, dim).
 
@@ -81,7 +91,8 @@ def _resolvent_samples(a: DenseOperator, cfg: ContourConfig) -> np.ndarray:
             f"(guard {guard:.3e}); move the radius or shrink the spacing",
             distance=dist,
         )
-    lam = _contour_points(cfg)
+    theta = 2.0 * np.pi * np.arange(cfg.nodes) / cfg.nodes
+    lam = cfg.radius * np.exp(1j * theta)
     eye = np.eye(a.dim, dtype=np.complex128)
     lhs = lam[:, None, None] * eye - a.entries
     rhs = np.broadcast_to(eye, lhs.shape)
@@ -102,46 +113,159 @@ def resolvent(a: DenseOperator, lam: complex) -> DenseOperator:
     return DenseOperator(np.linalg.solve(lam * eye - a.entries, eye))
 
 
-def _coefficient_from_samples(
-    samples: np.ndarray, lam: np.ndarray, n: int
-) -> tuple[np.ndarray, float]:
-    """Trapezoid value of C_n plus the node-halving residual (max-entry norm).
+def _node_halving_residuals(
+    full: np.ndarray, half: np.ndarray, orders: np.ndarray, nodes: int
+) -> np.ndarray:
+    """Max-entry node-halving residual of each stacked trapezoid value of C_n.
 
-    With lambda = r*exp(i*theta) the integral reduces to the theta-average of
-    lambda^{-n} R(lambda); the even-indexed nodes form the half-resolution
-    grid, so the certificate costs nothing extra.  The full sum's error, about
-    residual^2 / scale by geometric convergence, must stay below NODE_HALVING_RTOL * scale.
+    The full sum's error, about residual^2 / scale by geometric convergence,
+    must stay below NODE_HALVING_RTOL * scale with scale = max(1, max |C_n|);
+    the first order that misses it raises ContourThroughSpectrumError.
     """
-    weights = lam ** (-n)
-    full = np.einsum("j,jkl->kl", weights, samples) / len(lam)
-    half = np.einsum("j,jkl->kl", weights[::2], samples[::2]) / (len(lam) // 2)
-    residual = float(np.max(np.abs(full - half)))
-    scale = max(1.0, float(np.max(np.abs(full))))
-    if residual**2 > NODE_HALVING_RTOL * scale**2:
+    residual = np.max(np.abs(full - half), axis=(1, 2))
+    scale = np.maximum(1.0, np.max(np.abs(full), axis=(1, 2)))
+    unresolved = np.flatnonzero(residual**2 > NODE_HALVING_RTOL * scale**2)
+    if unresolved.size:
+        k = unresolved[0]
         raise ContourThroughSpectrumError(
-            f"C_{n} unresolved by {len(lam)} nodes (add nodes or move the radius): node-halving "
-            f"residual {residual:.3e}, error ~{residual**2 / scale:.1e} > {NODE_HALVING_RTOL:.0e}"
+            f"C_{orders[k]} unresolved by {nodes} nodes (add nodes or move the radius): "
+            f"node-halving residual {residual[k]:.3e}, error ~{residual[k] ** 2 / scale[k]:.1e} "
+            f"> {NODE_HALVING_RTOL:.0e}"
         )
-    return full, residual
+    return residual
+
+
+def _coefficients(
+    a: DenseOperator, orders: np.ndarray, cfg: ContourConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Trapezoid values of C_n for the given orders, stacked, and their
+    node-halving residuals.
+
+    With lambda_j = r*exp(2*pi*i*j/N), every sum (1/N) sum_j lambda_j^{-n} R_j
+    comes from one product of the orders x N weight matrix with the samples
+    flattened over the node axis: the discrete Fourier transform, restricted
+    to the orders asked for.  The even-indexed nodes form the half grid, whose
+    weights are twice the even columns.  Orders with 2|n| >= N would pick up
+    C_{n-N} or C_{n+N} on both grids alike, so they are refused.
+    """
+    nodes = int(cfg.nodes)
+    if 2 * int(np.max(np.abs(orders))) >= nodes:
+        raise ValueError(f"|n| must stay below nodes/2 = {nodes // 2}, or C_n aliases")
+    samples = _resolvent_samples(a, cfg).reshape(nodes, -1)
+    phase = np.outer(orders, np.arange(nodes)) % nodes  # exact, before scaling by 2*pi/N
+    scale = cfg.radius ** -orders.astype(float) / nodes
+    weights = np.exp(-2j * np.pi / nodes * phase) * scale[:, None]
+    shape = (len(orders), a.dim, a.dim)
+    full = (weights @ samples).reshape(shape)
+    half = (2.0 * weights[:, ::2] @ samples[::2]).reshape(shape)
+    return full, _node_halving_residuals(full, half, orders, nodes)
 
 
 def laurent_coefficient(
     a: DenseOperator, n: int, cfg: ContourConfig = ContourConfig()
 ) -> DenseOperator:
     """Laurent coefficient C_n of the resolvent on the configured circle;
-    ContourThroughSpectrumError when the nodes do not resolve it."""
+    ContourThroughSpectrumError when the nodes do not resolve it, ValueError
+    when |n| exceeds LAURENT_ORDER_CAP or 2|n| >= nodes."""
     if abs(n) > LAURENT_ORDER_CAP:
         raise ValueError(f"|n| capped at {LAURENT_ORDER_CAP}")
-    samples = _resolvent_samples(a, cfg)
-    full, _ = _coefficient_from_samples(samples, _contour_points(cfg), n)
-    return DenseOperator(full)
+    full, _ = _coefficients(a, np.array([n]), cfg)
+    return DenseOperator(full[0])
+
+
+@dataclass(frozen=True, eq=False)
+class RieszSplitting:
+    """The Riesz projector with its certificate.
+
+    steps is log2(nodes), the number of squaring steps; node_halving_residual
+    is the max-entry difference between the last two steps (the nodes- and
+    nodes/2-point rules); idempotency = max|P^2 - P| and commutation =
+    max|AP - PA|, both checked against PROJECTOR_RTOL.
+
+    tr(P^2 - P) is checked too.  It is similarity invariant: each eigenvalue
+    mu of (A/r)^N contributes mu/(1 - mu)^2, so one on the circle contributes
+    a real number at most -1/4, which no ill-conditioned remainder of the
+    spectrum can mask the way it masks the entries of P^2 - P.
+    """
+
+    projector: DenseOperator
+    steps: int
+    node_halving_residual: float
+    idempotency: float
+    commutation: float
+
+    def to_json(self) -> dict:
+        """The certificate fields (everything but the projector)."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "projector"}
+
+
+def _trapezoid_projector(b: np.ndarray, a: np.ndarray, step: int) -> np.ndarray:
+    """(B - A)^{-1} B, the 2^step-node value of C_{-1}; a singular or
+    non-finite solve means an eigenvalue of (A/r)^(2^step) at 1."""
+    try:
+        p = np.linalg.solve(b - a, b)
+    except np.linalg.LinAlgError:
+        p = None
+    if p is None or not np.all(np.isfinite(p)):
+        raise ContourThroughSpectrumError(
+            f"squaring step {step} is singular: an eigenvalue sits on the contour circle"
+        )
+    return p
+
+
+def riesz_splitting(a: DenseOperator, cfg: ContourConfig = ContourConfig()) -> RieszSplitting:
+    """Spectral projector onto the part of the spectrum inside the contour
+    (the Laurent coefficient C_{-1} at cfg.nodes nodes), with its certificate.
+
+    Starting from A_0 = A/r and B_0 = I, each step takes a complete QR of
+    [B_j; -A_j] and keeps the orthogonal complement's blocks,
+    A_{j+1} = Q12^H A_j and B_{j+1} = Q22^H B_j.  Since Q12^H B_j = Q22^H A_j,
+    B_{j+1}^{-1} A_{j+1} = (B_j^{-1} A_j)^2 = (A/r)^(2^(j+1)), with no inverse
+    or power ever formed.  ContourThroughSpectrumError when the node-halving
+    residual, idempotency or commutation misses its tolerance, or a step is
+    singular.
+    """
+    d = a.dim
+    steps = int(cfg.nodes).bit_length() - 1
+    a_j = a.entries / cfg.radius
+    b_j = np.eye(d, dtype=np.complex128)
+    for j in range(1, steps + 1):
+        q, _ = np.linalg.qr(np.vstack([b_j, -a_j]), mode="complete")
+        a_j = q[:d, d:].conj().T @ a_j
+        b_j = q[d:, d:].conj().T @ b_j
+        if j == steps - 1:
+            half = _trapezoid_projector(b_j, a_j, j)
+    p = _trapezoid_projector(b_j, a_j, steps)
+    (residual,) = _node_halving_residuals(p[None], half[None], np.array([-1]), int(cfg.nodes))
+    scale = max(1.0, float(np.max(np.abs(p))))
+    defect = p @ p - p
+    idempotency = float(np.max(np.abs(defect)))
+    trace_defect = abs(complex(np.trace(defect)))
+    commutation = float(np.max(np.abs(a.entries @ p - p @ a.entries)))
+    if (
+        idempotency > PROJECTOR_RTOL * scale**2
+        or trace_defect > PROJECTOR_RTOL * d * scale
+        or commutation > PROJECTOR_RTOL * scale * float(np.max(np.abs(a.entries)))
+    ):
+        raise ContourThroughSpectrumError(
+            f"C_-1 at {cfg.nodes} nodes is no spectral projector: "
+            f"max|P^2 - P| = {idempotency:.3e}, |tr(P^2 - P)| = {trace_defect:.3e}, "
+            f"max|AP - PA| = {commutation:.3e} "
+            f"(tolerance {PROJECTOR_RTOL:.0e}, relative); an eigenvalue sits on the contour circle"
+        )
+    return RieszSplitting(
+        projector=DenseOperator(p),
+        steps=steps,
+        node_halving_residual=float(residual),
+        idempotency=idempotency,
+        commutation=commutation,
+    )
 
 
 def riesz_projector(a: DenseOperator, cfg: ContourConfig = ContourConfig()) -> DenseOperator:
     """Spectral projector onto the part of the spectrum inside the contour
-    (the Laurent coefficient C_{-1}); idempotent and commuting with A up to
-    quadrature accuracy."""
-    return laurent_coefficient(a, -1, cfg)
+    (see `riesz_splitting`, whose certificate it drops)."""
+    return riesz_splitting(a, cfg).projector
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,25 +301,19 @@ def laurent_table(
     a: DenseOperator, n_max: int, cfg: ContourConfig = ContourConfig()
 ) -> LaurentTable:
     """All Laurent coefficients for |n| <= n_max from a single set of
-    resolvent samples; ContourThroughSpectrumError as `laurent_coefficient`."""
+    resolvent samples; ContourThroughSpectrumError as `laurent_coefficient`,
+    ValueError unless 1 <= n_max <= LAURENT_ORDER_CAP and 2*n_max < nodes."""
     if n_max < 1 or n_max > LAURENT_ORDER_CAP:
         raise ValueError(f"n_max must be in 1..{LAURENT_ORDER_CAP}")
-    samples = _resolvent_samples(a, cfg)
-    lam = _contour_points(cfg)
-    coefficients = {}
-    worst_residual = 0.0
-    for n in range(-n_max, n_max + 1):
-        full, residual = _coefficient_from_samples(samples, lam, n)
-        coefficients[n] = DenseOperator(full)
-        worst_residual = max(worst_residual, residual)
-    pos = np.array([np.linalg.norm(coefficients[n].entries, 2) for n in range(1, n_max + 1)])
-    neg = np.array([np.linalg.norm(coefficients[-n].entries, 2) for n in range(1, n_max + 1)])
+    orders = np.arange(-n_max, n_max + 1)
+    full, residuals = _coefficients(a, orders, cfg)
+    norms = _stack_spectral_norms(full)
     return LaurentTable(
-        coefficients=coefficients,
+        coefficients={int(n): DenseOperator(c) for n, c in zip(orders, full)},
         n_max=n_max,
-        r_plus=_tail_max_root(pos),
-        r_minus=_tail_max_root(neg),
-        node_doubling_residual=worst_residual,
+        r_plus=_tail_max_root(norms[n_max + 1 :]),
+        r_minus=_tail_max_root(norms[n_max - 1 :: -1]),
+        node_doubling_residual=float(np.max(residuals)),
         config=cfg,
     )
 

@@ -119,6 +119,11 @@ $.shadow.q_used float
 $.shadow.r_minus float
 $.shadow.r_plus float
 $.shadow.recurrence_residual float
+$.splitting.commutation float
+$.splitting.idempotency float
+$.splitting.node_halving_residual float
+$.splitting.source string
+$.splitting.steps int
 """
 EXAMPLE17_SCHEMA = """
 $.annulus_radii.inner float
@@ -383,6 +388,48 @@ class TestShadow:
         assert "envelope not certified" in capsys.readouterr().err
         assert not out.exists()
 
+
+
+class TestSplittingCertificate:
+    CERTIFICATE = ("steps", "node_halving_residual", "idempotency", "commutation")
+
+    def _shadow(self, tmp_path, payload, *flags):
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps(payload))
+        out = tmp_path / "shadow.json"
+        assert main(["shadow", "--input", str(path), "--output", str(out), *flags]) == 0
+        return json.loads(out.read_text())["splitting"]
+
+    @pytest.mark.parametrize("nodes, steps", [("16", 4), ("256", 8), ("4096", 12)])
+    def test_riesz_certificate_and_steps(self, tmp_path, nodes, steps):
+        op = ss.operator_to_json(ss.diagonal([10.0, 0.1]))
+        splitting = self._shadow(tmp_path, op, "--nodes", nodes)
+        assert splitting["source"] == "riesz"
+        assert splitting["steps"] == steps
+        # the residual is the half grid's error, 0.1^(nodes/2); the returned
+        # projector is good to about its square
+        half_grid_error = 0.1 ** (2 ** (steps - 1))
+        assert splitting["node_halving_residual"] == pytest.approx(half_grid_error, rel=1e-6)
+        assert 0.0 <= splitting["idempotency"] < 1e-12
+        assert 0.0 <= splitting["commutation"] < 1e-12
+
+    def test_near_circle_operator_resolves_at_4096_nodes(self, tmp_path):
+        op = ss.operator_to_json(ss.diagonal([1.02, 0.98]))
+        splitting = self._shadow(tmp_path, op, "--nodes", "4096")
+        assert splitting["source"] == "riesz" and splitting["steps"] == 12
+
+    def test_input_splitting_has_no_certificate(self, tmp_path):
+        payload = ss.operator_to_json(ss.diagonal([2.0, 0.5]))
+        payload["splitting"] = ss.operator_to_json(ss.diagonal([0.0, 1.0]))
+        splitting = self._shadow(tmp_path, payload)
+        assert splitting == {"source": "input", **dict.fromkeys(self.CERTIFICATE)}
+
+    def test_identity_fallback_has_no_certificate(self, tmp_path, capsys):
+        # 256 nodes cannot resolve 0.98, but with nothing outside the circle
+        # the identity splitting is the right one and certifies
+        splitting = self._shadow(tmp_path, ss.operator_to_json(ss.diagonal([0.98, 0.5])))
+        assert splitting == {"source": "identity", **dict.fromkeys(self.CERTIFICATE)}
+        assert "node-halving residual" in capsys.readouterr().err
 
 class TestProbe:
     @pytest.mark.parametrize("op_file", ["dense_op_file", "shift_op_file"])

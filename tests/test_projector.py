@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 
 import shadowspec as ss
-from _helpers import conjugated_diagonal, eigen_projector_inside, random_hyperbolic, random_invertible
+from _helpers import (
+    HYPERBOLIC_BANDS,
+    conjugated_diagonal,
+    draw_moduli,
+    eigen_projector_inside,
+    random_hyperbolic,
+    random_invertible,
+    random_unitary,
+)
+from shadowspec import projector
 
 
 def max_abs(m):
@@ -149,7 +158,188 @@ class TestRieszProjector:
         assert max_abs(lo.entries - hi.entries) < 1e-8
 
 
+def _planted(rng, dim):
+    """V diag(lam) V^{-1}, moduli in the hyperbolic bands, V = I + (0.5/sqrt d) G."""
+    lam = draw_moduli(rng, dim, HYPERBOLIC_BANDS) * np.exp(2j * np.pi * rng.uniform(size=dim))
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    v = np.eye(dim) + 0.5 / np.sqrt(dim) * g
+    return ss.DenseOperator(v @ np.diag(lam) @ np.linalg.inv(v))
+
+
+def _schur_non_normal(rng, dim):
+    """U (diag(lam) + strictly upper Gaussian) U^H, moduli in the hyperbolic bands."""
+    lam = draw_moduli(rng, dim, HYPERBOLIC_BANDS) * np.exp(2j * np.pi * rng.uniform(size=dim))
+    t = np.diag(lam) + 0.5 * np.triu(rng.standard_normal((dim, dim)), 1)
+    u = random_unitary(rng, dim)
+    return ss.DenseOperator(u @ t @ u.conj().T)
+
+
+def quadrature_projector(a, cfg):
+    return ss.laurent_coefficient(a, -1, cfg)
+
+
+class TestSquaringProjector:
+    NODES = [2**k for k in range(4, 13)]
+
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8, 16, 32])
+    def test_matches_quadrature_at_every_node_count(self, dim):
+        rng = np.random.default_rng(700 + dim)
+        ops = [_planted(rng, dim), _schur_non_normal(rng, dim)]
+        accepted = 0
+        for a in ops:
+            for nodes in self.NODES:
+                cfg = ss.ContourConfig(nodes=nodes)
+                outcomes = []
+                for compute in (ss.riesz_projector, quadrature_projector):
+                    try:
+                        outcomes.append(compute(a, cfg).entries)
+                    except ss.ContourThroughSpectrumError:
+                        outcomes.append(None)
+                squared, quad = outcomes
+                assert (squared is None) == (quad is None), nodes
+                if quad is not None:
+                    accepted += 1
+                    scale = max(1.0, max_abs(quad))
+                    assert max_abs(squared - quad) < 1e-12 * scale
+        assert accepted >= 2 * (len(self.NODES) - 3)
+
+    @pytest.mark.parametrize(
+        "values",
+        [[1.0, 1.0], [1.0, 0.5], [-1.0, 3.0], [1j, 2.0], [np.exp(0.3j), 2.0]],
+        ids=["identity", "1,0.5", "-1,3", "i,2", "e^0.3i,2"],
+    )
+    @pytest.mark.parametrize("nodes", [16, 256, 4096])
+    def test_eigenvalue_on_the_circle_raises(self, values, nodes):
+        # a LinAlgError or a returned matrix would fail this test alike
+        with pytest.raises(ss.ContourThroughSpectrumError):
+            ss.riesz_projector(ss.diagonal(values), ss.ContourConfig(nodes=nodes))
+
+    def test_eigenvalue_on_the_circle_beside_an_ill_conditioned_block_raises(self):
+        # |P| ~ 7e4 from the block hides the unimodular eigenvalue's entries
+        # of P^2 - P under the relative tolerance; its trace does not
+        a = np.zeros((3, 3), dtype=complex)
+        a[:2, :2] = [[0.5, 1e5], [0.0, 2.0]]
+        a[2, 2] = np.exp(0.3j)
+        with pytest.raises(ss.ContourThroughSpectrumError, match="no spectral projector"):
+            ss.riesz_projector(ss.DenseOperator(a))
+        a[2, 2] = 3.0
+        p = ss.riesz_projector(ss.DenseOperator(a)).entries
+        assert abs(np.trace(p) - 1.0) < 1e-8
+
+    def test_singular_step_raises(self):
+        b = np.eye(2, dtype=complex)
+        with pytest.raises(ss.ContourThroughSpectrumError, match="singular"):
+            projector._trapezoid_projector(b, b, 3)
+
+    def test_gates_are_applied(self, monkeypatch):
+        monkeypatch.setattr(projector, "PROJECTOR_RTOL", 0.0)
+        with pytest.raises(ss.ContourThroughSpectrumError, match="no spectral projector"):
+            ss.riesz_projector(ss.DenseOperator([[0.5, 1.0], [0.3, 2.0]]))
+
+    def test_radius_two(self):
+        p = ss.riesz_projector(ss.diagonal([0.5, 1.5, 3.0]), ss.ContourConfig(radius=2.0))
+        assert max_abs(p.entries - np.diag([1.0, 1.0, 0.0])) < 1e-12
+
+    @pytest.mark.parametrize("nodes", [16, 256, 4096])
+    def test_log2_nodes_qr_steps_and_no_samples(self, nodes, monkeypatch):
+        qr_calls = []
+        qr = np.linalg.qr
+
+        def counting_qr(*args, **kwargs):
+            qr_calls.append(args[0].shape)
+            return qr(*args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the squaring path must not call this")
+
+        # moduli 0.1 and 10 are resolved by 16 nodes already
+        a, _ = conjugated_diagonal(np.random.default_rng(71), [0.1, 10.0, 0.2, 5.0])
+        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        monkeypatch.setattr(np.linalg, "eigvals", forbidden)
+        monkeypatch.setattr(projector, "_resolvent_samples", forbidden)
+        split = ss.riesz_splitting(a, ss.ContourConfig(nodes=nodes))
+        steps = nodes.bit_length() - 1
+        assert split.steps == steps
+        assert qr_calls == [(8, 4)] * steps
+
+    def test_certificate(self):
+        rng = np.random.default_rng(72)
+        a, _ = random_hyperbolic(rng, 6)
+        split = ss.riesz_splitting(a)
+        assert max_abs(split.projector.entries - eigen_projector_inside(a)) < 1e-12
+        assert max_abs(split.projector.entries - ss.riesz_projector(a).entries) == 0.0
+        assert split.node_halving_residual < 1e-4
+        assert split.idempotency < 1e-12
+        assert split.commutation < 1e-12
+        assert split.to_json() == {
+            "steps": 8,
+            "node_halving_residual": split.node_halving_residual,
+            "idempotency": split.idempotency,
+            "commutation": split.commutation,
+        }
+
+
+class TestLaurentAliasing:
+    A = ss.diagonal([4.0, 0.25])
+
+    @staticmethod
+    def closed_form(n):
+        # (lambda - 4)^{-1} = -sum_{n>=0} 4^{-n-1} lambda^n and
+        # (lambda - 1/4)^{-1} = sum_{n<=-1} 4^{n+1} lambda^n on |lambda| = 1
+        return np.diag([-(4.0 ** (-n - 1)) if n >= 0 else 0.0, 4.0 ** (n + 1) if n <= -1 else 0.0])
+
+    @pytest.mark.parametrize("nodes", [16, 32, 64, 128])
+    def test_every_allowed_order_raises_or_is_resolved(self, nodes):
+        # the node-halving rule bounds the error by NODE_HALVING_RTOL * scale
+        # (scale = 1 here); C_-2 at 16 nodes is accepted 9.3e-10 off
+        cfg = ss.ContourConfig(nodes=nodes)
+        cap = min(nodes // 2 - 1, projector.LAURENT_ORDER_CAP)
+        orders = range(-cap, cap + 1)
+        accepted = 0
+        for n in orders:
+            try:
+                c = ss.laurent_coefficient(self.A, n, cfg)
+            except ss.ContourThroughSpectrumError:
+                continue
+            accepted += 1
+            assert max_abs(c.entries - self.closed_form(n)) < projector.NODE_HALVING_RTOL, n
+        assert accepted >= 3
+
+    @pytest.mark.parametrize("n", [63, -63, 32])
+    def test_aliased_order_is_refused(self, n):
+        with pytest.raises(ValueError, match="aliases"):
+            ss.laurent_coefficient(self.A, n, ss.ContourConfig(nodes=64))
+
+    def test_aliased_table_is_refused(self):
+        with pytest.raises(ValueError, match="aliases"):
+            ss.laurent_table(self.A, 8, ss.ContourConfig(nodes=16))
+        assert ss.laurent_table(self.A, 7, ss.ContourConfig(nodes=64)).n_max == 7
+
+
 class TestLaurentTable:
+    def test_table_matches_per_order_sums(self):
+        # reference: one weighted sum over the nodes per order, and one
+        # spectral norm per coefficient, as the table was first computed
+        rng = np.random.default_rng(59)
+        a, _ = random_hyperbolic(rng, 5)
+        cfg = ss.ContourConfig(radius=1.05, nodes=128)
+        table = ss.laurent_table(a, 6, cfg)
+        lam = cfg.radius * np.exp(2j * np.pi * np.arange(cfg.nodes) / cfg.nodes)
+        eye = np.eye(5)
+        lhs = lam[:, None, None] * eye - a.entries
+        samples = np.linalg.solve(lhs, np.broadcast_to(eye, lhs.shape))
+        worst = 0.0
+        for n in range(-6, 7):
+            full = np.einsum("j,jkl->kl", lam ** (-n), samples) / cfg.nodes
+            half = np.einsum("j,jkl->kl", lam[::2] ** (-n), samples[::2]) / (cfg.nodes // 2)
+            worst = max(worst, max_abs(full - half))
+            assert max_abs(table.coefficient(n).entries - full) < 1e-14 * max(1.0, max_abs(full))
+        assert table.node_doubling_residual == pytest.approx(worst, rel=1e-6, abs=1e-15)
+        for sign, rate in ((1, table.r_plus), (-1, table.r_minus)):
+            norms = [np.linalg.norm(table.coefficient(sign * n).entries, 2) for n in range(4, 7)]
+            roots = [x ** (1 / n) for n, x in zip(range(4, 7), norms)]
+            assert rate == pytest.approx(max(roots), rel=1e-12)
+
     def test_relations_for_diagonal(self):
         a = ss.diagonal([2.0, 0.5])
         table = ss.laurent_table(a, 4)
