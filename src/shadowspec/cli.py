@@ -69,10 +69,10 @@ class RunConfig:
     kind: str | None
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.delta < 0:
-            raise ValueError("delta must be nonnegative")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"--tol must be a finite positive number, got {self.tol}")
+        if not (math.isfinite(self.delta) and self.delta >= 0):
+            raise ValueError(f"--delta must be a finite number >= 0, got {self.delta}")
         if self.q is not None and not (0.0 < self.q < 1.0):
             raise ValueError("q must lie in (0, 1)")
         if self.window < 0:
@@ -104,7 +104,11 @@ def _write_atomic(path: Path, text: str) -> None:
 
 
 def _dump_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Report text; a value that overflowed (JSON has no NaN or Infinity) fails here."""
+    try:
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise FloatingPointError(f"report holds a non-finite value: {exc}") from None
 
 
 def _emit(cfg: RunConfig, text: str) -> None:
@@ -161,9 +165,10 @@ def cmd_analyze(cfg: RunConfig) -> int:
         "operator": operator_to_json(op),
         "report": {**report.to_json(), **extra},
     }
+    text = _dump_json(doc)
     if cfg.output:
         print(_verdict_line("operator", report.verdicts))
-    _emit(cfg, _dump_json(doc))
+    _emit(cfg, text)
     return EXIT_OK
 
 
@@ -203,11 +208,12 @@ def cmd_shadow(cfg: RunConfig) -> int:
         "shadow": result.to_json(),
         "oracle": oracle.to_json(),
     }
+    text = _dump_json(doc)
     print(
         f"epsilon_achieved={result.epsilon_achieved:.6e} "
         f"bound={result.epsilon_bound:.6e} oracle={oracle.epsilon_achieved:.6e}"
     )
-    _emit(cfg, _dump_json(doc))
+    _emit(cfg, text)
     return EXIT_OK
 
 

@@ -32,10 +32,6 @@ class NearSingularResolventError(ShadowspecError, ArithmeticError):
 class ContourThroughSpectrumError(ShadowspecError, ArithmeticError):
     """Quadrature contour passes through (or hugs) the spectrum."""
 
-    def __init__(self, message, distance=None):
-        super().__init__(message)
-        self.distance = distance
-
 
 class ConvergenceError(ShadowspecError, RuntimeError):
     """An iterative numerical routine failed to converge."""

@@ -236,6 +236,18 @@ def _require_nonsingular(op: DenseOperator) -> None:
         )
 
 
+def _powers(step: np.ndarray, k_max: int, first: np.ndarray, project=None) -> np.ndarray:
+    """first, step @ first, ..., step^k_max @ first (matrices or vectors), stacked
+    along a new axis 0; with project given, each term is project @ (step @ previous)."""
+    out = np.empty((k_max + 1, *np.shape(first)), dtype=np.complex128)
+    out[0] = first
+    for k in range(1, k_max + 1):
+        out[k] = step @ out[k - 1]
+        if project is not None:
+            out[k] = project @ out[k]
+    return out
+
+
 def materialize(op: ShiftOperator, half_width: int) -> DenseOperator:
     """Finite window of a shift on basis indices -N..N as a (2N+1)x(2N+1) matrix.
 

@@ -23,7 +23,10 @@ two of log2(N) steps.  The two differ by the node-halving residual of the
 quadrature, so the node count keeps its meaning.
 
 Every sum is checked on its node-halving residual: the change when the
-half-resolution grid (every other node) replaces the full one.
+half-resolution grid (every other node) replaces the full one.  That rule and
+a singular or non-finite solve are the only contour tests; neither path
+computes an eigenvalue.  An eigenvalue on the circle fails them at every node
+count, and the error says that only moving the radius helps there.
 """
 
 from dataclasses import dataclass, fields
@@ -31,7 +34,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ContourThroughSpectrumError, NearSingularResolventError
-from .operators import DenseOperator, inverse
+from .operators import DenseOperator, _powers, inverse
 
 __all__ = [
     "ContourConfig",
@@ -51,10 +54,12 @@ __all__ = [
 ]
 
 LAURENT_ORDER_CAP = 64
+LAURENT_RELATIONS_TOL = 1e-7  # bound on each max-entry residual of `verify_laurent_relations`
 NODE_HALVING_RTOL = 1e-8  # bound on the estimated error of a coefficient, times max(1, max |C_n|)
 # bound on max|P^2 - P| / s^2, |tr(P^2 - P)| / (d * s) and max|AP - PA| / (s * max|A|),
 # with s = max(1, max|P|) and d the dimension
 PROJECTOR_RTOL = 1e-8
+_ON_CIRCLE = "an eigenvalue may lie on the contour circle, where only moving the radius helps"
 
 
 @dataclass(frozen=True)
@@ -77,26 +82,27 @@ class ContourConfig:
             raise ValueError("nodes must be a power of two, at least 16")
 
 
-def _resolvent_samples(a: DenseOperator, cfg: ContourConfig) -> np.ndarray:
-    """R(lambda_j) at every contour node, shape (nodes, dim, dim).
+def _solve_on_contour(lhs: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
+    """lhs^{-1} rhs, stacked or not.  A singular or non-finite solve means an
+    eigenvalue on the contour: at a node for a resolvent sample, or an
+    eigenvalue of (A/r)^(2^j) at 1 for the squaring step's (B_j - A_j)^{-1} B_j."""
+    try:
+        x = np.linalg.solve(lhs, rhs)
+    except np.linalg.LinAlgError:
+        x = None
+    if x is None or not np.all(np.isfinite(x)):
+        raise ContourThroughSpectrumError(f"{what} is singular; {_ON_CIRCLE}")
+    return x
 
-    Raises ContourThroughSpectrumError when an eigenvalue sits closer to the
-    contour (in modulus) than half a node spacing.
-    """
-    dist = float(np.min(np.abs(np.abs(np.linalg.eigvals(a.entries)) - cfg.radius)))
-    guard = max(1e-9, np.pi * cfg.radius / cfg.nodes)
-    if dist < guard:
-        raise ContourThroughSpectrumError(
-            f"eigenvalue within {dist:.3e} of the contour circle "
-            f"(guard {guard:.3e}); move the radius or shrink the spacing",
-            distance=dist,
-        )
+
+def _resolvent_samples(a: DenseOperator, cfg: ContourConfig) -> np.ndarray:
+    """R(lambda_j) at every contour node, shape (nodes, dim, dim)."""
     theta = 2.0 * np.pi * np.arange(cfg.nodes) / cfg.nodes
     lam = cfg.radius * np.exp(1j * theta)
     eye = np.eye(a.dim, dtype=np.complex128)
     lhs = lam[:, None, None] * eye - a.entries
     rhs = np.broadcast_to(eye, lhs.shape)
-    return np.linalg.solve(lhs, rhs)
+    return _solve_on_contour(lhs, rhs, "a resolvent sample")
 
 
 def resolvent(a: DenseOperator, lam: complex) -> DenseOperator:
@@ -128,9 +134,9 @@ def _node_halving_residuals(
     if unresolved.size:
         k = unresolved[0]
         raise ContourThroughSpectrumError(
-            f"C_{orders[k]} unresolved by {nodes} nodes (add nodes or move the radius): "
-            f"node-halving residual {residual[k]:.3e}, error ~{residual[k] ** 2 / scale[k]:.1e} "
-            f"> {NODE_HALVING_RTOL:.0e}"
+            f"C_{orders[k]} unresolved by {nodes} nodes: node-halving residual "
+            f"{residual[k]:.3e}, error ~{residual[k] ** 2 / scale[k]:.1e} "
+            f"> {NODE_HALVING_RTOL:.0e}; add nodes, but {_ON_CIRCLE}"
         )
     return residual
 
@@ -199,20 +205,6 @@ class RieszSplitting:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "projector"}
 
 
-def _trapezoid_projector(b: np.ndarray, a: np.ndarray, step: int) -> np.ndarray:
-    """(B - A)^{-1} B, the 2^step-node value of C_{-1}; a singular or
-    non-finite solve means an eigenvalue of (A/r)^(2^step) at 1."""
-    try:
-        p = np.linalg.solve(b - a, b)
-    except np.linalg.LinAlgError:
-        p = None
-    if p is None or not np.all(np.isfinite(p)):
-        raise ContourThroughSpectrumError(
-            f"squaring step {step} is singular: an eigenvalue sits on the contour circle"
-        )
-    return p
-
-
 def riesz_splitting(a: DenseOperator, cfg: ContourConfig = ContourConfig()) -> RieszSplitting:
     """Spectral projector onto the part of the spectrum inside the contour
     (the Laurent coefficient C_{-1} at cfg.nodes nodes), with its certificate.
@@ -234,8 +226,8 @@ def riesz_splitting(a: DenseOperator, cfg: ContourConfig = ContourConfig()) -> R
         a_j = q[:d, d:].conj().T @ a_j
         b_j = q[d:, d:].conj().T @ b_j
         if j == steps - 1:
-            half = _trapezoid_projector(b_j, a_j, j)
-    p = _trapezoid_projector(b_j, a_j, steps)
+            half = _solve_on_contour(b_j - a_j, b_j, f"squaring step {j}")
+    p = _solve_on_contour(b_j - a_j, b_j, f"squaring step {steps}")
     (residual,) = _node_halving_residuals(p[None], half[None], np.array([-1]), int(cfg.nodes))
     scale = max(1.0, float(np.max(np.abs(p))))
     defect = p @ p - p
@@ -251,7 +243,7 @@ def riesz_splitting(a: DenseOperator, cfg: ContourConfig = ContourConfig()) -> R
             f"C_-1 at {cfg.nodes} nodes is no spectral projector: "
             f"max|P^2 - P| = {idempotency:.3e}, |tr(P^2 - P)| = {trace_defect:.3e}, "
             f"max|AP - PA| = {commutation:.3e} "
-            f"(tolerance {PROJECTOR_RTOL:.0e}, relative); an eigenvalue sits on the contour circle"
+            f"(tolerance {PROJECTOR_RTOL:.0e}, relative); {_ON_CIRCLE}"
         )
     return RieszSplitting(
         projector=DenseOperator(p),
@@ -331,16 +323,15 @@ class LaurentRelationsReport:
         return max(self.residual_c0, self.residual_positive, self.residual_negative)
 
 
-def verify_laurent_relations(
-    a: DenseOperator, table: LaurentTable, tol: float = 1e-7
-) -> LaurentRelationsReport:
+def verify_laurent_relations(a: DenseOperator, table: LaurentTable) -> LaurentRelationsReport:
     """Replay the exact coefficient recurrences against the quadrature table:
 
         C_0    = -A^{-1} (I - C_{-1})
         C_n    =  A^{-n} C_0            (n >= 1)
         C_{-n} =  A^{n-1} C_{-1}        (n >= 1)
 
-    and report the worst max-entry residual of each family.
+    and report the worst max-entry residual of each family, passing below
+    LAURENT_RELATIONS_TOL.
     """
     if table.n_max < 3:
         raise ValueError("table must cover at least n_max >= 3")
@@ -349,28 +340,18 @@ def verify_laurent_relations(
     c_minus_1 = table.coefficient(-1).entries
     c0 = table.coefficient(0).entries
 
+    def residual(orders, first, step):
+        stacked = np.stack([table.coefficient(n).entries for n in orders])
+        return float(np.max(np.abs(stacked - _powers(step, len(orders) - 1, first))))
+
     res_c0 = float(np.max(np.abs(c0 - (-ainv @ (eye - c_minus_1)))))
-
-    res_pos = 0.0
-    power = eye
-    for n in range(1, table.n_max + 1):
-        power = ainv @ power
-        res_pos = max(res_pos, float(np.max(np.abs(table.coefficient(n).entries - power @ c0))))
-
-    res_neg = 0.0
-    power = eye
-    for n in range(1, table.n_max + 1):
-        res_neg = max(
-            res_neg,
-            float(np.max(np.abs(table.coefficient(-n).entries - power @ c_minus_1))),
-        )
-        power = a.entries @ power
-
+    res_pos = residual(range(1, table.n_max + 1), ainv @ c0, ainv)
+    res_neg = residual(range(-1, -table.n_max - 1, -1), c_minus_1, a.entries)
     return LaurentRelationsReport(
         residual_c0=res_c0,
         residual_positive=res_pos,
         residual_negative=res_neg,
-        passes=bool(max(res_c0, res_pos, res_neg) < tol),
+        passes=bool(max(res_c0, res_pos, res_neg) < LAURENT_RELATIONS_TOL),
     )
 
 
@@ -419,16 +400,10 @@ def splitting_power_stacks(a: DenseOperator, b: DenseOperator, k_max: int):
     if b.dim != d:
         raise ValueError("splitting operator dimension mismatch")
     ainv = inverse(a).entries
-    b_mat = b.entries
-    comp = np.eye(d, dtype=np.complex128) - b_mat
-    fwd = np.empty((k_max + 1, d, d), dtype=np.complex128)
-    bwd = np.empty((k_max + 1, d, d), dtype=np.complex128)
-    fwd[0] = b_mat
-    bwd[0] = comp
+    comp = np.eye(d, dtype=np.complex128) - b.entries
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, k_max + 1):
-            fwd[k] = b_mat @ (a.entries @ fwd[k - 1])
-            bwd[k] = comp @ (ainv @ bwd[k - 1])
+        fwd = _powers(a.entries, k_max, b.entries, project=b.entries)
+        bwd = _powers(ainv, k_max, comp, project=comp)
         norms_fwd = _stack_spectral_norms(fwd)
         norms_bwd = _stack_spectral_norms(bwd)
     return fwd, bwd, norms_fwd, norms_bwd

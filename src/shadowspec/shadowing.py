@@ -45,6 +45,7 @@ from .operators import (
     SupportedVector,
     _complex_pairs,
     _dense_vector,
+    _powers,
     adjoint,
     apply,
     inverse,
@@ -97,8 +98,8 @@ class PseudoOrbit:
             raise ValueError("state count does not match the window")
         if len(self.defects) != len(self.states) - 1:
             raise ValueError("need exactly one defect per step")
-        if self.delta < 0:
-            raise ValueError("delta must be nonnegative")
+        if not (math.isfinite(self.delta) and self.delta >= 0):
+            raise ValueError(f"delta must be a finite number >= 0, got {self.delta!r}")
         scale = max((vec_norm(s) for s in self.states), default=0.0)
         slack = 1e-12 * (1.0 + scale) + 1e-15
         for z in self.defects:
@@ -181,8 +182,8 @@ def generate_pseudo_orbit(
     off the final states.  A shift seed must list at least one index.
     """
     n_lo, n_hi = int(window[0]), int(window[1])
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
+    if not (math.isfinite(delta) and delta >= 0):
+        raise ValueError(f"delta must be a finite number >= 0, got {delta!r}")
     if not (n_lo <= 0 <= n_hi):
         raise ValueError("window must straddle index 0")
     if isinstance(op, DenseOperator):
@@ -321,11 +322,8 @@ def construct_shadow(
     idx0 = -orbit.n_lo
     anchor = states[idx0] - x[:, idx0]
     traj = np.empty((d, W), dtype=np.complex128)
-    traj[:, idx0] = anchor
-    for j in range(idx0 + 1, W):
-        traj[:, j] = a @ traj[:, j - 1]
-    for j in range(idx0 - 1, -1, -1):
-        traj[:, j] = ainv @ traj[:, j + 1]
+    traj[:, idx0:] = _powers(a, W - 1 - idx0, anchor).T
+    traj[:, idx0::-1] = _powers(ainv, idx0, anchor).T
     eps = float(np.max(np.linalg.norm(np.stack(states, axis=1) - traj, axis=0)))
 
     return ShadowResult(
@@ -362,22 +360,14 @@ class OracleResult:
         }
 
 
-def _dense_power_blocks(op: DenseOperator, n_lo: int, n_hi: int) -> list:
-    """A^n for n = n_lo..n_hi, built by iteration outward from A^0 = I."""
-    d = op.dim
-    eye = np.eye(d, dtype=np.complex128)
-    blocks = {0: eye}
-    power = eye
-    for n in range(1, n_hi + 1):
-        power = op.entries @ power
-        blocks[n] = power
+def _dense_power_blocks(op: DenseOperator, n_lo: int, n_hi: int) -> np.ndarray:
+    """A^n for n = n_lo..n_hi, stacked, built by iteration outward from A^0 = I."""
+    eye = np.eye(op.dim, dtype=np.complex128)
+    blocks = np.empty((n_hi - n_lo + 1, op.dim, op.dim), dtype=np.complex128)
+    blocks[-n_lo:] = _powers(op.entries, n_hi, eye)
     if n_lo < 0:
-        ainv = inverse(op).entries
-        power = eye
-        for n in range(-1, n_lo - 1, -1):
-            power = ainv @ power
-            blocks[n] = power
-    return [blocks[n] for n in range(n_lo, n_hi + 1)]
+        blocks[-n_lo::-1] = _powers(inverse(op).entries, -n_lo, eye)
+    return blocks
 
 
 def shadow_oracle_lsq(op, orbit: PseudoOrbit) -> OracleResult:
@@ -396,9 +386,8 @@ def shadow_oracle_lsq(op, orbit: PseudoOrbit) -> OracleResult:
         d = op.dim
         states = [_dense_vector(s, d) for s in orbit.states]
         blocks = _dense_power_blocks(op, orbit.n_lo, orbit.n_hi)
-        stacked = np.vstack(blocks)
         target = np.concatenate(states)
-        sol, _, _, svals = np.linalg.lstsq(stacked, target, rcond=None)
+        sol, _, _, svals = np.linalg.lstsq(blocks.reshape(-1, d), target, rcond=None)
         eps = max(
             float(np.linalg.norm(y - blk @ sol)) for y, blk in zip(states, blocks)
         )

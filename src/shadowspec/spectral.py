@@ -292,15 +292,15 @@ def _multiset_distance(xs: np.ndarray, ys: np.ndarray) -> float:
     return float(worst)
 
 
-def duality_check(a: DenseOperator, tol: float = DEFAULT_GAP_TOL) -> DualityReport:
+def duality_check(a: DenseOperator) -> DualityReport:
     """Check, on a unit-circle grid, that lambda*I - A is surjective exactly when
     conj(lambda)*I - A* is bounded below, and that the eigenvalue multiset of A
     equals the conjugated eigenvalue multiset of A*.
 
     Finite dimension makes surjectivity, invertibility and bounded-belowness
-    the same thing, each measured by the smallest singular value; the two
-    sides are equal in exact arithmetic, so the report carries the worst
-    numerical discrepancy actually observed.
+    the same thing, each measured by the smallest singular value against
+    DEFAULT_GAP_TOL; the two sides are equal in exact arithmetic, so the
+    report carries the worst numerical discrepancy actually observed.
     """
     if a.dim > DUALITY_DIM_CAP:
         raise ValueError(f"duality_check capped at dimension {DUALITY_DIM_CAP}, got {a.dim}")
@@ -312,7 +312,7 @@ def duality_check(a: DenseOperator, tol: float = DEFAULT_GAP_TOL) -> DualityRepo
     sig_left = np.linalg.svd(left_stack, compute_uv=False)[:, -1]
     sig_right = np.linalg.svd(right_stack, compute_uv=False)[:, -1]
 
-    mismatches = int(np.sum((sig_left > tol) != (sig_right > tol)))
+    mismatches = int(np.sum((sig_left > DEFAULT_GAP_TOL) != (sig_right > DEFAULT_GAP_TOL)))
     worst_value = float(np.max(np.abs(sig_left - sig_right)))
 
     eigs_a = np.linalg.eigvals(a.entries)
@@ -322,7 +322,7 @@ def duality_check(a: DenseOperator, tol: float = DEFAULT_GAP_TOL) -> DualityRepo
     return DualityReport(
         passes=bool(mismatches == 0 and multiset < 1e-8),
         grid_points=DUALITY_GRID,
-        tol=tol,
+        tol=DEFAULT_GAP_TOL,
         surjectivity_mismatches=mismatches,
         worst_value_discrepancy=worst_value,
         eigen_multiset_discrepancy=multiset,

@@ -293,6 +293,36 @@ class TestFlagValidation:
         assert f"--nodes {nodes}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("shadow", "--delta", "nan"),
+            ("shadow", "--delta", "inf"),
+            ("analyze", "--tol", "nan"),
+            ("analyze", "--tol", "inf"),
+            ("example17", "--delta", "nan"),
+        ],
+    )
+    def test_non_finite_flags_are_input_errors(
+        self, command, flag, value, dense_op_file, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        rc = main([command, "--input", str(dense_op_file), "--output", str(out), flag, value])
+        assert rc == 2
+        assert flag in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["op.json"]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_report_is_a_numerical_failure(self, dense_op_file, tmp_path, capsys):
+        # JSON has no Infinity: the report is refused before anything is written
+        out = tmp_path / "out"
+        flags = ["--window", "3", "--delta", "1e300"]
+        rc = main(["shadow", "--input", str(dense_op_file), "--output", str(out), *flags])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert "non-finite" in captured.err and captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["op.json"]
+
 
 class TestShadow:
     def test_reports_both_epsilons_and_bound(self, dense_op_file, tmp_path):

@@ -178,6 +178,10 @@ def quadrature_projector(a, cfg):
     return ss.laurent_coefficient(a, -1, cfg)
 
 
+def quadrature_table(a, cfg):
+    return ss.laurent_table(a, 3, cfg)
+
+
 class TestSquaringProjector:
     NODES = [2**k for k in range(4, 13)]
 
@@ -210,9 +214,12 @@ class TestSquaringProjector:
     )
     @pytest.mark.parametrize("nodes", [16, 256, 4096])
     def test_eigenvalue_on_the_circle_raises(self, values, nodes):
-        # a LinAlgError or a returned matrix would fail this test alike
-        with pytest.raises(ss.ContourThroughSpectrumError):
-            ss.riesz_projector(ss.diagonal(values), ss.ContourConfig(nodes=nodes))
+        # a LinAlgError or a returned matrix would fail this test alike; the
+        # quadrature path hits 1, -1 and i exactly on a node
+        a, cfg = ss.diagonal(values), ss.ContourConfig(nodes=nodes)
+        for compute in (ss.riesz_projector, quadrature_projector, quadrature_table):
+            with pytest.raises(ss.ContourThroughSpectrumError, match="only moving the radius"):
+                compute(a, cfg)
 
     def test_eigenvalue_on_the_circle_beside_an_ill_conditioned_block_raises(self):
         # |P| ~ 7e4 from the block hides the unimodular eigenvalue's entries
@@ -229,7 +236,7 @@ class TestSquaringProjector:
     def test_singular_step_raises(self):
         b = np.eye(2, dtype=complex)
         with pytest.raises(ss.ContourThroughSpectrumError, match="singular"):
-            projector._trapezoid_projector(b, b, 3)
+            projector._solve_on_contour(b - b, b, "squaring step 3")
 
     def test_gates_are_applied(self, monkeypatch):
         monkeypatch.setattr(projector, "PROJECTOR_RTOL", 0.0)
@@ -277,6 +284,77 @@ class TestSquaringProjector:
             "idempotency": split.idempotency,
             "commutation": split.commutation,
         }
+
+
+def _guarded_reference_raises(a, n_max, cfg):
+    """Outcome of the quadrature path as it was with its eigenvalue guard:
+    refuse an eigenvalue whose modulus is within half a node spacing of the
+    radius, else sum the coefficients and apply the node-halving rule."""
+    dist = np.min(np.abs(np.abs(np.linalg.eigvals(a.entries)) - cfg.radius))
+    if dist < max(1e-9, np.pi * cfg.radius / cfg.nodes):
+        return True
+    nodes = cfg.nodes
+    orders = np.arange(-n_max, n_max + 1)
+    lam = cfg.radius * np.exp(1j * (2.0 * np.pi * np.arange(nodes) / nodes))
+    eye = np.eye(a.dim, dtype=np.complex128)
+    lhs = lam[:, None, None] * eye - a.entries
+    samples = np.linalg.solve(lhs, np.broadcast_to(eye, lhs.shape)).reshape(nodes, -1)
+    phase = np.outer(orders, np.arange(nodes)) % nodes
+    per_order = cfg.radius ** -orders.astype(float) / nodes
+    weights = np.exp(-2j * np.pi / nodes * phase) * per_order[:, None]
+    full = weights @ samples
+    half = 2.0 * weights[:, ::2] @ samples[::2]
+    residual = np.max(np.abs(full - half), axis=1)
+    scale = np.maximum(1.0, np.max(np.abs(full), axis=1))
+    return bool(np.any(residual**2 > projector.NODE_HALVING_RTOL * scale**2))
+
+
+def _near_contour(rng, nodes):
+    """Non-normal operator, d = 1..6, with one eigenvalue's modulus within 1.2
+    guard widths (half a node spacing each) of the unit circle, or, one time in
+    three, within 12, where the node-halving rule starts to accept (about 6)."""
+    dim = int(rng.integers(1, 7))
+    moduli = draw_moduli(rng, dim, HYPERBOLIC_BANDS)
+    widths = 1.2 if rng.uniform() < 2 / 3 else 12.0
+    moduli[0] = 1.0 + widths * (np.pi / nodes) * rng.uniform(-1.0, 1.0)
+    lam = moduli * np.exp(2j * np.pi * rng.uniform(size=dim))
+    t = np.diag(lam) + 0.5 * np.triu(rng.standard_normal((dim, dim)), 1)
+    u = random_unitary(rng, dim)
+    return ss.DenseOperator(u @ t @ u.conj().T)
+
+
+class TestQuadratureContourRule:
+    """Without an eigenvalue guard, the quadrature path refuses a contour by
+    the node-halving rule or a singular solve alone."""
+
+    def test_no_eigenvalues_are_computed(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the quadrature path must not call this")
+
+        monkeypatch.setattr(np.linalg, "eigvals", forbidden)
+        a = ss.diagonal([2.0, 0.5])
+        assert max_abs(ss.laurent_coefficient(a, -1).entries - np.diag([0.0, 1.0])) < 1e-12
+        assert ss.laurent_table(a, 4).node_doubling_residual < 1e-9
+        for compute in (quadrature_projector, quadrature_table):
+            with pytest.raises(ss.ContourThroughSpectrumError):
+                compute(ss.diagonal([1.0, 0.5]), ss.ContourConfig())
+
+    @pytest.mark.parametrize("nodes", [2**k for k in range(4, 13)])
+    def test_near_contour_outcomes_match_the_guarded_reference(self, nodes):
+        rng = np.random.default_rng(4000 + nodes)
+        cfg = ss.ContourConfig(nodes=nodes)
+        outcomes = []
+        for _ in range(30):
+            a = _near_contour(rng, nodes)
+            try:
+                quadrature_table(a, cfg)
+            except ss.ContourThroughSpectrumError:
+                outcomes.append(True)
+            else:
+                outcomes.append(False)
+            assert outcomes[-1] == _guarded_reference_raises(a, 3, cfg)
+        # below 64 nodes the other bands (0.8^32 ~ 8e-4) are unresolved too
+        assert sum(outcomes) >= 10 and (nodes < 64 or not all(outcomes))
 
 
 class TestLaurentAliasing:

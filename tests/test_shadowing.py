@@ -45,6 +45,15 @@ class TestGeneratePseudoOrbit:
         for n in range(-8, 9):
             assert np.array_equal(first.state(n), second.state(n))
 
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf"), -1e-3])
+    def test_delta_must_be_finite_and_nonnegative(self, delta):
+        a = ss.diagonal([2.0, 0.5])
+        with pytest.raises(ValueError, match="delta must be a finite number"):
+            ss.generate_pseudo_orbit(a, np.zeros(2), delta, (-3, 3), rng_seed=0)
+        good = ss.generate_pseudo_orbit(a, np.zeros(2), 1e-3, (-3, 3), rng_seed=0)
+        with pytest.raises(ValueError, match="delta must be a finite number"):
+            ss.PseudoOrbit(n_lo=-3, n_hi=3, states=good.states, delta=delta, defects=good.defects)
+
     def test_shift_orbit_states_are_supported_vectors(self):
         t = ss.ShiftOperator("forward", W_HI, W_LO, 0)
         orbit = ss.generate_pseudo_orbit(t, ss.basis_vector(0), 1e-3, (-4, 4), rng_seed=2)
