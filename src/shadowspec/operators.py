@@ -236,10 +236,12 @@ def _require_nonsingular(op: DenseOperator) -> None:
         )
 
 
-def _powers(step: np.ndarray, k_max: int, first: np.ndarray, project=None) -> np.ndarray:
+def _powers(step: np.ndarray, k_max: int, first: np.ndarray, project=None, out=None):
     """first, step @ first, ..., step^k_max @ first (matrices or vectors), stacked
-    along a new axis 0; with project given, each term is project @ (step @ previous)."""
-    out = np.empty((k_max + 1, *np.shape(first)), dtype=np.complex128)
+    along a new axis 0 of `out` (a new array unless given); with project given,
+    each term is project @ (step @ previous)."""
+    if out is None:
+        out = np.empty((k_max + 1, *np.shape(first)), dtype=np.complex128)
     out[0] = first
     for k in range(1, k_max + 1):
         out[k] = step @ out[k - 1]

@@ -23,10 +23,13 @@ two of log2(N) steps.  The two differ by the node-halving residual of the
 quadrature, so the node count keeps its meaning.
 
 Every sum is checked on its node-halving residual: the change when the
-half-resolution grid (every other node) replaces the full one.  That rule and
-a singular or non-finite solve are the only contour tests; neither path
-computes an eigenvalue.  An eigenvalue on the circle fails them at every node
-count, and the error says that only moving the radius helps there.
+half-resolution grid (every other node) replaces the full one.  That residual
+is measured against max|C_n|, so an ill-conditioned block can hide an
+eigenvalue on the circle beside it; the trace of the squared C_{-1} residual,
+which does not change under similarity, cannot be hidden that way.  These two
+rules and a singular or non-finite solve are the only contour tests; neither
+path computes an eigenvalue.  An eigenvalue on the circle fails them at every
+node count, and the error says that only moving the radius helps there.
 """
 
 from dataclasses import dataclass, fields
@@ -59,6 +62,10 @@ NODE_HALVING_RTOL = 1e-8  # bound on the estimated error of a coefficient, times
 # bound on max|P^2 - P| / s^2, |tr(P^2 - P)| / (d * s) and max|AP - PA| / (s * max|A|),
 # with s = max(1, max|P|) and d the dimension
 PROJECTOR_RTOL = 1e-8
+# cap on the tr(P^2 - P) bound: an eigenvalue lambda of A within half a node spacing of
+# the circle has mu = (lambda/r)^N with |mu| or 1/|mu| >= (1 - pi/16)^16, so it adds
+# |mu/(1 - mu)^2| >= 0.0285 to the trace at every node count
+PROJECTOR_TRACE_CAP = 0.025
 _ON_CIRCLE = "an eigenvalue may lie on the contour circle, where only moving the radius helps"
 
 
@@ -141,6 +148,28 @@ def _node_halving_residuals(
     return residual
 
 
+def _check_projector_trace(p: np.ndarray, p_half: np.ndarray, nodes: int) -> None:
+    """Refuse the N-node value P of C_{-1} when |tr(P^2 - P)| exceeds
+    PROJECTOR_RTOL * d * max(1, max|P|), capped at PROJECTOR_TRACE_CAP.
+
+    With X = (A/r)^(N/2), P = (I - X^2)^{-1} and P_half = (I - X)^{-1}, so
+    P^2 - P = (P - P_half)^2 exactly, whose trace carries no |P|^2 rounding.
+    It is the sum of mu/(1 - mu)^2 over the eigenvalues mu of (A/r)^N, so a
+    block that inflates max|P|, and every relative tolerance with it, cannot
+    hide an eigenvalue on the circle (a real number at most -1/4) or within
+    half a node spacing of it: each adds more than the cap.
+    """
+    diff = p - p_half
+    trace = abs(complex(np.einsum("ij,ji->", diff, diff)))
+    scale = max(1.0, float(np.max(np.abs(p))))
+    bound = min(PROJECTOR_RTOL * p.shape[0] * scale, PROJECTOR_TRACE_CAP)
+    if trace > bound:
+        raise ContourThroughSpectrumError(
+            f"C_-1 at {nodes} nodes is no spectral projector: |tr(P^2 - P)| = "
+            f"|tr((P - P_half)^2)| = {trace:.3e} > {bound:.1e}; {_ON_CIRCLE}"
+        )
+
+
 def _coefficients(
     a: DenseOperator, orders: np.ndarray, cfg: ContourConfig
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -152,19 +181,25 @@ def _coefficients(
     flattened over the node axis: the discrete Fourier transform, restricted
     to the orders asked for.  The even-indexed nodes form the half grid, whose
     weights are twice the even columns.  Orders with 2|n| >= N would pick up
-    C_{n-N} or C_{n+N} on both grids alike, so they are refused.
+    C_{n-N} or C_{n+N} on both grids alike, so they are refused.  The last
+    weight row gives C_{-1} on both grids for `_check_projector_trace`,
+    whatever the orders.
     """
     nodes = int(cfg.nodes)
     if 2 * int(np.max(np.abs(orders))) >= nodes:
         raise ValueError(f"|n| must stay below nodes/2 = {nodes // 2}, or C_n aliases")
     samples = _resolvent_samples(a, cfg).reshape(nodes, -1)
-    phase = np.outer(orders, np.arange(nodes)) % nodes  # exact, before scaling by 2*pi/N
-    scale = cfg.radius ** -orders.astype(float) / nodes
+    rows = np.append(orders, -1)
+    phase = np.outer(rows, np.arange(nodes)) % nodes  # exact, before scaling by 2*pi/N
+    scale = cfg.radius ** -rows.astype(float) / nodes
     weights = np.exp(-2j * np.pi / nodes * phase) * scale[:, None]
     shape = (len(orders), a.dim, a.dim)
-    full = (weights @ samples).reshape(shape)
-    half = (2.0 * weights[:, ::2] @ samples[::2]).reshape(shape)
-    return full, _node_halving_residuals(full, half, orders, nodes)
+    full = (weights[:-1] @ samples).reshape(shape)
+    half = (2.0 * weights[:-1, ::2] @ samples[::2]).reshape(shape)
+    residuals = _node_halving_residuals(full, half, orders, nodes)
+    p = (weights[-1] @ samples).reshape(shape[1:])
+    _check_projector_trace(p, (2.0 * weights[-1, ::2] @ samples[::2]).reshape(shape[1:]), nodes)
+    return full, residuals
 
 
 def laurent_coefficient(
@@ -186,12 +221,8 @@ class RieszSplitting:
     steps is log2(nodes), the number of squaring steps; node_halving_residual
     is the max-entry difference between the last two steps (the nodes- and
     nodes/2-point rules); idempotency = max|P^2 - P| and commutation =
-    max|AP - PA|, both checked against PROJECTOR_RTOL.
-
-    tr(P^2 - P) is checked too.  It is similarity invariant: each eigenvalue
-    mu of (A/r)^N contributes mu/(1 - mu)^2, so one on the circle contributes
-    a real number at most -1/4, which no ill-conditioned remainder of the
-    spectrum can mask the way it masks the entries of P^2 - P.
+    max|AP - PA|, both checked against PROJECTOR_RTOL.  tr(P^2 - P) is checked
+    as `_check_projector_trace` checks it on the quadrature path.
     """
 
     projector: DenseOperator
@@ -214,8 +245,8 @@ def riesz_splitting(a: DenseOperator, cfg: ContourConfig = ContourConfig()) -> R
     A_{j+1} = Q12^H A_j and B_{j+1} = Q22^H B_j.  Since Q12^H B_j = Q22^H A_j,
     B_{j+1}^{-1} A_{j+1} = (B_j^{-1} A_j)^2 = (A/r)^(2^(j+1)), with no inverse
     or power ever formed.  ContourThroughSpectrumError when the node-halving
-    residual, idempotency or commutation misses its tolerance, or a step is
-    singular.
+    residual, tr(P^2 - P), idempotency or commutation misses its tolerance, or
+    a step is singular.
     """
     d = a.dim
     steps = int(cfg.nodes).bit_length() - 1
@@ -229,20 +260,17 @@ def riesz_splitting(a: DenseOperator, cfg: ContourConfig = ContourConfig()) -> R
             half = _solve_on_contour(b_j - a_j, b_j, f"squaring step {j}")
     p = _solve_on_contour(b_j - a_j, b_j, f"squaring step {steps}")
     (residual,) = _node_halving_residuals(p[None], half[None], np.array([-1]), int(cfg.nodes))
+    _check_projector_trace(p, half, int(cfg.nodes))
     scale = max(1.0, float(np.max(np.abs(p))))
-    defect = p @ p - p
-    idempotency = float(np.max(np.abs(defect)))
-    trace_defect = abs(complex(np.trace(defect)))
+    idempotency = float(np.max(np.abs(p @ p - p)))
     commutation = float(np.max(np.abs(a.entries @ p - p @ a.entries)))
     if (
         idempotency > PROJECTOR_RTOL * scale**2
-        or trace_defect > PROJECTOR_RTOL * d * scale
         or commutation > PROJECTOR_RTOL * scale * float(np.max(np.abs(a.entries)))
     ):
         raise ContourThroughSpectrumError(
             f"C_-1 at {cfg.nodes} nodes is no spectral projector: "
-            f"max|P^2 - P| = {idempotency:.3e}, |tr(P^2 - P)| = {trace_defect:.3e}, "
-            f"max|AP - PA| = {commutation:.3e} "
+            f"max|P^2 - P| = {idempotency:.3e}, max|AP - PA| = {commutation:.3e} "
             f"(tolerance {PROJECTOR_RTOL:.0e}, relative); {_ON_CIRCLE}"
         )
     return RieszSplitting(

@@ -361,12 +361,13 @@ class OracleResult:
 
 
 def _dense_power_blocks(op: DenseOperator, n_lo: int, n_hi: int) -> np.ndarray:
-    """A^n for n = n_lo..n_hi, stacked, built by iteration outward from A^0 = I."""
-    eye = np.eye(op.dim, dtype=np.complex128)
+    """A^n for n = n_lo..n_hi, stacked, built by iteration outward from A^0 = I
+    straight into one array."""
     blocks = np.empty((n_hi - n_lo + 1, op.dim, op.dim), dtype=np.complex128)
-    blocks[-n_lo:] = _powers(op.entries, n_hi, eye)
+    _powers(op.entries, n_hi, np.eye(op.dim), out=blocks[-n_lo:])
     if n_lo < 0:
-        blocks[-n_lo::-1] = _powers(inverse(op).entries, -n_lo, eye)
+        ainv = inverse(op).entries  # A^-1 .. A^n_lo fill blocks[-n_lo - 1] down to blocks[0]
+        _powers(ainv, -n_lo - 1, ainv, out=blocks[-n_lo - 1 :: -1])
     return blocks
 
 

@@ -90,7 +90,7 @@ class TestLaurentCoefficient:
             ss.laurent_coefficient(ss.diagonal([2.0, 0.5]), 65)
 
     def test_unresolved_node_halving_residual_raises(self):
-        # the eigenvalues clear the node-spacing guard, but 256 nodes leave a
+        # the eigenvalues sit 0.02 off the circle, and 256 nodes leave a
         # node-halving residual of 0.08 and a projector off by 6.3e-3
         a = ss.diagonal([1.02, 0.98])
         with pytest.raises(ss.ContourThroughSpectrumError, match="node-halving residual"):
@@ -182,6 +182,19 @@ def quadrature_table(a, cfg):
     return ss.laurent_table(a, 3, cfg)
 
 
+def quadrature_c0(a, cfg):
+    return ss.laurent_coefficient(a, 0, cfg)
+
+
+def beside_block(block, value):
+    """diag(value) beside the block [[0.5, block], [0, 2]], whose entries of
+    C_n (about 0.7 block) lift every tolerance relative to max|C_n|."""
+    a = np.zeros((3, 3), dtype=complex)
+    a[:2, :2] = [[0.5, block], [0.0, 2.0]]
+    a[2, 2] = value
+    return ss.DenseOperator(a)
+
+
 class TestSquaringProjector:
     NODES = [2**k for k in range(4, 13)]
 
@@ -208,16 +221,21 @@ class TestSquaringProjector:
         assert accepted >= 2 * (len(self.NODES) - 3)
 
     @pytest.mark.parametrize(
-        "values",
-        [[1.0, 1.0], [1.0, 0.5], [-1.0, 3.0], [1j, 2.0], [np.exp(0.3j), 2.0]],
-        ids=["identity", "1,0.5", "-1,3", "i,2", "e^0.3i,2"],
+        "a",
+        [
+            *map(ss.diagonal, [[1.0, 1.0], [1.0, 0.5], [-1.0, 3.0], [1j, 2.0], [np.exp(0.3j), 2.0]]),
+            beside_block(1e5, np.exp(0.3j)),
+            beside_block(1e8, np.exp(0.3j)),
+        ],
+        ids=["identity", "1,0.5", "-1,3", "i,2", "e^0.3i,2", "e^0.3i,1e5-block", "e^0.3i,1e8-block"],
     )
     @pytest.mark.parametrize("nodes", [16, 256, 4096])
-    def test_eigenvalue_on_the_circle_raises(self, values, nodes):
+    def test_eigenvalue_on_the_circle_raises(self, a, nodes):
         # a LinAlgError or a returned matrix would fail this test alike; the
-        # quadrature path hits 1, -1 and i exactly on a node
-        a, cfg = ss.diagonal(values), ss.ContourConfig(nodes=nodes)
-        for compute in (ss.riesz_projector, quadrature_projector, quadrature_table):
+        # quadrature path hits 1, -1 and i exactly on a node.  Beside a block
+        # the node-halving residual passes at 256 nodes and up; the trace does not
+        cfg = ss.ContourConfig(nodes=nodes)
+        for compute in (ss.riesz_projector, quadrature_projector, quadrature_c0, quadrature_table):
             with pytest.raises(ss.ContourThroughSpectrumError, match="only moving the radius"):
                 compute(a, cfg)
 
@@ -338,6 +356,54 @@ class TestQuadratureContourRule:
         for compute in (quadrature_projector, quadrature_table):
             with pytest.raises(ss.ContourThroughSpectrumError):
                 compute(ss.diagonal([1.0, 0.5]), ss.ContourConfig())
+
+    @pytest.mark.parametrize("block", [1e5, 1e8, 1e12])
+    def test_trace_rule_accepts_a_resolved_ill_conditioned_operator(self, block):
+        # the cap holds the trace bound at 0.025 however large the block; a
+        # resolved operator stays far below it (|tr(P^2 - P)| < 1e-31 here)
+        a, cfg = beside_block(block, 3.0), ss.ContourConfig()
+        p = ss.riesz_projector(a, cfg).entries
+        q = quadrature_projector(a, cfg).entries
+        assert abs(np.trace(p) - 1.0) < 1e-8 and abs(np.trace(q) - 1.0) < 1e-8
+        assert ss.laurent_table(a, 3, cfg).node_doubling_residual < 1e-8 * block
+
+    @pytest.mark.parametrize("nodes", [16, 256, 4096])
+    @pytest.mark.parametrize("side", [-0.99, 0.99])
+    def test_eigenvalue_in_the_guard_band_beside_a_block_raises(self, nodes, side):
+        # within half a node spacing of the circle, where the eigenvalue guard
+        # refused, |mu/(1 - mu)^2| >= 0.0285 > PROJECTOR_TRACE_CAP
+        modulus = 1.0 + side * np.pi / nodes
+        a, cfg = beside_block(1e8, modulus * np.exp(0.3j)), ss.ContourConfig(nodes=nodes)
+        for compute in (ss.riesz_projector, quadrature_projector, quadrature_c0, quadrature_table):
+            with pytest.raises(ss.ContourThroughSpectrumError, match="only moving the radius"):
+                compute(a, cfg)
+
+    @pytest.mark.parametrize("nodes", [2**k for k in range(4, 13)])
+    def test_near_contour_beside_a_block_raises_where_the_guard_did(self, nodes):
+        # the block hides the near-contour eigenvalue from the node-halving
+        # residual; the trace rule refuses it on both paths wherever the
+        # guard did, and the two paths raise alike on every operator
+        rng = np.random.default_rng(5000 + nodes)
+        cfg = ss.ContourConfig(nodes=nodes)
+        for _ in range(30):
+            core = _near_contour(rng, nodes).entries
+            dim = core.shape[0]
+            a = np.zeros((dim + 2, dim + 2), dtype=complex)
+            a[:dim, :dim] = core
+            a[dim:, dim:] = [[0.5, 1e8], [0.0, 2.0]]
+            a = ss.DenseOperator(a)
+            dist = np.min(np.abs(np.abs(np.linalg.eigvals(core)) - 1.0))
+            outcomes = []
+            for compute in (ss.riesz_projector, quadrature_projector):
+                try:
+                    compute(a, cfg)
+                except ss.ContourThroughSpectrumError:
+                    outcomes.append(True)
+                else:
+                    outcomes.append(False)
+            assert outcomes[0] == outcomes[1]
+            if dist < np.pi / nodes:
+                assert outcomes[0]
 
     @pytest.mark.parametrize("nodes", [2**k for k in range(4, 13)])
     def test_near_contour_outcomes_match_the_guarded_reference(self, nodes):
