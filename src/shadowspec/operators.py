@@ -10,7 +10,8 @@ from that single convention, e.g. the adjoint of a forward shift is the
 backward shift with the same edge weights.
 
 All values are immutable after construction and every operation here is pure,
-so concurrent use from multiple threads is safe.
+so concurrent use from multiple threads is safe (`inverse` keeps a dense
+operator's inverse on it, and racing threads store the same value).
 """
 
 import cmath
@@ -212,8 +213,8 @@ def adjoint(op):
 def inverse(op):
     """Inverse operator.
 
-    Dense: numerical inverse, guarded by the smallest singular value
-    (raises SingularOperatorError below SINGULARITY_RTOL * largest singular value).
+    Dense: numerical inverse, kept on the operator once computed; SingularOperatorError
+    (never kept) when sigma_min <= SINGULARITY_RTOL * sigma_max.
     Shift: the opposite-direction shift with reciprocated edge weights,
     which is exact.
     """
@@ -222,18 +223,15 @@ def inverse(op):
         return ShiftOperator(flipped, 1.0 / op.weight_pos, 1.0 / op.weight_neg, op.crossover)
     if not isinstance(op, DenseOperator):
         raise TypeError(f"not an operator: {op!r}")
-    _require_nonsingular(op)
-    return DenseOperator(np.linalg.inv(op.entries))
-
-
-def _require_nonsingular(op: DenseOperator) -> None:
-    """Invertibility rule of `inverse`: sigma_min > SINGULARITY_RTOL * sigma_max."""
-    svals = np.linalg.svd(op.entries, compute_uv=False)
-    if svals[-1] <= SINGULARITY_RTOL * svals[0]:
-        raise SingularOperatorError(
-            f"operator is numerically singular: smallest singular value {svals[-1]:.3e} "
-            f"<= {SINGULARITY_RTOL:.1e} * largest ({svals[0]:.3e})"
-        )
+    if "_inverse" not in op.__dict__:
+        svals = np.linalg.svd(op.entries, compute_uv=False)
+        if svals[-1] <= SINGULARITY_RTOL * svals[0]:
+            raise SingularOperatorError(
+                f"operator is numerically singular: smallest singular value {svals[-1]:.3e} "
+                f"<= {SINGULARITY_RTOL:.1e} * largest ({svals[0]:.3e})"
+            )
+        object.__setattr__(op, "_inverse", DenseOperator(np.linalg.inv(op.entries)))
+    return op._inverse
 
 
 def _powers(step: np.ndarray, k_max: int, first: np.ndarray, project=None, out=None):

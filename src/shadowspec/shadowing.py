@@ -53,6 +53,7 @@ from .operators import (
     vec_norm,
 )
 from .projector import DecayRates, _envelope_constant, splitting_power_stacks
+from .projector import _stack_spectral_norms
 # decay_rates stays bound here too: shadowbench's tests read it through this module
 from .projector import decay_rates  # noqa: F401
 
@@ -82,6 +83,7 @@ class PseudoOrbit:
 
     defects[j] = states[j+1] - T states[j]; every defect norm is bounded by
     delta (up to a float-roundoff slack proportional to the state scale).
+    FloatingPointError when a state or defect norm is not finite (overflow).
     The window always straddles index 0, where the seed state lives.
     """
 
@@ -100,13 +102,14 @@ class PseudoOrbit:
             raise ValueError("need exactly one defect per step")
         if not (math.isfinite(self.delta) and self.delta >= 0):
             raise ValueError(f"delta must be a finite number >= 0, got {self.delta!r}")
-        scale = max((vec_norm(s) for s in self.states), default=0.0)
-        slack = 1e-12 * (1.0 + scale) + 1e-15
-        for z in self.defects:
-            if vec_norm(z) > self.delta + slack:
-                raise ValueError(
-                    f"defect norm {vec_norm(z):.3e} exceeds delta {self.delta:.3e}"
-                )
+        state_norms = [vec_norm(s) for s in self.states]
+        defect_norms = [vec_norm(z) for z in self.defects]
+        if not all(map(math.isfinite, state_norms + defect_norms)):
+            raise FloatingPointError("pseudo-orbit has a non-finite state or defect norm")
+        slack = 1e-12 * (1.0 + max(state_norms, default=0.0)) + 1e-15
+        for norm in defect_norms:
+            if norm > self.delta + slack:
+                raise ValueError(f"defect norm {norm:.3e} exceeds delta {self.delta:.3e}")
         object.__setattr__(self, "states", tuple(self.states))
         object.__setattr__(self, "defects", tuple(self.defects))
 
@@ -291,8 +294,7 @@ def construct_shadow(
     if not (rates.worst < q < 1.0):
         raise ValueError(f"q must lie in (worst rate {rates.worst:.6f}, 1)")
     m = DECAY_ORDER
-    tail_fwd = float(np.linalg.norm(fwd[m - 1] @ a, 2))
-    tail_bwd = float(np.linalg.norm(bwd[m - 1] @ ainv, 2))
+    tail_fwd, tail_bwd = _stack_spectral_norms(np.stack([fwd[m - 1] @ a, bwd[m - 1] @ ainv]))
     if max(tail_fwd, tail_bwd) >= q ** m:
         raise DecayCertificateError(
             f"envelope not certified past order {m}: ||(BA)^{m}||={tail_fwd:.3e}, "

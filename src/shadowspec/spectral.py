@@ -32,7 +32,6 @@ from .operators import (
     ShiftOperator,
     SupportedVector,
     _complex_pairs,
-    _require_nonsingular,
     adjoint,
     inverse,
 )
@@ -162,7 +161,7 @@ def classify_dense(a: DenseOperator, tol: float = DEFAULT_GAP_TOL) -> SpectralRe
     same boolean: unit-circle gap above tol.  The measured gap is reported so
     callers can re-threshold.
     """
-    _require_nonsingular(a)
+    inverse(a)  # SingularOperatorError unless invertible; kept on `a` for later calls
     eigs = eigenvalues(a)
     gap = unit_circle_gap(eigs)
     ok = bool(gap > tol)

@@ -107,6 +107,18 @@ class TestInverse:
         with pytest.raises(ss.SingularOperatorError):
             ss.inverse(ss.DenseOperator(entries))
 
+    def test_dense_inverse_is_computed_once(self):
+        a = random_invertible(np.random.default_rng(6), 5)
+        inv = ss.inverse(a)
+        assert ss.inverse(a) is inv
+        assert np.array_equal(inv.entries, np.linalg.inv(a.entries))
+
+    def test_singular_operator_raises_on_every_call(self):
+        op = ss.DenseOperator(np.ones((3, 3), dtype=complex))
+        for _ in range(3):
+            with pytest.raises(ss.SingularOperatorError):
+                ss.inverse(op)
+
     def test_shift_inverse_roundtrip_is_exact(self):
         t, _ = example_shift_pair()
         v = ss.SupportedVector({-2: 1.0, 0: 2j, 3: -0.5})

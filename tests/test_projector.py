@@ -547,3 +547,61 @@ class TestDecayRates:
     def test_order_floor(self):
         with pytest.raises(ValueError):
             ss.decay_rates(ss.diagonal([2.0, 0.5]), ss.diagonal([0.0, 1.0]), 4)
+
+    def test_huge_expanding_rate_is_exact(self):
+        # ||A^32 B|| = 1e192: its square overflows unless the slice is scaled first
+        rates = ss.decay_rates(ss.diagonal([1e6, 0.5]), ss.diagonal([1.0, 0.0]), 32)
+        assert rates.r_plus == pytest.approx(1e6, rel=1e-13)
+
+    def test_tiny_kernel_norm_is_exact(self):
+        # N_k = 1e-6^k [[0, -1], [0, 1]], ||N_32|| = sqrt(2) 1e-192, whose square underflows
+        a, b = ss.diagonal([0.5, 1e6]), ss.DenseOperator([[1.0, 1.0], [0.0, 0.0]])
+        _, _, _, norms_bwd = projector.splitting_power_stacks(a, b, 32)
+        assert norms_bwd[32] == pytest.approx(np.sqrt(2.0) * 1e-192, rel=1e-13)
+
+
+def _svd_norms(stack):
+    return np.linalg.svd(stack, compute_uv=False)[:, 0]
+
+
+class TestStackSpectralNorms:
+    """The certificate norms against the largest singular value of each slice."""
+
+    # rtol from the Gram eigenvalue's rounding; atol only matters for subnormal norms
+    TOL = dict(rtol=1e-13, atol=1e-322)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_kernel_norms_on_the_splitting_ranges(self, seed):
+        rng = np.random.default_rng(80 + seed)
+        a = _planted(rng, 32)
+        g = rng.standard_normal((2, 32, 16)) + 1j * rng.standard_normal((2, 32, 16))
+        rank_16 = ss.DenseOperator(g[0] @ g[1].conj().T / 32)  # not idempotent
+        zero = ss.DenseOperator(np.zeros((32, 32)))
+        identity = ss.identity(32)
+        for b in (ss.riesz_projector(a), identity, zero, rank_16):
+            fwd, bwd, norms_fwd, norms_bwd = projector.splitting_power_stacks(a, b, 32)
+            np.testing.assert_allclose(norms_fwd, _svd_norms(fwd), **self.TOL)
+            np.testing.assert_allclose(norms_bwd, _svd_norms(bwd), **self.TOL)
+            # a rank-0 range (I - B for the identity, B for zero) gives exact zeros
+            assert np.any(norms_fwd) == (b is not zero)
+            assert np.any(norms_bwd) == (b is not identity)
+
+    def test_extreme_scales(self):
+        rng = np.random.default_rng(84)
+        g = rng.standard_normal((4, 6, 6)) + 1j * rng.standard_normal((4, 6, 6))
+        subnormal = np.ldexp(g[2].real, -1060) + 1j * np.ldexp(g[2].imag, -1060)
+        stack = np.stack([1e-192 * g[0], 1e192 * g[1], subnormal, 0.0 * g[3]])
+        assert 0.0 < np.max(np.abs(subnormal)) < np.finfo(float).tiny
+        for range_of in (None, np.eye(6), g[3] @ np.diag([1.0, 1, 1, 0, 0, 0]) @ g[3].conj().T):
+            projected = stack if range_of is None else range_of @ stack
+            expected = _svd_norms(projected)
+            got = projector._stack_spectral_norms(projected, range_of)
+            np.testing.assert_allclose(got, expected, **self.TOL)
+            assert got[3] == 0.0
+
+    def test_non_finite_slices_report_1e300(self):
+        stack = np.ones((3, 2, 2), dtype=complex)
+        stack[0, 0, 0], stack[2, 1, 1] = np.inf, np.nan
+        with np.errstate(invalid="ignore"):
+            got = projector._stack_spectral_norms(stack, np.eye(2))
+        assert got[0] == got[2] == 1e300 and got[1] == pytest.approx(2.0, rel=1e-15)

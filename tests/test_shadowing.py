@@ -54,6 +54,17 @@ class TestGeneratePseudoOrbit:
         with pytest.raises(ValueError, match="delta must be a finite number"):
             ss.PseudoOrbit(n_lo=-3, n_hi=3, states=good.states, delta=delta, defects=good.defects)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowed_orbit_is_refused(self):
+        # states grow like 2^n * delta and overflow past the largest float
+        a = ss.diagonal([2.0, 0.5])
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            ss.generate_pseudo_orbit(a, np.zeros(2), 1e300, (-3, 3), rng_seed=0)
+        good = ss.generate_pseudo_orbit(a, np.zeros(2), 1e-3, (-3, 3), rng_seed=0)
+        states = (*good.states[:-1], np.array([np.inf, 0.0]))
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            ss.PseudoOrbit(n_lo=-3, n_hi=3, states=states, delta=1e-3, defects=good.defects)
+
     def test_shift_orbit_states_are_supported_vectors(self):
         t = ss.ShiftOperator("forward", W_HI, W_LO, 0)
         orbit = ss.generate_pseudo_orbit(t, ss.basis_vector(0), 1e-3, (-4, 4), rng_seed=2)
