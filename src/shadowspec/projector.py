@@ -440,10 +440,12 @@ def splitting_power_stacks(a: DenseOperator, b: DenseOperator, k_max: int):
 def _stack_spectral_norms(stack: np.ndarray, range_of: np.ndarray | None = None) -> np.ndarray:
     """Largest singular value per slice; non-finite slices report 1e300.
 
-    Slices lying in range(range_of) are compressed to U^H M on an orthonormal
-    basis U of its numerical range (`matrix_rank` rule), a second-order change;
-    rank 0 gives 0.  An exact power-of-two scaling keeps the Gram matrix's top
-    eigenvalue, whose root is the norm to a few eps relative, in range.
+    Slices in range(range_of) are compressed to U^H M on an orthonormal basis
+    U of its numerical range (`matrix_rank` rule; rank 0 gives 0), which can
+    only lower a norm, and only at second order in the rounding-level leak
+    L = (I - U U^H) M, as ||M||^2 <= ||U^H M||^2 + ||L||^2.  An exact
+    power-of-two scaling keeps the Gram matrix's top eigenvalue, whose root
+    is the norm to a few eps relative, in range.
     """
     finite = np.all(np.isfinite(stack), axis=(1, 2))
     if range_of is None:
@@ -457,9 +459,7 @@ def _stack_spectral_norms(stack: np.ndarray, range_of: np.ndarray | None = None)
     exponent = np.frexp(np.max(np.abs(flat), axis=(1, 2), initial=0.0))[1]
     np.ldexp(flat, -exponent[:, None, None], out=flat)
     top = np.max(np.linalg.eigvalsh(c @ c.conj().transpose(0, 2, 1)), axis=1, initial=0.0)
-    norms = np.ldexp(np.sqrt(top), exponent)
-    norms[~finite] = 1e300
-    return norms
+    return np.where(finite, np.ldexp(np.sqrt(top), exponent), 1e300)
 
 
 def decay_rates(a: DenseOperator, b: DenseOperator, n_max: int) -> DecayRates:

@@ -52,8 +52,7 @@ from .operators import (
     materialize,
     vec_norm,
 )
-from .projector import DecayRates, _envelope_constant, splitting_power_stacks
-from .projector import _stack_spectral_norms
+from .projector import DecayRates, _envelope_constant, _stack_spectral_norms, splitting_power_stacks
 # decay_rates stays bound here too: shadowbench's tests read it through this module
 from .projector import decay_rates  # noqa: F401
 
