@@ -13,7 +13,6 @@ from .errors import (
     ConvergenceError,
     DecayCertificateError,
     DimensionMismatchError,
-    NearSingularResolventError,
     NotUnimodularError,
     ShadowspecError,
     SingularOperatorError,
@@ -40,10 +39,8 @@ from .projector import (
     LaurentTable,
     RieszSplitting,
     decay_rates,
-    geometric_envelope_constant,
     laurent_coefficient,
     laurent_table,
-    resolvent,
     riesz_projector,
     riesz_splitting,
     verify_laurent_relations,
@@ -61,7 +58,6 @@ from .shadowing import (
     rotate_orbit,
     shadow_oracle_lsq,
     window_probe,
-    windowed_operator,
 )
 from .spectral import (
     DualityReport,
@@ -74,7 +70,6 @@ from .spectral import (
     duality_check,
     eigenvalues,
     expansivity_witness,
-    min_singular_value,
     shift_eigenvector,
     shift_spectra,
     unit_circle_gap,

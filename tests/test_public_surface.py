@@ -1,0 +1,90 @@
+"""The public surface: each layer's `__all__` and the names the package exports.
+
+Tracing and tooling look the `__all__` entries up with `getattr(mod, name, None)`
+and skip a stale entry silently, so every entry must resolve here; the package's
+export list is pinned so that removing a name is a deliberate change.
+"""
+
+import importlib
+import types
+
+import pytest
+
+import shadowspec
+
+LAYERS = ("operators", "spectral", "projector", "shadowing")
+
+EXPORTS = [
+    "BGainResult",
+    "ContourConfig",
+    "ContourThroughSpectrumError",
+    "ConvergenceError",
+    "DecayCertificateError",
+    "DecayRates",
+    "DenseOperator",
+    "DimensionMismatchError",
+    "DualityReport",
+    "ExpansivityWitness",
+    "LaurentRelationsReport",
+    "LaurentTable",
+    "NotUnimodularError",
+    "OracleResult",
+    "PseudoOrbit",
+    "RieszSplitting",
+    "ShadowResult",
+    "ShadowspecError",
+    "ShiftOperator",
+    "ShiftSpectra",
+    "SingularOperatorError",
+    "SpectralReport",
+    "SupportedVector",
+    "Verdicts",
+    "WindowProbe",
+    "adjoint",
+    "apply",
+    "basis_vector",
+    "bgain_test_sequence",
+    "classify_dense",
+    "classify_shift",
+    "construct_shadow",
+    "decay_rates",
+    "diagonal",
+    "duality_check",
+    "eigenvalues",
+    "expansivity_witness",
+    "generate_pseudo_orbit",
+    "identity",
+    "inverse",
+    "laurent_coefficient",
+    "laurent_table",
+    "materialize",
+    "operator_from_json",
+    "operator_to_json",
+    "orbit_from_defects",
+    "riesz_projector",
+    "riesz_splitting",
+    "rotate",
+    "rotate_orbit",
+    "shadow_oracle_lsq",
+    "shift_eigenvector",
+    "shift_spectra",
+    "unit_circle_gap",
+    "verify_laurent_relations",
+    "window_probe",
+]
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_every_all_entry_resolves(layer):
+    mod = importlib.import_module(f"shadowspec.{layer}")
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+    assert len(set(mod.__all__)) == len(mod.__all__)
+
+
+def test_package_exports_are_pinned():
+    exported = sorted(
+        name
+        for name, value in vars(shadowspec).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert exported == EXPORTS

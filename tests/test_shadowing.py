@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import shadowspec as ss
+from shadowspec import projector, shadowing
 from shadowspec.operators import vec_norm
 from _helpers import conjugated_diagonal, random_hyperbolic, random_invertible
 
@@ -180,7 +181,8 @@ class TestConstructShadow:
             orbit = ss.generate_pseudo_orbit(a, np.zeros(4, dtype=complex), 1e-3, (-5, 5), rng_seed=1)
             res = ss.construct_shadow(a, b, orbit)
             horizon = math.ceil(math.log(1e-12) / math.log(res.q_used))
-            assert res.K_used >= ss.geometric_envelope_constant(a, b, res.q_used, horizon)
+            _, _, norms_fwd, norms_bwd = projector.splitting_power_stacks(a, b, horizon)
+            assert res.K_used >= projector._envelope_constant(norms_fwd, norms_bwd, res.q_used)
 
     def test_uncertified_envelope_tail_rejected(self):
         # B projects onto e_0 along (1, -1): not A-invariant, so (BA)^m = M_{m-1} A
@@ -270,35 +272,9 @@ class TestShadowOracle:
 
 class TestWindowedOperator:
     def test_one_dim_stencil(self):
-        mat = ss.windowed_operator(ONE_DIM_DOUBLE, "script-S", 1)
+        mat = shadowing._dense_window(ONE_DIM_DOUBLE, "script-S", 1)
         assert np.array_equal(mat.real, np.array([[-2.0, 1.0, 0.0], [0.0, -2.0, 1.0]]))
         assert np.all(mat.imag == 0)
-
-    def test_reflection_exchanges_the_two_kinds(self):
-        # reversing block rows and block columns of the backward-adjoint
-        # stencil of A yields the forward stencil of A*
-        rng = np.random.default_rng(13)
-        a = random_invertible(rng, 3)
-        n, d = 4, 3
-        b_mat = ss.windowed_operator(a, "script-B", n)
-        s_of_adj = ss.windowed_operator(ss.adjoint(a), "script-S", n)
-        blocks = b_mat.reshape(2 * n, d, 2 * n + 1, d)
-        reflected = blocks[::-1, :, ::-1, :].reshape(2 * n * d, (2 * n + 1) * d)
-        assert np.max(np.abs(reflected - s_of_adj)) < 1e-14
-
-    def test_interior_stencil_has_structural_kernel(self):
-        # back-substituting from a free last block solves every interior row,
-        # which is why the bounded-below probe must use the padded compression
-        a = ss.diagonal([2.0, 0.5])
-        n = 3
-        mat = ss.windowed_operator(a, "script-B", n)
-        astar = a.entries.conj().T
-        x = [None] * (2 * n + 1)
-        x[-1] = np.array([1.0, 1.0], dtype=complex)
-        for j in range(2 * n - 1, -1, -1):
-            x[j] = astar @ x[j + 1]
-        vec = np.concatenate(x)
-        assert np.linalg.norm(mat @ vec) < 1e-12 * np.linalg.norm(vec)
 
     def test_probe_bounded_below_for_hyperbolic_diagonal(self):
         gains = [ss.window_probe(ss.diagonal([2.0, 0.5]), "script-B", n).gain for n in (5, 10, 20)]
@@ -319,6 +295,25 @@ class TestWindowedOperator:
         t = ss.ShiftOperator("forward", W_HI, W_LO, 0)
         probe = ss.window_probe(t, "script-B", 3, 8)
         assert probe.gain >= 0.0
+
+    @pytest.mark.parametrize("shift", [False, True])
+    @pytest.mark.parametrize(
+        "kind, n, floor", [("script-S", -1, 1), ("script-S", 0, 1), ("script-B", -1, 0)]
+    )
+    def test_window_floor_per_kind(self, kind, n, floor, shift):
+        op = ss.ShiftOperator("forward", W_HI, W_LO, 0) if shift else ss.diagonal([2.0, 0.5])
+        with pytest.raises(ValueError, match=f"^N must be >= {floor} for {kind}$"):
+            ss.window_probe(op, kind, n, 5)
+
+    @pytest.mark.parametrize("shift", [False, True])
+    def test_script_b_probe_at_n_zero(self, shift):
+        # the compression [-T*; I] of a one-state window
+        op = ss.ShiftOperator("forward", W_HI, W_LO, 0) if shift else ss.diagonal([2.0, 0.5])
+        block = ss.materialize(ss.adjoint(op), 5).entries if shift else np.diag([2.0, 0.5])
+        svals = np.linalg.svd(_reference_compression(block, 0), compute_uv=False)
+        probe = ss.window_probe(op, "script-B", 0, 5)
+        assert probe.N == 0
+        assert abs(probe.gain - svals[-1]) <= 1e-12 * svals[0]
 
 
 class TestBGain:
@@ -420,17 +415,13 @@ class TestRotateOrbit:
 # reference loops: the per-block, per-row and per-time forms the array code
 # replaced, kept as the oracles it is held to
 
-def _reference_stencil(block, kind, n):
+def _reference_stencil(block, n):
     d = block.shape[0]
     eye = np.eye(d, dtype=np.complex128)
     out = np.zeros((2 * n * d, (2 * n + 1) * d), dtype=np.complex128)
     for j in range(2 * n):
-        if kind == "script-S":
-            out[j * d : (j + 1) * d, (j + 1) * d : (j + 2) * d] = eye
-            out[j * d : (j + 1) * d, j * d : (j + 1) * d] = -block
-        else:
-            out[j * d : (j + 1) * d, j * d : (j + 1) * d] = eye
-            out[j * d : (j + 1) * d, (j + 1) * d : (j + 2) * d] = -block
+        out[j * d : (j + 1) * d, (j + 1) * d : (j + 2) * d] = eye
+        out[j * d : (j + 1) * d, j * d : (j + 1) * d] = -block
     return out
 
 
@@ -503,13 +494,11 @@ class TestBlockAssembly:
         for dim in (1, 2, 4):
             a = random_invertible(rng, dim)
             adj = a.entries.conj().T
-            for kind in ("script-S", "script-B"):
-                block = a.entries if kind == "script-S" else adj
-                assert np.array_equal(
-                    ss.windowed_operator(a, kind, n), _reference_stencil(block, kind, n)
-                )
             assert np.array_equal(
-                ss.shadowing._compression_script_b(a, n, None), _reference_compression(adj, n)
+                shadowing._dense_window(a, "script-S", n), _reference_stencil(a.entries, n)
+            )
+            assert np.array_equal(
+                shadowing._dense_window(a, "script-B", n), _reference_compression(adj, n)
             )
 
 
@@ -524,7 +513,7 @@ class TestShiftChainProbe:
                 if kind == "script-B":
                     mat = _reference_compression(ss.materialize(ss.adjoint(t), m).entries, n)
                 else:
-                    mat = _reference_stencil(ss.materialize(t, m).entries, kind, n)
+                    mat = _reference_stencil(ss.materialize(t, m).entries, n)
                 svals = np.linalg.svd(mat, compute_uv=False)
                 gain = ss.window_probe(t, kind, n, m).gain
                 assert abs(gain - svals[-1]) <= 1e-10 * svals[0], (n, m)
@@ -557,6 +546,9 @@ class TestShiftChainProbe:
             ss.window_probe(t, "script-B", 3, 0)
         with pytest.raises(ValueError):
             ss.window_probe(t, "script-X", 3, 5)
+        for kind in ("script-S", "script-B"):
+            with pytest.raises(TypeError, match="not an operator"):
+                ss.window_probe(np.eye(2), kind, 3)
 
 
 class TestArrayGainAndOracle:

@@ -44,22 +44,6 @@ class TestEigenvalues:
             ss.eigenvalues(ss.identity(513))
 
 
-class TestMinSingularValue:
-    def test_diagonal(self):
-        assert ss.min_singular_value(ss.diagonal([2.0, 0.5])) == pytest.approx(0.5)
-
-    def test_zero_row(self):
-        a = ss.DenseOperator([[1.0, 2.0], [0.0, 0.0]])
-        assert ss.min_singular_value(a) == pytest.approx(0.0, abs=1e-15)
-
-    def test_gram_matrix_oracle(self):
-        rng = np.random.default_rng(3)
-        a = random_invertible(rng, 4)
-        gram = a.entries.conj().T @ a.entries
-        expected = math.sqrt(min(np.linalg.eigvalsh(gram)))
-        assert ss.min_singular_value(a) == pytest.approx(expected, rel=1e-8)
-
-
 class TestClassifyDense:
     def test_gap_off_circle(self):
         report = ss.classify_dense(ss.diagonal([2.0, 0.5]))
