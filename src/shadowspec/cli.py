@@ -12,7 +12,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -47,11 +46,6 @@ EXIT_CERTIFICATE = 4
 
 GAIN_SWEEP_Q = (1.2, 1.1, 1.05, 1.01)
 TREND_WINDOWS = (8, 16, 32, 64)
-
-# mkstemp creates files 0600; reports get the usual umask-derived mode instead
-_UMASK = os.umask(0)
-os.umask(_UMASK)
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -92,9 +86,10 @@ class RunConfig:
 
 def _write_atomic(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
+    tmp = path.parent / f"{path.name}.{os.urandom(8).hex()}.tmp"
+    # mode 0666 through open(2), so the kernel applies the caller's umask
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        os.chmod(tmp, 0o666 & ~_UMASK)
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)

@@ -5,9 +5,11 @@ A :class:`DenseOperator` acts on ``C^dim`` as an explicit matrix.  A
 integer-indexed orthonormal basis ``(e_n)``.  Its two-sided-constant weight
 profile lives on the *edges* of the index lattice: the hop between basis
 indices ``m`` and ``m+1`` carries ``weight_pos`` when ``m >= crossover`` and
-``weight_neg`` otherwise.  Adjoints, inverses and finite windows all follow
-from that single convention, e.g. the adjoint of a forward shift is the
-backward shift with the same edge weights.
+``weight_neg`` otherwise.  That is the one shift convention, and the class
+keeps it: ``ShiftOperator.step`` (+1 forward, -1 backward) is where T moves a
+basis vector, and ``ShiftOperator.hop_weights`` the weight of the edge it
+crosses.  The adjoint of a forward shift is the backward shift with the same
+edge weights.
 
 All values are immutable after construction and every operation here is pure,
 so concurrent use from multiple threads is safe (`inverse` keeps a dense
@@ -102,9 +104,19 @@ class ShiftOperator:
         if not (math.isfinite(self.weight_pos) and math.isfinite(self.weight_neg)):
             raise ValueError("shift weights must be finite")
 
+    @property
+    def step(self) -> int:
+        """+1 forward, -1 backward: T moves e_n to a multiple of e_{n+step}."""
+        return 1 if self.direction == "forward" else -1
+
     def edge_weight(self, m: int) -> float:
         """Weight on the edge between basis indices m and m+1."""
         return self.weight_pos if m >= self.crossover else self.weight_neg
+
+    def hop_weights(self, index: np.ndarray) -> np.ndarray:
+        """Weight of the edge T crosses from each index, the edge at min(i, i + step)."""
+        lower = np.minimum(index, index + self.step)
+        return np.where(lower >= self.crossover, self.weight_pos, self.weight_neg)
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,12 +197,10 @@ def apply(op, v):
     if isinstance(op, ShiftOperator):
         if not isinstance(v, SupportedVector):
             raise DimensionMismatchError("shift operator expects a SupportedVector")
-        if op.direction == "forward":
-            return SupportedVector(
-                {n + 1: op.edge_weight(n) * c for n, c in v.coefficients.items()}
-            )
+        step = op.step
+        edge = min(step, 0)  # the edge crossed from n is the one at min(n, n + step)
         return SupportedVector(
-            {n - 1: op.edge_weight(n - 1) * c for n, c in v.coefficients.items()}
+            {n + step: op.edge_weight(n + edge) * c for n, c in v.coefficients.items()}
         )
     raise TypeError(f"not an operator: {op!r}")
 
@@ -261,15 +271,10 @@ def materialize(op: ShiftOperator, half_width: int) -> DenseOperator:
     n = int(half_width)
     if n < 1:
         raise ValueError("half_width must be >= 1")
-    size = 2 * n + 1
-    mat = np.zeros((size, size), dtype=np.complex128)
-    if op.direction == "forward":
-        for m in range(-n, n):  # image of e_n leaves the window; its column stays zero
-            mat[m + 1 + n, m + n] = op.edge_weight(m)
-    else:
-        for m in range(-n + 1, n + 1):  # image of e_{-n} leaves the window
-            mat[m - 1 + n, m + n] = op.edge_weight(m - 1)
-    return DenseOperator(mat)
+    # edge m joins columns m and m+1; on diagonal -step the column whose
+    # image leaves the window (e_N forward, e_{-N} backward) stays zero
+    edges = np.array([op.edge_weight(m) for m in range(-n, n)], dtype=np.complex128)
+    return DenseOperator(np.diag(edges, -op.step))
 
 
 def rotate(op, lam):

@@ -115,36 +115,40 @@ class PseudoOrbit:
         return (self.n_lo, self.n_hi)
 
     def state(self, n: int):
-        return self.states[n - self.n_lo]
+        return self._at(self.states, n)
 
     def defect(self, n: int):
-        return self.defects[n - self.n_lo]
+        return self._at(self.defects, n)
+
+    def _at(self, seq: tuple, n: int):
+        j = n - self.n_lo
+        if not 0 <= j < len(seq):  # a negative j would wrap to the far end
+            raise IndexError(f"index {n} outside the orbit window {self.window}")
+        return seq[j]
 
     def defect_norms(self) -> list:
         return [vec_norm(z) for z in self.defects]
 
 
-def _draw_defects(op, x0, delta: float, n_lo: int, n_hi: int, rng, on_sphere: bool) -> list:
-    """Defects z_n (n = n_lo..n_hi-1) drawn in the order n = 0..n_hi-1, -1..n_lo.
+def _draw_defects(op, x0, delta: float, n_lo: int, n_hi: int, rng) -> list:
+    """Defects z_n (n = n_lo..n_hi-1) on the delta-sphere, drawn in one call in
+    the order n = 0..n_hi-1, -1..n_lo, each z_n's real parts before its
+    imaginary parts.
     z_n lives where state n+1 does: on all d coordinates, or on the shift
     seed's listed indices moved to time n+1."""
     seed = x0.support() if isinstance(op, ShiftOperator) else None
     size = op.dim if seed is None else len(seed)
+    order = [*range(n_hi), *range(-1, n_lo - 1, -1)]
+    draws = rng.standard_normal((len(order), 2, size))
     defects = [None] * (n_hi - n_lo)
-    for n in [*range(n_hi), *range(-1, n_lo - 1, -1)]:
-        g = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    for n, (re, im) in zip(order, draws):
+        g = re + 1j * im
+        # one norm per row: a batched axis norm rounds differently
         r = np.linalg.norm(g)
         zero = r == 0.0 or delta == 0.0
-        if zero:
-            z = np.zeros(size, dtype=np.complex128)
-        else:
-            scale = delta / r
-            if not on_sphere:
-                scale *= rng.uniform() ** (1.0 / (2 * size))
-            z = scale * g
+        z = np.zeros(size, dtype=np.complex128) if zero else (delta / r) * g
         if seed is not None:
-            moved = (n + 1) * (1 if op.direction == "forward" else -1)
-            index = [i + moved for i in seed]
+            index = [i + (n + 1) * op.step for i in seed]
             z = SupportedVector({index[0]: 0.0} if zero else dict(zip(index, z)))
         defects[n - n_lo] = z
     return defects
@@ -171,15 +175,14 @@ def generate_pseudo_orbit(
     delta: float,
     window: tuple,
     rng_seed: int,
-    on_sphere: bool = True,
 ) -> PseudoOrbit:
     """Random delta-pseudo-orbit seeded at index 0.
 
-    All defects z_n are drawn first, on the delta-sphere (or in the ball with
-    on_sphere=False) and in a fixed order, so a seed pins the orbit
-    bit-for-bit.  Forward states follow y_{n+1} = T y_n + z_n, backward states
-    the exact inverse y_n = T^{-1}(y_{n+1} - z_n), and the defects are re-read
-    off the final states.  A shift seed must list at least one index.
+    All defects z_n are drawn first, on the delta-sphere and in a fixed order,
+    so a seed pins the orbit bit-for-bit.  Forward states follow
+    y_{n+1} = T y_n + z_n, backward states the exact inverse
+    y_n = T^{-1}(y_{n+1} - z_n), and the defects are re-read off the final
+    states.  A shift seed must list at least one index.
     """
     n_lo, n_hi = int(window[0]), int(window[1])
     if not (math.isfinite(delta) and delta >= 0):
@@ -195,7 +198,7 @@ def generate_pseudo_orbit(
     elif not x0.coefficients:
         raise ValueError("shift seed must list at least one index")
     rng = np.random.default_rng(rng_seed)
-    defects = _draw_defects(op, x0, delta, n_lo, n_hi, rng, on_sphere)
+    defects = _draw_defects(op, x0, delta, n_lo, n_hi, rng)
     states, actual = _propagate(op, x0, defects, n_lo)
     return PseudoOrbit(n_lo=n_lo, n_hi=n_hi, states=states, delta=delta, defects=actual)
 
@@ -397,7 +400,7 @@ def shadow_oracle_lsq(op, orbit: PseudoOrbit) -> OracleResult:
 
     if not isinstance(op, ShiftOperator):
         raise TypeError(f"not an operator: {op!r}")
-    step = 1 if op.direction == "forward" else -1
+    step = op.step
     times = range(orbit.n_lo, orbit.n_hi + 1)
     chains = sorted({i - n * step for n in times for i in orbit.state(n).coefficients})
     if not chains:
@@ -414,10 +417,8 @@ def shadow_oracle_lsq(op, orbit: PseudoOrbit) -> OracleResult:
             ys[k, i - lo] = v
 
     # weight of T^n e_j: one cumulative product of hop weights per chain,
-    # outward from n = 0 (a hop crosses the edge at the lower of its two indices)
-    hop = np.where(
-        np.minimum(pos[:, :-1], pos[:, 1:]) >= op.crossover, op.weight_pos, op.weight_neg
-    )
+    # outward from n = 0
+    hop = op.hop_weights(pos[:, :-1])
     k0 = -orbit.n_lo
     ahead = np.multiply.accumulate(hop[:, k0:], axis=1)
     behind = np.divide.accumulate(
@@ -483,7 +484,9 @@ def _shift_chain_gain(op: ShiftOperator, kind: str, n: int, m) -> float:
     window matrix built on `materialize(., M)` blocks splits into scalar
     chains.  Listed alternately by row and column, a chain is a path
     whose hops carry 1 (identity block) or a shift weight (T block): a
-    bidiagonal matrix.  The gain is the least smallest singular value.
+    bidiagonal matrix.  For both kinds the path runs in T's direction, so the
+    weights are `op.hop_weights` along it and T* is never built.  The gain is
+    the least smallest singular value.
 
     Every step is a product or hypot of hop weights, so tiny gains keep full
     relative accuracy: chains with an extra column are rotated square
@@ -498,20 +501,16 @@ def _shift_chain_gain(op: ShiftOperator, kind: str, n: int, m) -> float:
     m = int(m)
     if m < 1:
         raise ValueError("half_width must be >= 1")
-    base = op if kind == "script-S" else adjoint(op)
     # path nodes: script-B is row_0, col_0, row_1, ..., col_2N, row_2N+1 and
     # script-S is col_0, row_0, ..., row_2N-1, col_2N; the hop after an even
-    # node crosses a T block and moves the index by `step`, the next keeps it
-    step = (1 if base.direction == "forward" else -1) * (1 if kind == "script-S" else -1)
+    # node crosses a T block (script-S, column to row) or a T* block
+    # (script-B, row to column), so either way it moves the index by T's own
+    # step across the edge T crosses; the next hop keeps the index
     nodes = 4 * n + 3 if kind == "script-B" else 4 * n + 1
-    moved = step * ((np.arange(nodes) + 1) // 2)
+    moved = op.step * ((np.arange(nodes) + 1) // 2)
     index = np.arange(-m - moved.max(), m - moved.min() + 1)[:, None] + moved
     inside = np.abs(index) <= m  # materialize drops what leaves -M..M
-    hops = np.where(
-        np.minimum(index[:, :-1], index[:, :-1] + step) >= base.crossover,
-        base.weight_pos,
-        base.weight_neg,
-    )
+    hops = op.hop_weights(index[:, :-1])
     hops[:, 1::2] = 1.0
     hops[~(inside[:, :-1] & inside[:, 1:])] = 0.0
     hops = np.pad(hops, ((0, 0), (0, 1)))  # a zero past the last node

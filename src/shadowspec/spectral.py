@@ -186,10 +186,9 @@ def shift_spectra(op: ShiftOperator) -> ShiftSpectra:
     """
     w_lo = min(op.weight_pos, op.weight_neg)
     w_hi = max(op.weight_pos, op.weight_neg)
-    if op.direction == "forward":
-        pt = (op.weight_pos, op.weight_neg) if op.weight_pos < op.weight_neg else None
-    else:
-        pt = (op.weight_neg, op.weight_pos) if op.weight_neg < op.weight_pos else None
+    # the weight on the side T moves toward, then the one it moves away from
+    near, far = (op.weight_pos, op.weight_neg)[:: op.step]
+    pt = (near, far) if near < far else None
     if pt is None:
         kind = "circles"
         radii = (w_lo,) if w_lo == w_hi else (w_lo, w_hi)
@@ -425,16 +424,11 @@ def shift_eigenvector(op: ShiftOperator, lam: complex, radius: int) -> Supported
         )
     c = op.crossover
     coeffs = {c: 1.0 + 0j}
-    if op.direction == "forward":
-        # T x = lam x  <=>  x_{m} = (edge_weight(m-1) / lam) * x_{m-1}
-        for m in range(c + 1, c + radius + 1):
-            coeffs[m] = coeffs[m - 1] * op.edge_weight(m - 1) / lam
-        for m in range(c - 1, c - radius - 1, -1):
-            coeffs[m] = coeffs[m + 1] * lam / op.edge_weight(m)
-    else:
-        # S x = lam x  <=>  x_{m+1} = (lam / edge_weight(m)) * x_m
-        for m in range(c + 1, c + radius + 1):
-            coeffs[m] = coeffs[m - 1] * lam / op.edge_weight(m - 1)
-        for m in range(c - 1, c - radius - 1, -1):
-            coeffs[m] = coeffs[m + 1] * op.edge_weight(m) / lam
+    # T x = lam x  <=>  lam * x_{i+step} = w * x_i across each edge w, so going
+    # outward by `side` multiplies by w / lam along T's step and by lam / w against it
+    for side in (1, -1):
+        for m in range(c + side, c + side * (radius + 1), side):
+            w = op.edge_weight(min(m, m - side))
+            num, den = (w, lam) if side == op.step else (lam, w)
+            coeffs[m] = coeffs[m - side] * num / den
     return SupportedVector(coeffs)

@@ -17,7 +17,7 @@ import pytest
 
 import shadowspec as ss
 from shadowspec.cli import main as cli_main
-from _helpers import conjugated_diagonal, draw_moduli, mild_similarity, random_invertible
+from _helpers import conjugated_diagonal, draw_moduli, random_invertible
 
 W_HI = 2.0 * math.sqrt(2.0)
 W_LO = 1.0 / W_HI

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import shadowspec as ss
+import shadowspec.cli
 from shadowspec.cli import _write_atomic, main
 
 W_HI = 2.0 * math.sqrt(2.0)
@@ -561,6 +563,14 @@ class TestWriteAtomic:
         target = tmp_path / "report.json"
         _write_atomic(target, "{}\n")
         assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
+
+    def test_import_leaves_the_umask_alone(self, monkeypatch):
+        # the umask is process-wide: flipping it races every other thread
+        def refuse(mask):
+            raise AssertionError("os.umask called")
+
+        monkeypatch.setattr(os, "umask", refuse)
+        importlib.reload(shadowspec.cli)
 
     def test_failed_write_leaves_no_temp_file(self, tmp_path):
         target = tmp_path / "report.json"

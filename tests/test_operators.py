@@ -161,6 +161,16 @@ class TestMaterialize:
         direct = ss.apply(s, v).to_window_array(20)
         assert np.allclose(window.entries @ v.to_window_array(20), direct, atol=1e-13)
 
+    @pytest.mark.parametrize("crossover", [-2, 0, 3])
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    def test_interior_columns_are_apply_exactly(self, direction, crossover):
+        op = ss.ShiftOperator(direction, W_HI, W_LO, crossover)
+        for n in range(1, 7):
+            mat = ss.materialize(op, n).entries
+            for j in range(-n + 1, n):
+                image = ss.apply(op, ss.basis_vector(j)).to_window_array(n)
+                assert np.array_equal(mat[:, j + n], image), (n, j)
+
     def test_materialize_commutes_with_adjoint_on_interior_block(self):
         t, _ = example_shift_pair()
         lhs = ss.materialize(ss.adjoint(t), 5).entries
