@@ -8,71 +8,10 @@ constructs shadow trajectories for pseudo-orbits, cross-checked by a
 least-squares oracle.
 """
 
-from .errors import (
-    ContourThroughSpectrumError,
-    ConvergenceError,
-    DecayCertificateError,
-    DimensionMismatchError,
-    NotUnimodularError,
-    ShadowspecError,
-    SingularOperatorError,
-)
-from .operators import (
-    DenseOperator,
-    ShiftOperator,
-    SupportedVector,
-    adjoint,
-    apply,
-    basis_vector,
-    diagonal,
-    identity,
-    inverse,
-    materialize,
-    operator_from_json,
-    operator_to_json,
-    rotate,
-)
-from .projector import (
-    ContourConfig,
-    DecayRates,
-    LaurentRelationsReport,
-    LaurentTable,
-    RieszSplitting,
-    decay_rates,
-    laurent_coefficient,
-    laurent_table,
-    riesz_projector,
-    riesz_splitting,
-    verify_laurent_relations,
-)
-from .shadowing import (
-    BGainResult,
-    OracleResult,
-    PseudoOrbit,
-    ShadowResult,
-    WindowProbe,
-    bgain_test_sequence,
-    construct_shadow,
-    generate_pseudo_orbit,
-    orbit_from_defects,
-    rotate_orbit,
-    shadow_oracle_lsq,
-    window_probe,
-)
-from .spectral import (
-    DualityReport,
-    ExpansivityWitness,
-    ShiftSpectra,
-    SpectralReport,
-    Verdicts,
-    classify_dense,
-    classify_shift,
-    duality_check,
-    eigenvalues,
-    expansivity_witness,
-    shift_eigenvector,
-    shift_spectra,
-    unit_circle_gap,
-)
+from .errors import *
+from .operators import *
+from .projector import *
+from .shadowing import *
+from .spectral import *
 
 __version__ = "0.1.0"

@@ -4,6 +4,16 @@ The CLI maps these onto its exit-code contract: input/validation problems
 exit 2, numerical failures exit 3, decay certificate failures exit 4.
 """
 
+__all__ = [
+    "ShadowspecError",
+    "DimensionMismatchError",
+    "NotUnimodularError",
+    "SingularOperatorError",
+    "ContourThroughSpectrumError",
+    "ConvergenceError",
+    "DecayCertificateError",
+]
+
 
 class ShadowspecError(Exception):
     """Base class for package errors."""

@@ -65,6 +65,7 @@ PROJECTOR_RTOL = 1e-8
 # the circle has mu = (lambda/r)^N with |mu| or 1/|mu| >= (1 - pi/16)^16, so it adds
 # |mu/(1 - mu)^2| >= 0.0285 to the trace at every node count
 PROJECTOR_TRACE_CAP = 0.025
+NODE_BLOCK = 256  # most resolvent samples `_coefficients` holds at once
 _ON_CIRCLE = "an eigenvalue may lie on the contour circle, where only moving the radius helps"
 
 
@@ -101,9 +102,9 @@ def _solve_on_contour(lhs: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray
     return x
 
 
-def _resolvent_samples(a: DenseOperator, cfg: ContourConfig) -> np.ndarray:
-    """R(lambda_j) at every contour node, shape (nodes, dim, dim)."""
-    theta = 2.0 * np.pi * np.arange(cfg.nodes) / cfg.nodes
+def _resolvent_samples(a: DenseOperator, cfg: ContourConfig, nodes: slice) -> np.ndarray:
+    """R(lambda_j) at the contour nodes j in a slice, shape (count, dim, dim)."""
+    theta = 2.0 * np.pi * np.arange(cfg.nodes)[nodes] / cfg.nodes
     lam = cfg.radius * np.exp(1j * theta)
     eye = np.eye(a.dim, dtype=np.complex128)
     lhs = lam[:, None, None] * eye - a.entries
@@ -168,22 +169,27 @@ def _coefficients(
     weights are twice the even columns.  Orders with 2|n| >= N would pick up
     C_{n-N} or C_{n+N} on both grids alike, so they are refused.  The last
     weight row gives C_{-1} on both grids for `_check_projector_trace`,
-    whatever the orders.
+    whatever the orders.  Products are summed over blocks of NODE_BLOCK nodes
+    from the first block's on, so up to NODE_BLOCK nodes each is one product.
     """
     nodes = int(cfg.nodes)
     if 2 * int(np.max(np.abs(orders))) >= nodes:
         raise ValueError(f"|n| must stay below nodes/2 = {nodes // 2}, or C_n aliases")
-    samples = _resolvent_samples(a, cfg).reshape(nodes, -1)
     rows = np.append(orders, -1)
     phase = np.outer(rows, np.arange(nodes)) % nodes  # exact, before scaling by 2*pi/N
     scale = cfg.radius ** -rows.astype(float) / nodes
     weights = np.exp(-2j * np.pi / nodes * phase) * scale[:, None]
-    shape = (len(orders), a.dim, a.dim)
-    full = (weights[:-1] @ samples).reshape(shape)
-    half = (2.0 * weights[:-1, ::2] @ samples[::2]).reshape(shape)
+    sums = None
+    for start in range(0, nodes, NODE_BLOCK):  # a block starts on an even node
+        block = slice(start, start + NODE_BLOCK)
+        samples = _resolvent_samples(a, cfg, block).reshape(-1, a.dim * a.dim)
+        w = weights[:, block]
+        grids = ((w, samples), (2.0 * w[:, ::2], samples[::2]))  # full, half
+        terms = [g[:-1] @ x for g, x in grids] + [g[-1] @ x for g, x in grids]
+        sums = terms if sums is None else [s + t for s, t in zip(sums, terms)]
+    full, half = (x.reshape(len(orders), a.dim, a.dim) for x in sums[:2])
     residuals = _node_halving_residuals(full, half, orders, nodes)
-    p = (weights[-1] @ samples).reshape(shape[1:])
-    _check_projector_trace(p, (2.0 * weights[-1, ::2] @ samples[::2]).reshape(shape[1:]), nodes)
+    _check_projector_trace(*(x.reshape(a.dim, a.dim) for x in sums[2:]), nodes)
     return full, residuals
 
 

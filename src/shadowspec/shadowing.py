@@ -72,6 +72,8 @@ __all__ = [
 
 # Order m of the power kernels that certify a splitting in `construct_shadow`.
 DECAY_ORDER = 32
+# Least q of `bgain_test_sequence`, whose window has N = ceil(14 / log10 q) <= 97,702
+BGAIN_MIN_Q = 1.00033
 
 
 @dataclass(frozen=True, eq=False)
@@ -350,14 +352,9 @@ class OracleResult:
     condition: float
 
     def to_json(self) -> dict:
-        if isinstance(self.best_anchor, SupportedVector):
-            support = self.best_anchor.support()
-            values = _complex_pairs(self.best_anchor.get(n) for n in support)
-            anchor = dict(zip(map(str, support), values))
-        else:
-            anchor = _complex_pairs(np.asarray(self.best_anchor))
+        """The report form of a dense oracle; shift oracles are not serialized."""
         return {
-            "best_anchor": anchor,
+            "best_anchor": _complex_pairs(self.best_anchor),
             "epsilon_achieved": self.epsilon_achieved,
             "condition": self.condition,
         }
@@ -445,22 +442,6 @@ def shadow_oracle_lsq(op, orbit: PseudoOrbit) -> OracleResult:
     )
 
 
-def _block_bidiagonal(
-    block: np.ndarray, rows: int, cols: int, eye_at: int, block_at: int
-) -> np.ndarray:
-    """Block matrix whose block row r holds I in block column r + eye_at and
-    -block in block column r + block_at, wherever those columns exist."""
-    d = block.shape[0]
-    out = np.zeros((rows * d, cols * d), dtype=np.complex128)
-    placed = ((eye_at, np.eye(d, dtype=np.complex128)), (block_at, -block))
-    for r in range(rows):
-        for offset, value in placed:
-            c = r + offset
-            if 0 <= c < cols:
-                out[r * d : (r + 1) * d, c * d : (c + 1) * d] = value
-    return out
-
-
 def _dense_window(a: DenseOperator, kind: str, n: int) -> np.ndarray:
     """Window matrix of a dense operator, whose smallest singular value `window_probe` takes.
 
@@ -472,9 +453,17 @@ def _dense_window(a: DenseOperator, kind: str, n: int) -> np.ndarray:
     back-substitute), so its gain is identically zero; the padded compression's
     gain is what witnesses bounded-belowness.
     """
+    d, cols = a.dim, 2 * n + 1
     if kind == "script-S":
-        return _block_bidiagonal(a.entries, 2 * n, 2 * n + 1, 1, 0)
-    return _block_bidiagonal(adjoint(a).entries, 2 * n + 2, 2 * n + 1, -1, 0)
+        rows, eye_at, block = 2 * n, 1, a.entries
+    else:
+        rows, eye_at, block = 2 * n + 2, -1, adjoint(a).entries
+    out = np.zeros((rows * d, cols * d), dtype=np.complex128)
+    # block row r holds I in block column r + eye_at and -block in column r
+    for offset, value in ((eye_at, np.eye(d)), (0, -block)):
+        r = np.arange(max(0, -offset), min(rows, cols - offset))
+        out.reshape(rows, d, cols, d)[r, :, r + offset, :] = value
+    return out
 
 
 def _shift_chain_gain(op: ShiftOperator, kind: str, n: int, m) -> float:
@@ -617,11 +606,12 @@ def bgain_test_sequence(op, x, q: float) -> BGainResult:
 
     Both agree to truncation accuracy; as q decreases to 1 the gain tends to
     ||(I - T*) x|| / ||x||, which is how near-eigenvectors of T* at 1 expose a
-    failing bounded-below constant.
+    failing bounded-below constant.  The window has N = ceil(14 / log10 q)
+    terms per side, so q has a floor: ValueError below BGAIN_MIN_Q = 1.00033.
     """
     q = float(q)
-    if q <= 1.0:
-        raise ValueError("q must exceed 1")
+    if not q >= BGAIN_MIN_Q:
+        raise ValueError(f"q must be at least {BGAIN_MIN_Q}, got {q!r}")
     norm_x = vec_norm(x)
     if norm_x == 0.0:
         raise ValueError("x must be nonzero")

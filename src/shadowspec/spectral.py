@@ -300,7 +300,7 @@ def duality_check(a: DenseOperator) -> DualityReport:
     eye = np.eye(a.dim, dtype=np.complex128)
 
     left_stack = lam[:, None, None] * eye - a.entries
-    right_stack = np.conj(lam)[:, None, None] * eye - a.entries.conj().T
+    right_stack = left_stack.conj().transpose(0, 2, 1)  # (lambda I - A)^H = conj(lambda) I - A^H
     sig_left = np.linalg.svd(left_stack, compute_uv=False)[:, -1]
     sig_right = np.linalg.svd(right_stack, compute_uv=False)[:, -1]
 

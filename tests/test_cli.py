@@ -223,6 +223,25 @@ class TestAnalyze:
         assert "window artifact" in artifacts["label"]
         assert len(artifacts["values"]) == 2 * doc["config"]["window"] + 1
 
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    @pytest.mark.parametrize("weights, crossover", [((W_HI, W_LO), 0), ((0.7, 1.6), 2)])
+    def test_shift_artifacts_are_the_truncation_eigenvalues(
+        self, direction, weights, crossover, tmp_path
+    ):
+        op = ss.ShiftOperator(direction, *weights, crossover)
+        path = tmp_path / "shift.json"
+        path.write_text(json.dumps(ss.operator_to_json(op)))
+        for n in range(1, 9):
+            out = tmp_path / f"report{n}.json"
+            assert main(["analyze", "--input", str(path), "--output", str(out),
+                         "--window", str(n)]) == 0
+            eigs = np.linalg.eigvals(ss.materialize(op, n).entries)
+            eigs = eigs[np.lexsort((eigs.imag, eigs.real))]
+            expected = [[float(z.real), float(z.imag)] for z in eigs]
+            values = json.loads(out.read_text())["report"]["window_artifact_eigenvalues"]["values"]
+            # compared as JSON text, so a signed zero would show
+            assert json.dumps(values) == json.dumps(expected)
+
     def test_identity_all_false(self, tmp_path):
         path = tmp_path / "id.json"
         path.write_text(json.dumps(ss.operator_to_json(ss.identity(2))))

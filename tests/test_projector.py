@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,18 @@ class TestLaurentCoefficient:
         # about its square, 1.1^-256 ~ 2.5e-11, and must be accepted
         p = ss.riesz_projector(ss.diagonal([1.1, 0.5]))
         assert max_abs(p.entries - np.diag([0.0, 1.0])) < 1e-10
+
+    def test_many_nodes_are_summed_in_bounded_memory(self):
+        # holding all 4096 resolvent samples at once made a 132 MiB peak
+        a, _ = random_hyperbolic(np.random.default_rng(33), 32)
+        tracemalloc.start()
+        try:
+            c = ss.laurent_coefficient(a, -1, ss.ContourConfig(nodes=4096))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
+        assert max_abs(c.entries - eigen_projector_inside(a)) < 1e-8
 
     @pytest.mark.parametrize("nodes", [16, 32, 64, 128, 256, 512])
     def test_every_node_count_raises_or_is_accurate(self, nodes):

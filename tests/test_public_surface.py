@@ -1,4 +1,5 @@
-"""The public surface: each layer's `__all__` and the names the package exports.
+"""The public surface: each layer's `__all__` and the names the package exports,
+which are exactly those `__all__` entries.
 
 Tracing and tooling look the `__all__` entries up with `getattr(mod, name, None)`
 and skip a stale entry silently, so every entry must resolve here; the package's
@@ -12,13 +13,14 @@ import pytest
 
 import shadowspec
 
-LAYERS = ("operators", "spectral", "projector", "shadowing")
+LAYERS = ("errors", "operators", "spectral", "projector", "shadowing")
 
 EXPORTS = [
     "BGainResult",
     "ContourConfig",
     "ContourThroughSpectrumError",
     "ConvergenceError",
+    "DEFAULT_GAP_TOL",
     "DecayCertificateError",
     "DecayRates",
     "DenseOperator",
@@ -68,7 +70,9 @@ EXPORTS = [
     "shadow_oracle_lsq",
     "shift_eigenvector",
     "shift_spectra",
+    "splitting_power_stacks",
     "unit_circle_gap",
+    "vec_norm",
     "verify_laurent_relations",
     "window_probe",
 ]
@@ -88,3 +92,11 @@ def test_package_exports_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert exported == EXPORTS
+
+
+def test_package_exports_exactly_the_layers_all():
+    layers = [importlib.import_module(f"shadowspec.{layer}") for layer in LAYERS]
+    names = [name for mod in layers for name in mod.__all__]
+    # a name in two layers would be bound by whichever star import runs last
+    assert len(set(names)) == len(names)
+    assert sorted(names) == EXPORTS

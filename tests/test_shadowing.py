@@ -361,6 +361,13 @@ class TestBGain:
         with pytest.raises(ValueError):
             ss.bgain_test_sequence(ss.identity(1), np.array([0.0 + 0j]), 1.5)
 
+    def test_q_below_the_floor_raises_before_allocating(self):
+        # q = 1 + 1e-9 would need N = 3.2e10 terms per side
+        with pytest.raises(ValueError, match="at least 1.00033"):
+            ss.bgain_test_sequence(ss.identity(1), np.array([1.0 + 0j]), 1 + 1e-9)
+        res = ss.bgain_test_sequence(ss.identity(1), np.array([1.0 + 0j]), shadowing.BGAIN_MIN_Q)
+        assert res.truncation == 97702
+
     @given(st.integers(0, 10**6), st.floats(1.05, 2.0))
     @settings(max_examples=30, deadline=None)
     def test_measured_matches_identity_generically(self, seed, q):
