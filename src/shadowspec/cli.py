@@ -8,6 +8,7 @@ to its own temporary file in the target directory, which is then renamed.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -295,6 +296,7 @@ COMMANDS = {
 }
 
 
+@functools.cache  # argparse's per-argument help formatters cost about 1 ms per build
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="shadowspec",

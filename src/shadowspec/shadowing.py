@@ -2,9 +2,11 @@
 
 A delta-pseudo-orbit is a finite window of states whose one-step recurrence
 defect never exceeds delta: arrays for dense operators, `SupportedVector`s
-for shifts, with `+`, `-` and scalar `*` for both.  `generate_pseudo_orbit`
-draws its defects up front, `orbit_from_defects` takes them from the caller,
-and both run one recurrence.  For a dense operator with a certified splitting
+for shifts.  `generate_pseudo_orbit` draws its defects up front, as one
+array, `orbit_from_defects` takes them from the caller, and both run one
+recurrence.  A shift orbit runs on its chains c = i - n*step, which T never
+leaves: one multiply per listed coefficient and step, each state built once.
+For a dense operator with a certified splitting
 B (forward powers of A damped through B, backward powers damped through I-B),
 the bounded solution of x_{n+1} = A x_n + z_n is written down explicitly as
 
@@ -132,43 +134,70 @@ class PseudoOrbit:
         return [vec_norm(z) for z in self.defects]
 
 
-def _draw_defects(op, x0, delta: float, n_lo: int, n_hi: int, rng) -> list:
-    """Defects z_n (n = n_lo..n_hi-1) on the delta-sphere, drawn in one call in
-    the order n = 0..n_hi-1, -1..n_lo, each z_n's real parts before its
-    imaginary parts.
-    z_n lives where state n+1 does: on all d coordinates, or on the shift
-    seed's listed indices moved to time n+1."""
-    seed = x0.support() if isinstance(op, ShiftOperator) else None
-    size = op.dim if seed is None else len(seed)
-    order = [*range(n_hi), *range(-1, n_lo - 1, -1)]
-    draws = rng.standard_normal((len(order), 2, size))
-    defects = [None] * (n_hi - n_lo)
-    for n, (re, im) in zip(order, draws):
-        g = re + 1j * im
-        # one norm per row: a batched axis norm rounds differently
-        r = np.linalg.norm(g)
-        zero = r == 0.0 or delta == 0.0
-        z = np.zeros(size, dtype=np.complex128) if zero else (delta / r) * g
-        if seed is not None:
-            index = [i + (n + 1) * op.step for i in seed]
-            z = SupportedVector({index[0]: 0.0} if zero else dict(zip(index, z)))
-        defects[n - n_lo] = z
-    return defects
+def _draw_defects(size: int, delta: float, n_lo: int, n_hi: int, rng):
+    """Defects z_n (n = n_lo..n_hi-1) on the delta-sphere, as the rows of one
+    (W-1) x size array in window order, and which rows are zero.  They are
+    drawn in one call in the order n = 0..n_hi-1, -1..n_lo, each z_n's real
+    parts before its imaginary parts."""
+    draws = rng.standard_normal((n_hi - n_lo, 2, size))
+    draws = np.concatenate([draws[n_hi:][::-1], draws[:n_hi]])
+    g = draws[:, 0] + 1j * draws[:, 1]
+    # one norm per row: a batched axis norm rounds differently
+    r = np.array([np.linalg.norm(row) for row in g])
+    zero = (r == 0.0) | (delta == 0.0)
+    z = np.divide(delta, r, out=np.zeros_like(r), where=~zero)[:, None] * g
+    z[zero] = 0.0
+    return z, zero
 
 
-def _propagate(op, x0, defects: list, n_lo: int):
+def _plus(x: dict, pairs) -> dict:
+    """x + v as SupportedVector adds: x's listing, then new keys in pairs' order."""
+    out = dict(x)
+    for k, v in pairs:
+        out[k] = out.get(k, 0j) + v
+    return out
+
+
+def _propagate(op, x0, defects, n_lo: int):
     """States from x0 at index 0 through x_{n+1} = T x_n + z_n, forward and,
-    by the exact inverse, backward; and the defects re-read off the states."""
-    op_inv = inverse(op)
+    by the exact inverse, backward; and the defects re-read off the states.
+    A shift runs on its chains c = i - n*step, which T never leaves, as dicts
+    from chain to value with SupportedVector's listing order and digits (its
+    `a - b` is a + complex(-1) * b); its defects come as (chain, value) pairs."""
     idx0 = -n_lo
     states = [None] * (len(defects) + 1)
-    states[idx0] = x0
+    if not isinstance(op, ShiftOperator):
+        op_inv = inverse(op)
+        states[idx0] = x0
+        for j in range(idx0, len(defects)):
+            states[j + 1] = apply(op, states[j]) + defects[j]
+        for j in range(idx0 - 1, -1, -1):
+            states[j] = apply(op_inv, states[j + 1] - defects[j])
+        actual = [states[j + 1] - apply(op, states[j]) for j in range(len(defects))]
+        return tuple(states), tuple(actual)
+
+    step, minus = op.step, complex(-1.0)
+    chains = list(dict.fromkeys([*x0.coefficients, *(c for z in defects for c, _ in z)]))
+    grid = np.add.outer(step * np.arange(n_lo, n_lo + len(states)), chains)
+    fwd = [dict(zip(chains, w)) for w in op.hop_weights(grid[:-1]).tolist()]
+    bwd = [dict(zip(chains, w)) for w in inverse(op).hop_weights(grid[1:]).tolist()]
+    images = [None] * len(defects)  # T x_j, chain by chain
+    states[idx0] = x0.coefficients  # at time 0, chain c is index c
     for j in range(idx0, len(defects)):
-        states[j + 1] = apply(op, states[j]) + defects[j]
+        images[j] = {c: fwd[j][c] * x for c, x in states[j].items()}
+        states[j + 1] = _plus(images[j], defects[j])
     for j in range(idx0 - 1, -1, -1):
-        states[j] = apply(op_inv, states[j + 1] - defects[j])
-    actual = [states[j + 1] - apply(op, states[j]) for j in range(len(defects))]
-    return tuple(states), tuple(actual)
+        diff = _plus(states[j + 1], [(c, minus * z) for c, z in defects[j]])
+        states[j] = {c: bwd[j][c] * x for c, x in diff.items()}
+        images[j] = {c: fwd[j][c] * x for c, x in states[j].items()}
+    actual = [_plus(y, [(c, minus * v) for c, v in t.items()]) for y, t in zip(states[1:], images)]
+
+    def vector(j, chain_values):  # chain c at window row j is index c + (n_lo + j) * step
+        off = (n_lo + j) * step
+        return SupportedVector({c + off: v for c, v in chain_values.items()})
+
+    vectors = [x0 if j == idx0 else vector(j, s) for j, s in enumerate(states)]
+    return tuple(vectors), tuple(vector(j + 1, z) for j, z in enumerate(actual))
 
 
 def generate_pseudo_orbit(
@@ -200,7 +229,14 @@ def generate_pseudo_orbit(
     elif not x0.coefficients:
         raise ValueError("shift seed must list at least one index")
     rng = np.random.default_rng(rng_seed)
-    defects = _draw_defects(op, x0, delta, n_lo, n_hi, rng)
+    size = op.dim if isinstance(op, DenseOperator) else len(x0.coefficients)
+    defects, zero = _draw_defects(size, delta, n_lo, n_hi, rng)
+    if isinstance(op, ShiftOperator):
+        # z_n lists the seed's indices moved to time n+1, so on the seed's own
+        # chains; a zero z_n lists only the first, with 0j
+        seed = x0.support()
+        defects = [list(zip(seed, [0j] if empty else row))
+                   for row, empty in zip(defects.tolist(), zero.tolist())]
     states, actual = _propagate(op, x0, defects, n_lo)
     return PseudoOrbit(n_lo=n_lo, n_hi=n_hi, states=states, delta=delta, defects=actual)
 
@@ -221,6 +257,12 @@ def orbit_from_defects(op, x0, defects, window: tuple) -> PseudoOrbit:
         raise ValueError("need exactly one defect per step")
     if isinstance(op, DenseOperator):
         x0 = _dense_vector(x0, op.dim)
+    elif isinstance(op, ShiftOperator):
+        if not all(isinstance(v, SupportedVector) for v in (x0, *defects)):
+            raise DimensionMismatchError("shift orbits need SupportedVector seeds and defects")
+        # z_n's index i lies on chain i - (n+1)*step
+        defects = [[(i - (n + 1) * op.step, v) for i, v in z.coefficients.items()]
+                   for n, z in zip(range(n_lo, n_hi), defects)]
     states, actual = _propagate(op, x0, defects, n_lo)
     delta = max((vec_norm(z) for z in actual), default=0.0)
     return PseudoOrbit(n_lo=n_lo, n_hi=n_hi, states=states, delta=delta, defects=actual)

@@ -482,6 +482,15 @@ class TestSplittingCertificate:
         assert splitting == {"source": "identity", **dict.fromkeys(self.CERTIFICATE)}
         assert "node-halving residual" in capsys.readouterr().err
 
+class TestParser:
+    def test_cached_parser_gives_each_call_its_own_flags(self, dense_op_file, tmp_path):
+        assert shadowspec.cli.build_parser() is shadowspec.cli.build_parser()
+        out = tmp_path / "analyze.json"
+        for flags, window in ((["--window", "5"], 5), ([], 20)):
+            assert main(["analyze", "--input", str(dense_op_file), "--output", str(out), *flags]) == 0
+            assert json.loads(out.read_text())["config"]["window"] == window
+
+
 class TestProbe:
     @pytest.mark.parametrize("op_file", ["dense_op_file", "shift_op_file"])
     @pytest.mark.parametrize(

@@ -96,6 +96,13 @@ class TestOrbitFromDefects:
             assert (gap - orbit.defect(n)).norm() < 1e-15
 
 
+    def test_shift_orbit_needs_supported_vectors(self):
+        t = ss.ShiftOperator("forward", W_HI, W_LO, 0)
+        with pytest.raises(ss.DimensionMismatchError, match="SupportedVector"):
+            ss.orbit_from_defects(t, ss.basis_vector(0), [np.array([1e-3 + 0j])], (0, 1))
+        with pytest.raises(ss.DimensionMismatchError, match="SupportedVector"):
+            ss.orbit_from_defects(t, np.ones(1), [ss.basis_vector(1, 1e-3)], (0, 1))
+
 class TestConstructShadow:
     def test_one_dim_constant_defect_closed_form(self):
         # T = 2, B = 0: x_n = -sum_{k>=1} 2^{-k} delta = -delta once the
@@ -235,6 +242,27 @@ class TestShadowOracle:
             res = ss.construct_shadow(a, ss.riesz_projector(a), orbit)
             oracle = ss.shadow_oracle_lsq(a, orbit)
             assert oracle.epsilon_achieved <= res.epsilon_achieved + 1e-8
+
+    def test_oracle_l2_objective_never_beaten_by_construction(self):
+        # the oracle minimizes f(x) = sum_n ||y_n - A^n x||^2 and reports only
+        # the sup distance, so f is what it must never lose on; the relative
+        # slack 1e-12 covers rounding in the two sums of W*d terms (about
+        # W*d*eps each), while the construction loses by 2-12% here
+        rng = np.random.default_rng(77)
+        for _ in range(5):
+            a, _ = random_hyperbolic(rng, 3)
+            orbit = ss.generate_pseudo_orbit(
+                a, np.zeros(3, dtype=complex), 1e-3, (-12, 12), rng_seed=int(rng.integers(1e6))
+            )
+            res = ss.construct_shadow(a, ss.riesz_projector(a), orbit)
+            oracle = ss.shadow_oracle_lsq(a, orbit)
+            powers = shadowing._dense_power_blocks(a, -12, 12)
+            ys = np.stack(orbit.states)
+
+            def objective(x):
+                return float(np.sum(np.abs(ys - powers @ x) ** 2))
+
+            assert objective(oracle.best_anchor) <= objective(res.anchor) * (1 + 1e-12)
 
     def test_identity_accumulates_linear_error(self):
         # constant defect on T = I gives states n*delta; the best constant
@@ -701,6 +729,24 @@ ORBIT_CASES = {
 }
 
 
+def _on_seed_chain(op, x0, n):
+    """The index of z_n on the chain of x0's first listed index."""
+    return next(iter(x0.coefficients)) + (n + 1) * op.step
+
+
+# caller-given shift defects that a drawn orbit never makes: z_n off the
+# seed's chains, one new index beside one already listed, a -0.0 coefficient
+OFF_CHAIN_DEFECTS = {
+    "at-index-n": lambda op, x0, n: ss.basis_vector(n, 1e-3),
+    "new-and-listed": lambda op, x0, n: ss.SupportedVector(
+        {10 - n: 1e-3j, _on_seed_chain(op, x0, n): -2e-3 + 5e-4j}
+    ),
+    "negative-zero": lambda op, x0, n: ss.SupportedVector(
+        {_on_seed_chain(op, x0, n): -0.0, n - 6: complex(-0.0, -0.0)}
+    ),
+}
+
+
 class TestOrbitReference:
     @pytest.mark.parametrize("case", sorted(ORBIT_CASES))
     def test_orbits_match_the_per_step_loop(self, case):
@@ -722,6 +768,30 @@ class TestOrbitReference:
                     assert replay.delta == ref_delta
                     assert [_bits(s) for s in replay.states] == [_bits(s) for s in states]
                     assert [_bits(z) for z in replay.defects] == [_bits(z) for z in actual]
+
+    @pytest.mark.parametrize("case", sorted(c for c in ORBIT_CASES if c.startswith("shift")))
+    @pytest.mark.parametrize("family", sorted(OFF_CHAIN_DEFECTS))
+    def test_off_chain_defects_match_the_per_step_loop(self, case, family):
+        op, seeds = ORBIT_CASES[case]()
+        for x0 in seeds:
+            for window in ((-3, 3), (0, 4), (-4, 0)):
+                defects = [OFF_CHAIN_DEFECTS[family](op, x0, n) for n in range(*window)]
+                replay = ss.orbit_from_defects(op, x0, defects, window)
+                states, actual, ref_delta = _reference_orbit_from_defects(op, x0, defects, window)
+                assert replay.delta == ref_delta
+                assert [_bits(s) for s in replay.states] == [_bits(s) for s in states]
+                assert [_bits(z) for z in replay.defects] == [_bits(z) for z in actual]
+
+    @pytest.mark.parametrize("weight", [1e200, 1e-200], ids=["forward", "backward"])
+    def test_overflowing_shift_orbit_refused(self, weight):
+        # 1e200 * 1e200 overflows: forward through T, or backward through T^-1
+        op = ss.ShiftOperator("forward", weight, weight)
+        x0 = ss.basis_vector(0, 1e200)
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            ss.generate_pseudo_orbit(op, x0, 1e-3, (-2, 2), rng_seed=0)
+        defects = [ss.basis_vector((n + 1) * op.step, 1e-3) for n in range(-2, 2)]
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            ss.orbit_from_defects(op, x0, defects, (-2, 2))
 
     def test_shift_seed_without_listed_index_rejected(self):
         op = ss.ShiftOperator("forward", W_HI, W_LO, 0)
