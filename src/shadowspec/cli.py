@@ -28,7 +28,7 @@ from .operators import (
     operator_from_json,
     operator_to_json,
 )
-from .projector import ContourConfig, riesz_splitting
+from .projector import ContourConfig, RieszSplitting, riesz_splitting
 from .shadowing import (
     bgain_test_sequence,
     construct_shadow,
@@ -190,7 +190,7 @@ def cmd_shadow(cfg: RunConfig) -> int:
         "operator": operator_to_json(op),
         "splitting": {
             "source": source,
-            **dict.fromkeys(("steps", "node_halving_residual", "idempotency", "commutation")),
+            **dict.fromkeys(RieszSplitting.certificate_keys()),
             **certificate,
         },
         "orbit": {

@@ -37,7 +37,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ContourThroughSpectrumError
+from .errors import ContourThroughSpectrumError, DecayCertificateError
 from .operators import DenseOperator, _powers, inverse
 
 __all__ = [
@@ -223,9 +223,13 @@ class RieszSplitting:
     idempotency: float
     commutation: float
 
+    @classmethod
+    def certificate_keys(cls) -> tuple:
+        """The certificate fields: everything but the projector."""
+        return tuple(f.name for f in fields(cls) if f.name != "projector")
+
     def to_json(self) -> dict:
-        """The certificate fields (everything but the projector)."""
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "projector"}
+        return {key: getattr(self, key) for key in self.certificate_keys()}
 
 
 def riesz_splitting(a: DenseOperator, cfg: ContourConfig = ContourConfig()) -> RieszSplitting:
@@ -375,32 +379,42 @@ def verify_laurent_relations(a: DenseOperator, table: LaurentTable) -> LaurentRe
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecayRates:
-    """Finite-order decay certificate for a candidate splitting operator B:
-    tail estimates of the n-th root power norms ||A^n B||^(1/n) and
-    ||A^{-n} (I-B)||^(1/n).  Both below 1 certifies the splitting at order
-    n_max; the order is always carried so the certificate stays explicit."""
+    """Decay certificate of a splitting B at order m = n_max (see `decay_rates`): the
+    rates r_plus / r_minus, both below 1 for a splitting, the kernel norms of orders
+    0..m, and the tail norms ||(BA)^m|| and ||((I-B)A^{-1})^m|| that `envelope` reads."""
 
     r_plus: float
     r_minus: float
     n_max: int
+    norms_fwd: np.ndarray
+    norms_bwd: np.ndarray
+    tails: np.ndarray
 
     @property
     def worst(self) -> float:
         return max(self.r_plus, self.r_minus)
 
-    @classmethod
-    def from_norms(cls, norms_fwd: np.ndarray, norms_bwd: np.ndarray) -> "DecayRates":
-        """Rates from the kernel norms of orders 0..n_max (`splitting_power_stacks`)."""
-        n_max = len(norms_fwd) - 1
-        if n_max < 8:
-            raise ValueError("n_max must be >= 8")
-        return cls(
-            r_plus=_tail_max_root(np.clip(norms_fwd[1:], 1e-300, 1e300)),
-            r_minus=_tail_max_root(np.clip(norms_bwd[1:], 1e-300, 1e300)),
-            n_max=n_max,
-        )
+    def envelope(self, q: float) -> float:
+        """K = max_{k<=m} max(||M_k||, ||N_k||) / q^k, a bound for every k once both tails
+        are below q^m (M_{k+m} = (BA)^m M_k, likewise backward).  DecayCertificateError
+        when a rate is not below 1 or a tail not below q^m; ValueError unless worst < q < 1."""
+        if self.worst >= 1.0:
+            raise DecayCertificateError(
+                f"splitting not certified: r_plus={self.r_plus:.6f}, r_minus={self.r_minus:.6f}",
+                self.r_plus, self.r_minus,
+            )
+        if not (self.worst < q < 1.0):
+            raise ValueError(f"q must lie in (worst rate {self.worst:.6f}, 1)")
+        m = self.n_max
+        if max(self.tails) >= q ** m:
+            raise DecayCertificateError(
+                f"envelope not certified past order {m}: ||(BA)^{m}||={self.tails[0]:.3e}, "
+                f"||((I-B)A^-1)^{m}||={self.tails[1]:.3e}, q^{m}={q ** m:.3e}",
+                self.r_plus, self.r_minus,
+            )
+        return _envelope_constant(self.norms_fwd, self.norms_bwd, q)
 
 
 def splitting_power_stacks(a: DenseOperator, b: DenseOperator, k_max: int):
@@ -455,16 +469,23 @@ def _stack_spectral_norms(stack: np.ndarray, range_of: np.ndarray | None = None)
 
 
 def decay_rates(a: DenseOperator, b: DenseOperator, n_max: int) -> DecayRates:
-    """Tail estimates (max over the last n_max/2 orders) of the root power
-    norms that certify B as a shadowing splitting.
-
-    Power kernels are evaluated with per-step re-projection (see
-    `splitting_power_stacks`); for a genuine splitting this is the plain
-    power norm, and for a broken one the construction's recurrence residual
-    exposes the disagreement downstream.
-    """
-    _, _, norms_fwd, norms_bwd = splitting_power_stacks(a, b, n_max)
-    return DecayRates.from_norms(norms_fwd, norms_bwd)
+    """The decay certificate of B as a splitting of A at order n_max >= 8, from
+    one stack of power kernels with per-step re-projection (see
+    `splitting_power_stacks`): for a genuine splitting these are the plain power
+    norms, and for a broken one the tail norms or the construction's recurrence
+    residual expose the disagreement.  Rates are maxima over the last n_max/2 orders."""
+    if n_max < 8:
+        raise ValueError("n_max must be >= 8")
+    fwd, bwd, norms_fwd, norms_bwd = splitting_power_stacks(a, b, n_max)
+    tails = np.stack([fwd[n_max - 1] @ a.entries, bwd[n_max - 1] @ inverse(a).entries])
+    return DecayRates(
+        r_plus=_tail_max_root(np.clip(norms_fwd[1:], 1e-300, 1e300)),
+        r_minus=_tail_max_root(np.clip(norms_bwd[1:], 1e-300, 1e300)),
+        n_max=n_max,
+        norms_fwd=norms_fwd,
+        norms_bwd=norms_bwd,
+        tails=_stack_spectral_norms(tails),
+    )
 
 
 def _envelope_constant(norms_fwd: np.ndarray, norms_bwd: np.ndarray, q: float) -> float:

@@ -2,10 +2,9 @@
 
 An `ast`-only form of a linter's unused-import rule (F401), so the check
 needs nothing beyond the standard library: a name an import binds must be
-read somewhere in its module, be listed in the module's `__all__`, or carry
-`# noqa: F401` on a line of its import statement.  A package's `__init__.py`
-is exempt: it imports in order to re-export, and `test_public_surface` pins
-what it exports.
+read somewhere in its module or be listed in the module's `__all__`, and
+no `# noqa` comment exempts it.  A package's `__init__.py` is exempt: it
+imports in order to re-export, and `test_public_surface` pins what it exports.
 
 Star imports stay in their place: `from .module import *` appears only in a
 package's `__init__.py`, and the module it names defines `__all__`, so what
@@ -30,9 +29,7 @@ def _dunder_all(tree: ast.Module) -> list:
 
 
 def _unused_imports(path: Path) -> list:
-    source = path.read_text(encoding="utf-8")
-    lines = source.splitlines()
-    tree = ast.parse(source)
+    tree = ast.parse(path.read_text(encoding="utf-8"))
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     exported = {elt.value for node in _dunder_all(tree) for elt in node.value.elts}
     unused = []
@@ -40,8 +37,6 @@ def _unused_imports(path: Path) -> list:
         if not isinstance(node, (ast.Import, ast.ImportFrom)):
             continue
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-            continue
-        if any("noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
             continue
         for alias in node.names:
             name = alias.asname or alias.name.split(".")[0]

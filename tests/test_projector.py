@@ -532,6 +532,44 @@ class TestDecayRates:
         rates = ss.decay_rates(ss.diagonal([1e6, 0.5]), ss.diagonal([1.0, 0.0]), 32)
         assert rates.r_plus == pytest.approx(1e6, rel=1e-13)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_tails_are_the_plain_power_norms(self, seed):
+        rng = np.random.default_rng(90 + seed)
+        a, _ = conjugated_diagonal(rng, [0.8, 0.9, 1.25, 1.5])  # non-normal
+        b = ss.riesz_projector(a)
+        rates = ss.decay_rates(a, b, 32)
+        comp = np.eye(4) - b.entries
+        fwd = np.linalg.matrix_power(b.entries @ a.entries, 32)
+        bwd = np.linalg.matrix_power(comp @ ss.inverse(a).entries, 32)
+        assert rates.tails[0] == pytest.approx(np.linalg.norm(fwd, 2), rel=1e-13)
+        assert rates.tails[1] == pytest.approx(np.linalg.norm(bwd, 2), rel=1e-13)
+
+    def test_envelope_refuses_a_rate_at_or_above_one(self):
+        rates = ss.decay_rates(ss.diagonal([2.0, 0.5]), ss.identity(2), 32)
+        with pytest.raises(ss.DecayCertificateError) as err:
+            rates.envelope(0.75)
+        assert str(err.value) == "splitting not certified: r_plus=2.000000, r_minus=0.000000"
+        assert (err.value.r_plus, err.value.r_minus) == (rates.r_plus, rates.r_minus)
+
+    @pytest.mark.parametrize("q", [0.4, 0.5, 1.0])
+    def test_envelope_refuses_q_outside_the_rate_interval(self, q):
+        rates = ss.decay_rates(ss.diagonal([2.0, 0.5]), ss.diagonal([0.0, 1.0]), 32)
+        with pytest.raises(ValueError) as err:
+            rates.envelope(q)
+        assert str(err.value) == "q must lie in (worst rate 0.500000, 1)"
+
+    def test_envelope_refuses_an_uncertified_tail(self):
+        # B projects onto e_0 along (1, -1), which A does not leave invariant
+        a, b = ss.diagonal([0.5, 1e6]), ss.DenseOperator([[1.0, 1.0], [0.0, 0.0]])
+        rates = ss.decay_rates(a, b, 32)
+        with pytest.raises(ss.DecayCertificateError) as err:
+            rates.envelope(0.5 * (1.0 + rates.worst))
+        assert str(err.value) == (
+            "envelope not certified past order 32: ||(BA)^32||=4.657e-04, "
+            "||((I-B)A^-1)^32||=1.414e-192, q^32=1.250e-04"
+        )
+        assert (err.value.r_plus, err.value.r_minus) == (rates.r_plus, rates.r_minus)
+
     def test_tiny_kernel_norm_is_exact(self):
         # N_k = 1e-6^k [[0, -1], [0, 1]], ||N_32|| = sqrt(2) 1e-192, whose square underflows
         a, b = ss.diagonal([0.5, 1e6]), ss.DenseOperator([[1.0, 1.0], [0.0, 0.0]])

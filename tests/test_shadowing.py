@@ -78,6 +78,17 @@ class TestGeneratePseudoOrbit:
                 lookup(n)
 
 
+class TestRowNorms:
+    def test_rows_match_linalg_norm_bit_for_bit(self):
+        # the defect draw and the dense oracle's distance take their digits
+        # from this norm; a BLAS whose batched dot rounds differently fails here
+        rng = np.random.default_rng(407)
+        for width in range(1, 65):
+            g = rng.standard_normal((200, width)) + 1j * rng.standard_normal((200, width))
+            expected = [np.linalg.norm(row) for row in g]
+            assert shadowing._row_norms(g).tolist() == expected
+
+
 class TestOrbitFromDefects:
     def test_geometric_sum_forward(self):
         # y_{n+1} = 2 y_n + delta from y_0 = 0  ->  y_n = delta (2^n - 1)
@@ -202,6 +213,17 @@ class TestConstructShadow:
         with pytest.raises(ss.DecayCertificateError, match="envelope not certified") as err:
             ss.construct_shadow(a, b, orbit)
         assert err.value.r_plus < 1.0 and err.value.r_minus < 1.0
+
+    @pytest.mark.parametrize("q", [None, 0.95])
+    def test_k_is_the_decay_certificate_envelope(self, q):
+        rng = np.random.default_rng(406)
+        a, _ = conjugated_diagonal(rng, [0.5, 0.7, 1.4, 2.0])
+        b = ss.riesz_projector(a)
+        orbit = ss.generate_pseudo_orbit(a, np.zeros(4, dtype=complex), 1e-3, (-5, 5), rng_seed=2)
+        res = ss.construct_shadow(a, b, orbit, q=q)
+        rates = ss.decay_rates(a, b, shadowing.DECAY_ORDER)
+        assert res.K_used == rates.envelope(res.q_used)
+        assert (res.r_plus, res.r_minus) == (rates.r_plus, rates.r_minus)
 
     def test_q_outside_the_rate_interval_rejected(self):
         a = ss.diagonal([2.0, 0.5])
@@ -395,6 +417,14 @@ class TestBGain:
             ss.bgain_test_sequence(ss.identity(1), np.array([1.0 + 0j]), 1 + 1e-9)
         res = ss.bgain_test_sequence(ss.identity(1), np.array([1.0 + 0j]), shadowing.BGAIN_MIN_Q)
         assert res.truncation == 97702
+
+    def test_truncation_is_the_least_n_as_evaluated(self):
+        # 14 / log10 q = 10 exactly, where q^-10 lands a few ulps above 1e-14
+        q = 10**1.4
+        res = ss.bgain_test_sequence(ss.diagonal([2.0, 0.5]), np.array([1.0, 0.0]), q)
+        assert res.truncation == 11
+        assert q**-11 <= 1e-14 < q**-10
+        assert res.gain_measured == pytest.approx(res.gain_identity, abs=1e-8)
 
     @given(st.integers(0, 10**6), st.floats(1.05, 2.0))
     @settings(max_examples=30, deadline=None)
