@@ -103,6 +103,8 @@ class ShiftOperator:
             raise ValueError("shift weights must be positive")
         if not (math.isfinite(self.weight_pos) and math.isfinite(self.weight_neg)):
             raise ValueError("shift weights must be finite")
+        # as an int, so the JSON form (and edge rule m >= crossover) round-trips
+        object.__setattr__(self, "crossover", _integer_field(self.crossover, "crossover"))
 
     @property
     def step(self) -> int:
@@ -147,7 +149,10 @@ class SupportedVector:
         return self.coefficients.get(n, 0j)
 
     def norm(self) -> float:
-        return math.sqrt(sum(abs(v) ** 2 for v in self.coefficients.values()))
+        total = 0.0  # in listing order: from Python 3.12 on, sum() of floats is compensated
+        for v in self.coefficients.values():
+            total += abs(v) ** 2
+        return math.sqrt(total)
 
     def __mul__(self, a) -> "SupportedVector":
         a = complex(a)
@@ -156,10 +161,7 @@ class SupportedVector:
     __rmul__ = __mul__
 
     def __add__(self, other: "SupportedVector") -> "SupportedVector":
-        out = dict(self.coefficients)
-        for n, v in other.coefficients.items():
-            out[n] = out.get(n, 0j) + v
-        return SupportedVector(out)
+        return SupportedVector(_plus(self.coefficients, other.coefficients.items()))
 
     def __sub__(self, other: "SupportedVector") -> "SupportedVector":
         return self + -1.0 * other
@@ -171,6 +173,14 @@ class SupportedVector:
             if -half_width <= n <= half_width:
                 out[n + half_width] = v
         return out
+
+
+def _plus(x: dict, pairs) -> dict:
+    """x + v as SupportedVector adds: x's listing, then new keys in pairs' order."""
+    out = dict(x)
+    for k, v in pairs:
+        out[k] = out.get(k, 0j) + v
+    return out
 
 
 def basis_vector(n: int, value=1.0) -> SupportedVector:

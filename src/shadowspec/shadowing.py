@@ -47,6 +47,7 @@ from .operators import (
     SupportedVector,
     _complex_pairs,
     _dense_vector,
+    _plus,
     _powers,
     adjoint,
     apply,
@@ -151,14 +152,6 @@ def _draw_defects(size: int, delta: float, n_lo: int, n_hi: int, rng):
     z = np.divide(delta, r, out=np.zeros_like(r), where=~zero)[:, None] * g
     z[zero] = 0.0
     return z, zero
-
-
-def _plus(x: dict, pairs) -> dict:
-    """x + v as SupportedVector adds: x's listing, then new keys in pairs' order."""
-    out = dict(x)
-    for k, v in pairs:
-        out[k] = out.get(k, 0j) + v
-    return out
 
 
 def _propagate(op, x0, defects, n_lo: int):
@@ -419,24 +412,20 @@ def shadow_oracle_lsq(op, orbit: PseudoOrbit) -> OracleResult:
     if not isinstance(op, ShiftOperator):
         raise TypeError(f"not an operator: {op!r}")
     step = op.step
-    times = range(orbit.n_lo, orbit.n_hi + 1)
-    chains = sorted({i - n * step for n in times for i in orbit.state(n).coefficients})
-    if not chains:
+    times = np.arange(orbit.n_lo, orbit.n_hi + 1)
+    # listed coefficient i of y_n lies on chain j = i - n*step, where T^n e_j lives
+    cells = [(i - n * step, k, v) for k, (n, y) in enumerate(zip(times.tolist(), orbit.states))
+             for i, v in y.coefficients.items()]
+    if not cells:
         return OracleResult(best_anchor=SupportedVector({}), epsilon_achieved=0.0, condition=1.0)
-    chains = np.array(chains)
-    times = np.array(times)
-    # pos[c, k]: index of T^n e_j for chain j = chains[c] at time n = times[k];
-    # every listed coefficient of the orbit lies on one chain
-    pos = chains[:, None] + step * times[None, :]
-    lo = int(pos.min())
-    ys = np.zeros((len(times), int(pos.max()) - lo + 1), dtype=np.complex128)
-    for k, y in enumerate(orbit.states):
-        for i, v in y.coefficients.items():
-            ys[k, i - lo] = v
+    listed, cols, values = zip(*cells)
+    chains, rows = np.unique(listed, return_inverse=True)
+    ys = np.zeros((len(chains), len(times)), dtype=np.complex128)  # chain x time
+    ys[rows, cols] = values
 
     # weight of T^n e_j: one cumulative product of hop weights per chain,
     # outward from n = 0
-    hop = op.hop_weights(pos[:, :-1])
+    hop = op.hop_weights(np.add.outer(chains, step * times[:-1]))
     k0 = -orbit.n_lo
     ahead = np.multiply.accumulate(hop[:, k0:], axis=1)
     behind = np.divide.accumulate(
@@ -448,16 +437,15 @@ def shadow_oracle_lsq(op, orbit: PseudoOrbit) -> OracleResult:
     # anchor's digits, so the anchor is formed exactly as a per-time loop
     # would: sums in time order (accumulate, not pairwise) and real divisions
     # (numpy's complex division multiplies by a reciprocal)
-    rows = np.arange(len(times))
     dens = np.add.accumulate(weights * weights, axis=1)[:, -1]
-    num = np.add.accumulate(weights * ys[rows, pos - lo], axis=1)[:, -1]
+    num = np.add.accumulate(weights * ys, axis=1)[:, -1]
     anchor = num.real / dens + 1j * (num.imag / dens)
-    ys[rows, pos - lo] -= weights * anchor[:, None]  # ys is now the residual
+    ys -= weights * anchor[:, None]  # ys is now the residual
     # hypot is what abs() of a Python complex computes; np.abs rounds differently
-    eps = float(np.max(np.sqrt(np.sum(np.hypot(ys.real, ys.imag) ** 2, axis=1))))
+    eps = float(np.max(np.sqrt(np.sum(np.hypot(ys.real, ys.imag) ** 2, axis=0))))
     cond = math.sqrt(float(dens.max() / dens.min()))
     return OracleResult(
-        best_anchor=SupportedVector(dict(zip(chains.tolist(), anchor))),
+        best_anchor=SupportedVector(dict(zip(chains, anchor))),
         epsilon_achieved=eps,
         condition=cond,
     )
@@ -628,14 +616,15 @@ def bgain_test_sequence(op, x, q: float) -> BGainResult:
     Both agree to truncation accuracy; as q decreases to 1 the gain tends to
     ||(I - T*) x|| / ||x||, which is how near-eigenvectors of T* at 1 expose a
     failing bounded-below constant.  The window has the least N with q^-N <=
-    1e-14 terms per side, so q has a floor: ValueError below BGAIN_MIN_Q = 1.00033.
+    1e-14 terms per side, so q has a floor: ValueError below BGAIN_MIN_Q = 1.00033,
+    and for an infinite q or a non-finite ||x||.
     """
     q = float(q)
-    if not q >= BGAIN_MIN_Q:
-        raise ValueError(f"q must be at least {BGAIN_MIN_Q}, got {q!r}")
+    if not (math.isfinite(q) and q >= BGAIN_MIN_Q):
+        raise ValueError(f"q must be finite and at least {BGAIN_MIN_Q}, got {q!r}")
     norm_x = vec_norm(x)
-    if norm_x == 0.0:
-        raise ValueError("x must be nonzero")
+    if not (math.isfinite(norm_x) and norm_x > 0.0):
+        raise ValueError(f"x must be nonzero with a finite norm, got norm {norm_x!r}")
     n_trunc = math.ceil(14.0 * math.log(10.0) / math.log(q))
     while q**-n_trunc > 1e-14:  # the ceil can land a few ulps short
         n_trunc += 1

@@ -22,6 +22,7 @@ convex (Toeplitz-Hausdorff), so min over unit x of max(x*Px, x*Qx) equals
 max over t in [0, 1] of lambda_min(t P + (1-t) Q), which is concave in t.
 """
 
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -147,14 +148,21 @@ def unit_circle_gap(eigs) -> float:
     return float(np.min(np.abs(np.abs(eigs) - 1.0)))
 
 
+def _check_tol(tol: float) -> None:
+    """A NaN or non-positive gap tolerance would flip verdicts silently."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be a finite positive number, got {tol!r}")
+
+
 def classify_dense(a: DenseOperator, tol: float = DEFAULT_GAP_TOL) -> SpectralReport:
     """Three verdicts for a dense invertible operator.
 
     In finite dimension the spectrum, approximate point spectrum and right
     spectrum are all the eigenvalue set, so the three verdicts are one and the
     same boolean: unit-circle gap above tol.  The measured gap is reported so
-    callers can re-threshold.
+    callers can re-threshold.  ValueError unless tol is finite and positive.
     """
+    _check_tol(tol)
     inverse(a)  # SingularOperatorError unless invertible; kept on `a` for later calls
     eigs = eigenvalues(a)
     gap = unit_circle_gap(eigs)
@@ -224,8 +232,10 @@ def classify_shift(op: ShiftOperator, tol: float = DEFAULT_GAP_TOL) -> SpectralR
     Hyperbolicity tests the full annulus against the unit circle; uniform
     expansivity tests the shift's own approximate point spectrum; shadowing
     tests the adjoint shift's approximate point spectrum (the verdict-level
-    form of the right-spectrum criterion).
+    form of the right-spectrum criterion).  ValueError unless tol is finite
+    and positive.
     """
+    _check_tol(tol)
     spectra = shift_spectra(op)
     adj_spectra = shift_spectra(adjoint(op))
 

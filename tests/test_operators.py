@@ -237,6 +237,18 @@ class TestJsonFormat:
         )
         assert shift.crossover == -2 and isinstance(shift.crossover, int)
 
+    def test_constructor_rejects_a_non_integral_crossover(self):
+        # crossover 0.5 would put edge 0 on the weight_pos side, and JSON's int() would not
+        with pytest.raises(ValueError, match="'crossover' must be an integer"):
+            ss.ShiftOperator("forward", 2.0, 0.5, 0.5)
+
+    def test_integral_float_crossover_round_trips_exactly(self):
+        op = ss.ShiftOperator("forward", 2.0, 0.5, 2.0)
+        assert op.crossover == 2 and isinstance(op.crossover, int)
+        back = ss.operator_from_json(ss.operator_to_json(op))
+        assert back == op
+        assert [back.edge_weight(m) for m in range(-2, 6)] == [op.edge_weight(m) for m in range(-2, 6)]
+
 
 class TestShiftWeights:
     @pytest.mark.parametrize("wp, wn", [(math.inf, 1.0), (1.0, np.float64(np.inf))])
@@ -268,7 +280,9 @@ class TestSupportedVector:
 
     def test_norm_is_the_correctly_rounded_python_float(self):
         v = ss.SupportedVector({0: 1 + 2j, 1: 0.3, -4: 1e-3j})
-        squares = sum(abs(c) ** 2 for c in v.coefficients.values())
+        squares = 0.0  # in listing order, as norm() sums: sum() is compensated from Python 3.12
+        for c in v.coefficients.values():
+            squares += abs(c) ** 2
         assert type(v.norm()) is float
         assert v.norm() == float(np.sqrt(squares))
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -418,6 +419,17 @@ class TestBGain:
         res = ss.bgain_test_sequence(ss.identity(1), np.array([1.0 + 0j]), shadowing.BGAIN_MIN_Q)
         assert res.truncation == 97702
 
+    @pytest.mark.parametrize("q", [math.inf, math.nan])
+    def test_non_finite_q_is_refused(self, q):
+        # q = inf passed the floor and returned gain_measured 3.0, gain_identity nan
+        with pytest.raises(ValueError, match="q must be finite"):
+            ss.bgain_test_sequence(ss.diagonal([2.0, 0.5]), np.array([1.0, 0.0]), q)
+
+    @pytest.mark.parametrize("x", [[math.nan, 0.0], [1.0, math.inf], [complex(0.0, -math.inf), 1.0]])
+    def test_non_finite_x_is_refused(self, x):
+        with pytest.raises(ValueError, match="finite norm"):
+            ss.bgain_test_sequence(ss.diagonal([2.0, 0.5]), np.array(x, dtype=complex), 1.2)
+
     def test_truncation_is_the_least_n_as_evaluated(self):
         # 14 / log10 q = 10 exactly, where q^-10 lands a few ulps above 1e-14
         q = 10**1.4
@@ -510,7 +522,9 @@ def _reference_gain_measured(op, x, q, n_trunc):
     def scale(n):
         return q ** n if n < 0 else q ** (-n)
 
-    norm_y1 = sum(scale(n) * vec_norm(x) for n in range(-n_trunc, n_trunc + 1))
+    norm_y1 = 0.0  # in order: sum() is compensated from Python 3.12 on
+    for n in range(-n_trunc, n_trunc + 1):
+        norm_y1 += scale(n) * vec_norm(x)
     total = 0.0
     for n in range(-n_trunc, n_trunc + 2):
         s_prev = scale(n - 1) if n - 1 >= -n_trunc else 0.0
@@ -658,14 +672,33 @@ class TestArrayGainAndOracle:
     def test_shift_oracle_matches_time_loop(self, direction):
         for crossover in (-2, 0, 3):
             t = ss.ShiftOperator(direction, W_HI, W_LO, crossover)
-            seed = ss.SupportedVector({-3: 0.4, 0: 1.0 - 0.5j, 2: -0.3j, 5: 0.2})
-            for n_lo, n_hi in ((-6, 6), (0, 5), (-4, 0)):
-                orbit = ss.generate_pseudo_orbit(t, seed, 1e-3, (n_lo, n_hi), rng_seed=9)
-                res = ss.shadow_oracle_lsq(t, orbit)
-                anchor, eps, cond = _reference_shift_oracle(t, orbit)
-                assert res.best_anchor.coefficients == anchor
-                assert res.condition == cond
-                assert res.epsilon_achieved == pytest.approx(eps, rel=1e-13)
+            for seed in (
+                ss.SupportedVector({-3: 0.4, 0: 1.0 - 0.5j, 2: -0.3j, 5: 0.2}),
+                ss.SupportedVector({-40: 1.0, 40: 0.5j}),  # chains far apart
+            ):
+                for n_lo, n_hi in ((-6, 6), (0, 5), (-4, 0)):
+                    orbit = ss.generate_pseudo_orbit(t, seed, 1e-3, (n_lo, n_hi), rng_seed=9)
+                    res = ss.shadow_oracle_lsq(t, orbit)
+                    anchor, eps, cond = _reference_shift_oracle(t, orbit)
+                    assert res.best_anchor.coefficients == anchor
+                    assert res.condition == cond
+                    assert res.epsilon_achieved == pytest.approx(eps, rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "seed, n, limit_mib", [({0: 1.0}, 1000, 2.0), ({-400: 1.0, 400: 0.5j}, 100, 1.0)]
+    )
+    def test_shift_oracle_memory_does_not_scale_with_the_index_span(self, seed, n, limit_mib):
+        # a chain x time table is small; a time x index-span table would hold
+        # W x span entries, 91.8 MiB and 4.6 MiB at peak on these two orbits
+        s = ss.ShiftOperator("backward", W_HI, W_LO, 0)
+        orbit = ss.generate_pseudo_orbit(s, ss.SupportedVector(seed), 1e-3, (-n, n), rng_seed=5)
+        tracemalloc.start()
+        try:
+            ss.shadow_oracle_lsq(s, orbit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mib * 2**20
 
 
 def _reference_draw(image, delta, rng):

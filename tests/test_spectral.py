@@ -66,6 +66,12 @@ class TestClassifyDense:
         with pytest.raises(ss.SingularOperatorError):
             ss.classify_dense(ss.DenseOperator([[1.0, 1.0], [1.0, 1.0]]))
 
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
+    def test_rejects_a_nan_or_nonpositive_tol(self, tol):
+        # tol = nan called diag(2, 0.5) non-hyperbolic three times
+        with pytest.raises(ValueError, match="tol must be a finite positive number"):
+            ss.classify_dense(ss.diagonal([2.0, 0.5]), tol=tol)
+
     @given(st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)
     def test_three_verdicts_always_equal(self, seed):
@@ -108,6 +114,12 @@ class TestClassifyShift:
         assert report.verdicts == ss.Verdicts(False, False, True)
         assert report.shift_spectra.point_spectrum == pytest.approx((W_LO, W_HI))
         assert report.shift_spectra.approx_point_kind == "annulus"
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
+    def test_rejects_a_nan_or_nonpositive_tol(self, tol):
+        # tol = -1 called this non-hyperbolic shift hyperbolic, expansive and shadowing
+        with pytest.raises(ValueError, match="tol must be a finite positive number"):
+            ss.classify_shift(ss.ShiftOperator("forward", 2.0, 0.5), tol=tol)
 
     def test_uniform_weight_two(self):
         op = ss.ShiftOperator("forward", 2.0, 2.0, 0)
