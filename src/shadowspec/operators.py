@@ -151,7 +151,7 @@ class SupportedVector:
     def norm(self) -> float:
         total = 0.0  # in listing order: from Python 3.12 on, sum() of floats is compensated
         for v in self.coefficients.values():
-            total += abs(v) ** 2
+            total += (a := abs(v)) * a  # inf where it overflows; ** 2 raises OverflowError
         return math.sqrt(total)
 
     def __mul__(self, a) -> "SupportedVector":

@@ -27,7 +27,8 @@ l2 norm (exact minimum gain via SVD) although the sequence operators natively
 live on l1/l-infinity; on finite windows the norms are equivalent and every
 probe is labelled as the l2 surrogate it is.  The l1 gain itself is evaluated
 exactly on the two-sided geometric test family via `bgain_test_sequence`, in
-one array pass over the rows of the truncated script-B image.
+one pass over a real support x row table: the truncated script-B image, with
+scales mirrored in n, and the closed-form identity's two rows, shift digits kept.
 
 Shift probes never build the window matrix: the stencils couple (time, index)
 only to (time +- 1, index +- 1), so the matrix splits into scalar bidiagonal
@@ -511,7 +512,7 @@ def _shift_chain_gain(op: ShiftOperator, kind: str, n: int, m) -> float:
     hops = op.hop_weights(index[:, :-1])
     hops[:, 1::2] = 1.0
     hops[~(inside[:, :-1] & inside[:, 1:])] = 0.0
-    hops = np.pad(hops, ((0, 0), (0, 1)))  # a zero past the last node
+    hops = np.hstack([hops, np.zeros((len(hops), 1))])  # a zero past the last node
 
     # a chain with `count` nodes from `first` is the k x k (k x (k+1) for odd
     # count) upper bidiagonal with diagonal a_i and superdiagonal b_i;
@@ -635,23 +636,31 @@ def bgain_test_sequence(op, x, q: float) -> BGainResult:
         support = list(dict.fromkeys([*x.coefficients, *t_star_x.coefficients]))
         x_arr, tx_arr = (np.array([v.get(i) for i in support]) for v in (x, t_star_x))
     else:
-        x = x_arr = np.asarray(x, dtype=np.complex128)
+        x_arr = np.asarray(x, dtype=np.complex128)
         tx_arr = t_star_x
 
-    # row n = -N..N+1 of script-B: y_{n-1} - T* y_n = s_prev * x - s_cur * T* x,
-    # with s = q^{-|n|} on -N..N and 0 outside.  Python's pow, in-order sums
-    # and hypot give the digits of SupportedVector.norm and a running sum.
-    scales = np.array([q ** -abs(n) for n in range(-n_trunc, n_trunc + 1)])
-    s_prev = np.concatenate([[0.0], scales])[:, None]
-    s_cur = np.concatenate([scales, [0.0]])[:, None]
-    rows = s_prev * x_arr - s_cur * tx_arr
-    norms = np.sqrt(np.add.accumulate(np.hypot(rows.real, rows.imag) ** 2, axis=1)[:, -1])
-    total = np.add.accumulate(norms)[-1]
+    # column n = -N..N+1 is row n of script-B's image, y_{n-1} - T* y_n =
+    # s_prev x - s_cur T*x with s = q^{-|n|} on -N..N and 0 outside; two more
+    # are the identity's x/q - T*x and q x - T*x.  Real support x column tables
+    # (a real scale times a complex number is two real products), one Python
+    # pow per |n|, hypot and in-order sums keep SupportedVector's digits.
+    half = [q**-n for n in range(n_trunc + 1)]
+    scales = np.array(half[:0:-1] + half)
+    s_prev = np.concatenate([[0.0], scales, [1.0 / q, q]])
+    s_cur = np.concatenate([scales, [0.0, 1.0, 1.0]])
+    re = np.multiply.outer(x_arr.real, s_prev)
+    re -= np.multiply.outer(tx_arr.real, s_cur)
+    if x_arr.imag.any() or tx_arr.imag.any():  # hypot(a, 0) is |a|: real rows skip it
+        im = np.multiply.outer(x_arr.imag, s_prev)
+        im -= np.multiply.outer(tx_arr.imag, s_cur)
+        np.hypot(re, im, out=re)
+    re *= re
+    for row in re[1:]:  # summed down the support, in listing order
+        re[0] += row
+    norms = np.sqrt(re[0])
+    total = np.add.accumulate(norms[:-2])[-1]
     norm_y1 = np.add.accumulate(scales * norm_x)[-1]
-
-    identity = (
-        vec_norm((1.0 / q) * x - t_star_x) * q + vec_norm(q * x - t_star_x)
-    ) / ((1.0 + q) * norm_x)
+    identity = (norms[-2] * q + norms[-1]) / ((1.0 + q) * norm_x)
     return BGainResult(
         gain_measured=float(total / norm_y1),
         gain_identity=float(identity),

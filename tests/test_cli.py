@@ -24,6 +24,12 @@ EXAMPLE17_SEED17_GAIN_SWEEP = (
     '1.05,4.878048780488e-02,4.878048780488e-02\n'
     '1.01,9.950248756219e-03,9.950248756219e-03\n'
 )
+EXAMPLE17_SEED17_GAIN_HEX = [
+    (1.2, "0x1.745d1745d1774p-3", "0x1.745d1745d1743p-3"),
+    (1.1, "0x1.861861861865ap-4", "0x1.861861861861cp-4"),
+    (1.05, "0x1.8f9c18f9c1946p-5", "0x1.8f9c18f9c1900p-5"),
+    (1.01, "0x1.460cbc7f5cfd6p-7", "0x1.460cbc7f5cfa1p-7"),
+]
 EXAMPLE17_SEED17_ORACLE_TREND = (
     'operator,N,epsilon\n'
     'S,8,1.220261080726e-03\n'
@@ -644,3 +650,8 @@ class TestExample17:
         assert main(["example17", "--output", str(out_dir), "--seed", "17"]) == 0
         assert (out_dir / "gain_sweep.csv").read_text() == EXAMPLE17_SEED17_GAIN_SWEEP
         assert (out_dir / "oracle_trend.csv").read_text() == EXAMPLE17_SEED17_ORACLE_TREND
+        # the CSV holds 12 digits; the report holds every one
+        report = json.loads((out_dir / "report.json").read_text())
+        gains = [(row["q"], row["gain_measured"].hex(), row["gain_identity"].hex())
+                 for row in report["gain_sweep_for_T"]]
+        assert gains == EXAMPLE17_SEED17_GAIN_HEX

@@ -286,6 +286,10 @@ class TestSupportedVector:
         assert type(v.norm()) is float
         assert v.norm() == float(np.sqrt(squares))
 
+    def test_norm_is_inf_where_a_square_overflows(self):
+        # a square overflows above about 1.34e154, where abs(v) ** 2 raises OverflowError
+        assert ss.SupportedVector({0: 1.0, 3: 1e200j}).norm() == math.inf
+
     def test_scalar_product_and_difference_keep_listing_order(self):
         a = ss.SupportedVector({3: 1.0, -1: 2j})
         b = ss.SupportedVector({5: 1.0, -1: 1.0})

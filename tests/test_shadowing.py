@@ -60,6 +60,12 @@ class TestGeneratePseudoOrbit:
         with pytest.raises(FloatingPointError, match="non-finite"):
             ss.PseudoOrbit(n_lo=-3, n_hi=3, states=states, delta=1e-3, defects=good.defects)
 
+    def test_overflowed_shift_orbit_is_refused(self):
+        # (2 sqrt 2)^345 ~ 1e156, so the square inside the state's norm overflows
+        t = ss.ShiftOperator("forward", W_HI, W_LO, 0)
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            ss.generate_pseudo_orbit(t, ss.basis_vector(0), 1e-3, (-345, 345), rng_seed=0)
+
     def test_shift_orbit_states_are_supported_vectors(self):
         t = ss.ShiftOperator("forward", W_HI, W_LO, 0)
         orbit = ss.generate_pseudo_orbit(t, ss.basis_vector(0), 1e-3, (-4, 4), rng_seed=2)
@@ -430,6 +436,11 @@ class TestBGain:
         with pytest.raises(ValueError, match="finite norm"):
             ss.bgain_test_sequence(ss.diagonal([2.0, 0.5]), np.array(x, dtype=complex), 1.2)
 
+    def test_x_whose_norm_overflows_is_refused(self):
+        t = ss.ShiftOperator("forward", W_HI, W_LO, 0)
+        with pytest.raises(ValueError, match="finite norm"):
+            ss.bgain_test_sequence(t, ss.SupportedVector({0: 1e200}), 1.2)
+
     def test_truncation_is_the_least_n_as_evaluated(self):
         # 14 / log10 q = 10 exactly, where q^-10 lands a few ulps above 1e-14
         q = 10**1.4
@@ -656,17 +667,27 @@ class TestArrayGainAndOracle:
             if trial % 2:
                 op = random_invertible(rng, int(rng.integers(1, 6)))
                 x = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
+                # real rows, and real x with complex T*x
+                more = [(ss.DenseOperator(op.entries.real), x.real), (op, x.real)]
                 tol = 1e-14  # the row norms are summed in another order
+                id_tol = 1e-15  # the identity's norms are hypot sums, not np.linalg.norm
             else:
                 direction = "forward" if rng.uniform() < 0.5 else "backward"
                 wp, wn = np.exp(rng.uniform(np.log(0.2), np.log(5.0), size=2))
                 op = ss.ShiftOperator(direction, float(wp), float(wn), int(rng.integers(-2, 3)))
                 support = rng.integers(-3, 4, size=4)  # repeats leave gaps
                 x = ss.SupportedVector({int(i): complex(*rng.standard_normal(2)) for i in support})
-                tol = 0.0  # same operations in the same order
-            res = ss.bgain_test_sequence(op, x, q)
-            ref = _reference_gain_measured(op, x, q, res.truncation)
-            assert abs(res.gain_measured - ref) <= tol * ref
+                more = [(op, ss.SupportedVector({i: v.real for i, v in x.coefficients.items()}))]
+                tol = id_tol = 0.0  # same operations in the same order
+            for op, x in [(op, x), *more]:  # real rows skip hypot
+                res = ss.bgain_test_sequence(op, x, q)
+                ref = _reference_gain_measured(op, x, q, res.truncation)
+                assert abs(res.gain_measured - ref) <= tol * ref
+                t_star_x = ss.apply(ss.adjoint(op), x)
+                identity = (
+                    vec_norm((1.0 / q) * x - t_star_x) * q + vec_norm(q * x - t_star_x)
+                ) / ((1.0 + q) * vec_norm(x))
+                assert abs(res.gain_identity - identity) <= id_tol * identity
 
     @pytest.mark.parametrize("direction", ["forward", "backward"])
     def test_shift_oracle_matches_time_loop(self, direction):
