@@ -344,8 +344,8 @@ def main(argv=None) -> int:
             detail = f" (r_plus={exc.r_plus:.6f}, r_minus={exc.r_minus:.6f})"
         print(f"certificate failure: {exc}{detail}", file=sys.stderr)
         return EXIT_CERTIFICATE
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError, OSError) as exc:
-        # malformed files, schema violations, kind mismatches
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError, OSError, MemoryError) as exc:
+        # malformed files, schema violations, kind mismatches, windows numpy cannot allocate
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (ShadowspecError, np.linalg.LinAlgError, ArithmeticError) as exc:

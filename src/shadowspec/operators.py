@@ -187,32 +187,34 @@ def basis_vector(n: int, value=1.0) -> SupportedVector:
     return SupportedVector({n: value})
 
 
-def _dense_vector(v, dim: int) -> np.ndarray:
-    arr = np.asarray(v, dtype=np.complex128)
-    if arr.shape != (dim,):
-        raise DimensionMismatchError(f"vector of shape {arr.shape} does not match dimension {dim}")
-    return arr
-
-
-def apply(op, v):
-    """Image of v under op.
-
-    Dense operators take length-dim complex arrays, shifts take
-    SupportedVectors; anything else is a dimension/kind mismatch.
-    """
+def _vector_of(op, v):
+    """v as op takes it: a length-dim complex array for a dense operator, the
+    SupportedVector itself for a shift.  Any other vector is a dimension/kind
+    mismatch; TypeError when op is no operator."""
     if isinstance(op, DenseOperator):
         if isinstance(v, SupportedVector):
-            raise DimensionMismatchError("dense operator expects a dense coefficient vector")
-        return op.entries @ _dense_vector(v, op.dim)
+            raise DimensionMismatchError("dense operator expects an array, not a SupportedVector")
+        arr = np.asarray(v, dtype=np.complex128)
+        if arr.shape != (op.dim,):
+            raise DimensionMismatchError(f"vector of shape {arr.shape} does not match dimension {op.dim}")
+        return arr
     if isinstance(op, ShiftOperator):
         if not isinstance(v, SupportedVector):
             raise DimensionMismatchError("shift operator expects a SupportedVector")
-        step = op.step
-        edge = min(step, 0)  # the edge crossed from n is the one at min(n, n + step)
-        return SupportedVector(
-            {n + step: op.edge_weight(n + edge) * c for n, c in v.coefficients.items()}
-        )
+        return v
     raise TypeError(f"not an operator: {op!r}")
+
+
+def apply(op, v):
+    """Image of v under op, for the vectors `_vector_of` accepts."""
+    v = _vector_of(op, v)
+    if isinstance(op, DenseOperator):
+        return op.entries @ v
+    step = op.step
+    edge = min(step, 0)  # the edge crossed from n is the one at min(n, n + step)
+    return SupportedVector(
+        {n + step: op.edge_weight(n + edge) * c for n, c in v.coefficients.items()}
+    )
 
 
 def adjoint(op):
@@ -278,7 +280,7 @@ def materialize(op: ShiftOperator, half_width: int) -> DenseOperator:
     """
     if not isinstance(op, ShiftOperator):
         raise TypeError("materialize takes a ShiftOperator")
-    n = int(half_width)
+    n = _integer_field(half_width, "half_width")
     if n < 1:
         raise ValueError("half_width must be >= 1")
     # edge m joins columns m and m+1; on diagonal -step the column whose

@@ -38,7 +38,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ContourThroughSpectrumError, DecayCertificateError
-from .operators import DenseOperator, _powers, inverse
+from .operators import DenseOperator, _integer_field, _powers, inverse
 
 __all__ = [
     "ContourConfig",
@@ -200,6 +200,7 @@ def laurent_coefficient(
     ContourThroughSpectrumError when the nodes do not resolve it, ValueError
     when |n| exceeds LAURENT_ORDER_CAP or 2|n| >= nodes.  Kept as the per-order
     reference for `riesz_splitting`: `laurent_table` refuses if any order in -n..n is unresolved."""
+    n = _integer_field(n, "n")
     if abs(n) > LAURENT_ORDER_CAP:
         raise ValueError(f"|n| capped at {LAURENT_ORDER_CAP}")
     full, _ = _coefficients(a, np.array([n]), cfg)
@@ -319,6 +320,7 @@ def laurent_table(
     """All Laurent coefficients for |n| <= n_max from a single set of
     resolvent samples; ContourThroughSpectrumError as `laurent_coefficient`,
     ValueError unless 1 <= n_max <= LAURENT_ORDER_CAP and 2*n_max < nodes."""
+    n_max = _integer_field(n_max, "n_max")
     if n_max < 1 or n_max > LAURENT_ORDER_CAP:
         raise ValueError(f"n_max must be in 1..{LAURENT_ORDER_CAP}")
     orders = np.arange(-n_max, n_max + 1)

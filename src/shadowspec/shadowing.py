@@ -2,10 +2,14 @@
 
 A delta-pseudo-orbit is a finite window of states whose one-step recurrence
 defect never exceeds delta: arrays for dense operators, `SupportedVector`s
-for shifts.  `generate_pseudo_orbit` draws its defects up front, as one
-array, `orbit_from_defects` takes them from the caller, and both run one
-recurrence.  A shift orbit runs on its chains c = i - n*step, which T never
-leaves: one multiply per listed coefficient and step, each state built once.
+for shifts, each seed, defect and state checked by `operators._vector_of`.
+`generate_pseudo_orbit` draws its defects up front, as one array,
+`orbit_from_defects` takes them from the caller, and both run one recurrence
+on integer window bounds.  A dense orbit multiplies by A and A^-1 directly; a
+shift orbit runs on its chains c = i - n*step, which T never leaves: one
+multiply per listed coefficient and step, each state built once.  Both the
+oracle's blocks A^n and the genuine trajectory A^n x_0 are one two-sided fill
+outward from n = 0, `_window_powers`.
 For a dense operator with a certified splitting
 B (forward powers of A damped through B, backward powers damped through I-B),
 the bounded solution of x_{n+1} = A x_n + z_n is written down explicitly as
@@ -40,16 +44,17 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NotUnimodularError
+from .errors import NotUnimodularError
 from .operators import (
     UNIMODULAR_TOL,
     DenseOperator,
     ShiftOperator,
     SupportedVector,
     _complex_pairs,
-    _dense_vector,
+    _integer_field,
     _plus,
     _powers,
+    _vector_of,
     adjoint,
     apply,
     inverse,
@@ -164,13 +169,13 @@ def _propagate(op, x0, defects, n_lo: int):
     idx0 = -n_lo
     states = [None] * (len(defects) + 1)
     if not isinstance(op, ShiftOperator):
-        op_inv = inverse(op)
+        a, ainv = op.entries, inverse(op).entries
         states[idx0] = x0
         for j in range(idx0, len(defects)):
-            states[j + 1] = apply(op, states[j]) + defects[j]
+            states[j + 1] = a @ states[j] + defects[j]
         for j in range(idx0 - 1, -1, -1):
-            states[j] = apply(op_inv, states[j + 1] - defects[j])
-        actual = [states[j + 1] - apply(op, states[j]) for j in range(len(defects))]
+            states[j] = ainv @ (states[j + 1] - defects[j])
+        actual = [states[j + 1] - a @ states[j] for j in range(len(defects))]
         return tuple(states), tuple(actual)
 
     step, minus = op.step, complex(-1.0)
@@ -212,18 +217,13 @@ def generate_pseudo_orbit(
     y_n = T^{-1}(y_{n+1} - z_n), and the defects are re-read off the final
     states.  A shift seed must list at least one index.
     """
-    n_lo, n_hi = int(window[0]), int(window[1])
+    n_lo, n_hi = (_integer_field(n, "window") for n in window)
     if not (math.isfinite(delta) and delta >= 0):
         raise ValueError(f"delta must be a finite number >= 0, got {delta!r}")
     if not (n_lo <= 0 <= n_hi):
         raise ValueError("window must straddle index 0")
-    if isinstance(op, DenseOperator):
-        x0 = _dense_vector(x0, op.dim)
-    elif not isinstance(x0, SupportedVector):
-        raise DimensionMismatchError("shift orbits need a SupportedVector seed")
-    elif not isinstance(op, ShiftOperator):
-        raise TypeError(f"not an operator: {op!r}")
-    elif not x0.coefficients:
+    x0 = _vector_of(op, x0)
+    if isinstance(op, ShiftOperator) and not x0.coefficients:
         raise ValueError("shift seed must list at least one index")
     rng = np.random.default_rng(rng_seed)
     size = op.dim if isinstance(op, DenseOperator) else len(x0.coefficients)
@@ -246,17 +246,13 @@ def orbit_from_defects(op, x0, defects, window: tuple) -> PseudoOrbit:
     identity holds everywhere.  delta is taken to be the largest defect norm.
     Kept for the caller-given defects of the README and the reference tests.
     """
-    n_lo, n_hi = int(window[0]), int(window[1])
+    n_lo, n_hi = (_integer_field(n, "window") for n in window)
     if not (n_lo <= 0 <= n_hi):
         raise ValueError("window must straddle index 0")
-    defects = list(defects)
+    x0, defects = _vector_of(op, x0), [_vector_of(op, z) for z in defects]
     if len(defects) != n_hi - n_lo:
         raise ValueError("need exactly one defect per step")
-    if isinstance(op, DenseOperator):
-        x0 = _dense_vector(x0, op.dim)
-    elif isinstance(op, ShiftOperator):
-        if not all(isinstance(v, SupportedVector) for v in (x0, *defects)):
-            raise DimensionMismatchError("shift orbits need SupportedVector seeds and defects")
+    if isinstance(op, ShiftOperator):
         # z_n's index i lies on chain i - (n+1)*step
         defects = [[(i - (n + 1) * op.step, v) for i, v in z.coefficients.items()]
                    for n, z in zip(range(n_lo, n_hi), defects)]
@@ -316,7 +312,7 @@ def construct_shadow(
     if not isinstance(op, DenseOperator) or not isinstance(b, DenseOperator):
         raise TypeError("construct_shadow needs dense operator and splitting")
     d = op.dim
-    states = [_dense_vector(s, d) for s in orbit.states]
+    states = [_vector_of(op, s) for s in orbit.states]
     a, b_mat = op.entries, b.entries
     ainv = inverse(op).entries
 
@@ -341,12 +337,10 @@ def construct_shadow(
     else:
         residual = 0.0
 
-    idx0 = -orbit.n_lo
-    anchor = states[idx0] - x[:, idx0]
-    traj = np.empty((d, W), dtype=np.complex128)
-    traj[:, idx0:] = _powers(a, W - 1 - idx0, anchor).T
-    traj[:, idx0::-1] = _powers(ainv, idx0, anchor).T
-    eps = float(np.max(np.linalg.norm(np.stack(states, axis=1) - traj, axis=0)))
+    anchor = states[-orbit.n_lo] - x[:, -orbit.n_lo]
+    gap = np.stack(states, axis=1)  # d x W, C-ordered, as the norm below sums it
+    gap -= _window_powers(op, orbit.n_lo, orbit.n_hi, anchor).T
+    eps = float(np.max(np.linalg.norm(gap, axis=0)))
 
     return ShadowResult(
         anchor=anchor,
@@ -377,15 +371,14 @@ class OracleResult:
         }
 
 
-def _dense_power_blocks(op: DenseOperator, n_lo: int, n_hi: int) -> np.ndarray:
-    """A^n for n = n_lo..n_hi, stacked, built by iteration outward from A^0 = I
-    straight into one array."""
-    blocks = np.empty((n_hi - n_lo + 1, op.dim, op.dim), dtype=np.complex128)
-    _powers(op.entries, n_hi, np.eye(op.dim), out=blocks[-n_lo:])
+def _window_powers(op: DenseOperator, n_lo: int, n_hi: int, first) -> np.ndarray:
+    """A^n first for n = n_lo..n_hi (n_lo <= 0 <= n_hi), stacked along axis 0,
+    filled outward from n = 0 by A and by A^-1 straight into one array."""
+    out = np.empty((n_hi - n_lo + 1, *np.shape(first)), dtype=np.complex128)
+    _powers(op.entries, n_hi, first, out=out[-n_lo:])
     if n_lo < 0:
-        ainv = inverse(op).entries  # A^-1 .. A^n_lo fill blocks[-n_lo - 1] down to blocks[0]
-        _powers(ainv, -n_lo - 1, ainv, out=blocks[-n_lo - 1 :: -1])
-    return blocks
+        _powers(inverse(op).entries, -n_lo, first, out=out[-n_lo::-1])
+    return out
 
 
 def shadow_oracle_lsq(op, orbit: PseudoOrbit) -> OracleResult:
@@ -400,22 +393,20 @@ def shadow_oracle_lsq(op, orbit: PseudoOrbit) -> OracleResult:
     solved in closed form.  Either way the reported distance is the sup norm
     over the window.
     """
+    states = [_vector_of(op, s) for s in orbit.states]
     if isinstance(op, DenseOperator):
         d = op.dim
-        states = [_dense_vector(s, d) for s in orbit.states]
-        blocks = _dense_power_blocks(op, orbit.n_lo, orbit.n_hi)
+        blocks = _window_powers(op, orbit.n_lo, orbit.n_hi, np.eye(d))
         target = np.concatenate(states)
         sol, _, _, svals = np.linalg.lstsq(blocks.reshape(-1, d), target, rcond=None)
         eps = float(np.max(_row_norms(np.stack(states) - blocks @ sol)))
         cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else float("inf")
         return OracleResult(best_anchor=sol, epsilon_achieved=eps, condition=cond)
 
-    if not isinstance(op, ShiftOperator):
-        raise TypeError(f"not an operator: {op!r}")
     step = op.step
     times = np.arange(orbit.n_lo, orbit.n_hi + 1)
     # listed coefficient i of y_n lies on chain j = i - n*step, where T^n e_j lives
-    cells = [(i - n * step, k, v) for k, (n, y) in enumerate(zip(times.tolist(), orbit.states))
+    cells = [(i - n * step, k, v) for k, (n, y) in enumerate(zip(times.tolist(), states))
              for i, v in y.coefficients.items()]
     if not cells:
         return OracleResult(best_anchor=SupportedVector({}), epsilon_achieved=0.0, condition=1.0)
@@ -497,7 +488,7 @@ def _shift_chain_gain(op: ShiftOperator, kind: str, n: int, m) -> float:
     """
     if m is None:
         raise ValueError("shift operators need a materialization half-width M")
-    m = int(m)
+    m = _integer_field(m, "M")
     if m < 1:
         raise ValueError("half_width must be >= 1")
     # path nodes: script-B is row_0, col_0, row_1, ..., col_2N, row_2N+1 and
@@ -580,6 +571,7 @@ def window_probe(op, kind: str, n: int, m: int | None = None) -> WindowProbe:
     """
     if kind not in ("script-S", "script-B"):
         raise ValueError("kind must be 'script-S' or 'script-B'")
+    n = _integer_field(n, "N")
     floor = 1 if kind == "script-S" else 0
     if n < floor:
         raise ValueError(f"N must be >= {floor} for {kind}")
@@ -636,8 +628,7 @@ def bgain_test_sequence(op, x, q: float) -> BGainResult:
         support = list(dict.fromkeys([*x.coefficients, *t_star_x.coefficients]))
         x_arr, tx_arr = (np.array([v.get(i) for i in support]) for v in (x, t_star_x))
     else:
-        x_arr = np.asarray(x, dtype=np.complex128)
-        tx_arr = t_star_x
+        x_arr, tx_arr = _vector_of(op, x), t_star_x
 
     # column n = -N..N+1 is row n of script-B's image, y_{n-1} - T* y_n =
     # s_prev x - s_cur T*x with s = q^{-|n|} on -N..N and 0 outside; two more

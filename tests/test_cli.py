@@ -514,6 +514,16 @@ class TestProbe:
         assert ns == ladder
         assert all(g > 0 for g in gains)
 
+    def test_window_too_large_to_allocate_is_input_error(self, dense_op_file, tmp_path, capsys):
+        # the first rung's window matrix would take 364 TiB: numpy refuses it
+        # at once with MemoryError, before touching any memory
+        out = tmp_path / "probe.csv"
+        rc = main(["probe", "--input", str(dense_op_file), "--output", str(out), "--window", "10000000"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("input error: ") and captured.out == ""
+        assert not out.exists()
+
     def test_shift_ladder_at_window_64(self, shift_op_file, tmp_path):
         # compressions to nested windows: the gains may only fall, and stay
         # resolved while they shrink far below eps * ||matrix||

@@ -303,3 +303,30 @@ class TestSupportedVector:
             a * a
         with pytest.raises(TypeError):
             np.ones(3) * a
+
+
+# every size a caller passes, as a function of that size; 3 is a valid value of each
+SIZED_CALLS = {
+    "orbit window": lambda k: ss.generate_pseudo_orbit(
+        ss.diagonal([2.0, 0.5]), np.zeros(2), 1e-3, (-k, 3), rng_seed=0
+    ),
+    "defect window": lambda k: ss.orbit_from_defects(
+        ss.diagonal([2.0, 0.5]), np.zeros(2), [np.zeros(2)] * 5, (-2, k)
+    ),
+    "half-width": lambda k: ss.materialize(example_shift_pair()[0], k),
+    "probe N, shift": lambda k: ss.window_probe(example_shift_pair()[0], "script-B", k, 8),
+    "probe N, dense": lambda k: ss.window_probe(ss.diagonal([2.0, 0.5]), "script-S", k),
+    "probe M": lambda k: ss.window_probe(example_shift_pair()[0], "script-B", 2, k),
+    "Laurent n": lambda k: ss.laurent_coefficient(ss.diagonal([2.0, 0.5]), k),
+    "Laurent n_max": lambda k: ss.laurent_table(ss.diagonal([2.0, 0.5]), k),
+}
+
+
+@pytest.mark.parametrize("name", SIZED_CALLS)
+def test_sizes_must_be_integers(name):
+    # as JSON dim and crossover: an integral float is read as an int, any
+    # other value is refused up front, not truncated or left to numpy
+    call = SIZED_CALLS[name]
+    call(3.0)
+    with pytest.raises(ValueError, match=r"must be an integer, got -?2\.5"):
+        call(2.5)

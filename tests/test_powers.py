@@ -88,7 +88,7 @@ def test_powers_match_the_step_loop(dim):
 @pytest.mark.parametrize("window", [(-30, 30), (0, 5), (-4, 0)])
 def test_oracle_blocks_match_the_step_loops(dim, window):
     a, _ = _case(dim)
-    blocks = shadowing._dense_power_blocks(a, *window)
+    blocks = shadowing._window_powers(a, *window, np.eye(dim))
     reference = _loop_power_blocks(a, *window)
     assert np.array_equal(blocks, np.array(reference))
     assert np.array_equal(blocks.reshape(-1, dim), np.vstack(reference))

@@ -76,6 +76,11 @@ class TestGeneratePseudoOrbit:
         with pytest.raises(ValueError):
             ss.generate_pseudo_orbit(ONE_DIM_DOUBLE, np.zeros(1, dtype=complex), 0.0, (2, 5), 0)
 
+    def test_a_matrix_is_not_an_operator(self):
+        # the operator is checked before the seed: a plain array is no DenseOperator
+        with pytest.raises(TypeError, match="not an operator"):
+            ss.generate_pseudo_orbit(np.eye(2), np.zeros(2), 1e-3, (-2, 2), rng_seed=0)
+
     def test_lookups_outside_the_window_raise(self):
         orbit = ss.generate_pseudo_orbit(ONE_DIM_DOUBLE, np.zeros(1, dtype=complex), 1e-3, (-3, 3), 0)
         assert orbit.state(-3) is orbit.states[0] and orbit.state(3) is orbit.states[-1]
@@ -120,6 +125,16 @@ class TestOrbitFromDefects:
             ss.orbit_from_defects(t, ss.basis_vector(0), [np.array([1e-3 + 0j])], (0, 1))
         with pytest.raises(ss.DimensionMismatchError, match="SupportedVector"):
             ss.orbit_from_defects(t, np.ones(1), [ss.basis_vector(1, 1e-3)], (0, 1))
+
+    @pytest.mark.parametrize(
+        "defect, window", [([1e-3], (-1, 2)), (np.full((2, 2), 1e-3), (0, 1))], ids=["1", "2x2"]
+    )
+    def test_malformed_dense_defects_are_refused(self, defect, window):
+        # numpy would broadcast either one into the recurrence: the (1,) defect
+        # to both coordinates (delta 1.414e-3), the 2x2 one into a 2x2 state
+        defects = [np.array(defect)] * (window[1] - window[0])
+        with pytest.raises(ss.DimensionMismatchError, match="does not match dimension 2"):
+            ss.orbit_from_defects(ss.diagonal([2.0, 0.5]), np.zeros(2), defects, window)
 
 class TestConstructShadow:
     def test_one_dim_constant_defect_closed_form(self):
@@ -261,6 +276,11 @@ class TestShadowOracle:
         assert oracle.epsilon_achieved < 1e-9
         assert np.allclose(oracle.best_anchor, x0, atol=1e-9)
 
+    def test_shift_oracle_refuses_a_dense_orbit(self):
+        orbit = ss.generate_pseudo_orbit(ss.diagonal([2.0, 0.5]), np.zeros(2), 1e-3, (-2, 2), 0)
+        with pytest.raises(ss.DimensionMismatchError, match="SupportedVector"):
+            ss.shadow_oracle_lsq(ss.ShiftOperator("forward", W_HI, W_LO, 0), orbit)
+
     def test_oracle_never_beaten_by_construction(self):
         rng = np.random.default_rng(77)
         for _ in range(5):
@@ -285,7 +305,7 @@ class TestShadowOracle:
             )
             res = ss.construct_shadow(a, ss.riesz_projector(a), orbit)
             oracle = ss.shadow_oracle_lsq(a, orbit)
-            powers = shadowing._dense_power_blocks(a, -12, 12)
+            powers = shadowing._window_powers(a, -12, 12, np.eye(3))
             ys = np.stack(orbit.states)
 
             def objective(x):
