@@ -338,11 +338,8 @@ def main(argv=None) -> int:
 
     try:
         return COMMANDS[cfg.command](cfg)
-    except DecayCertificateError as exc:
-        detail = ""
-        if exc.r_plus is not None:
-            detail = f" (r_plus={exc.r_plus:.6f}, r_minus={exc.r_minus:.6f})"
-        print(f"certificate failure: {exc}{detail}", file=sys.stderr)
+    except DecayCertificateError as exc:  # its message states the rates
+        print(f"certificate failure: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATE
     except (json.JSONDecodeError, KeyError, TypeError, ValueError, OSError, MemoryError) as exc:
         # malformed files, schema violations, kind mismatches, windows numpy cannot allocate

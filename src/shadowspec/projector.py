@@ -413,7 +413,8 @@ class DecayRates:
         if max(self.tails) >= q ** m:
             raise DecayCertificateError(
                 f"envelope not certified past order {m}: ||(BA)^{m}||={self.tails[0]:.3e}, "
-                f"||((I-B)A^-1)^{m}||={self.tails[1]:.3e}, q^{m}={q ** m:.3e}",
+                f"||((I-B)A^-1)^{m}||={self.tails[1]:.3e}, q^{m}={q ** m:.3e} "
+                f"(r_plus={self.r_plus:.6f}, r_minus={self.r_minus:.6f})",
                 self.r_plus, self.r_minus,
             )
         return _envelope_constant(self.norms_fwd, self.norms_bwd, q)

@@ -2,12 +2,16 @@
 
 A delta-pseudo-orbit is a finite window of states whose one-step recurrence
 defect never exceeds delta: arrays for dense operators, `SupportedVector`s
-for shifts, each seed, defect and state checked by `operators._vector_of`.
-`generate_pseudo_orbit` draws its defects up front, as one array,
-`orbit_from_defects` takes them from the caller, and both run one recurrence
-on integer window bounds.  A dense orbit multiplies by A and A^-1 directly; a
-shift orbit runs on its chains c = i - n*step, which T never leaves: one
-multiply per listed coefficient and step, each state built once.  Both the
+for shifts, each seed and defect, and each state read back as a vector,
+checked by `operators._vector_of`.  `generate_pseudo_orbit` draws its defects
+up front, as one array, `orbit_from_defects` takes them from the caller, and
+both run one recurrence on integer window bounds.  A dense orbit multiplies by
+A and A^-1 directly, into the rows of one array, and checks all its norms in
+one `_row_norms` pass.  A shift orbit runs on its chains c = i - n*step, which
+T never leaves, and stays one chain x time table, `_ChainTable`: one multiply
+per listed coefficient and step, each norm summed in its vector's listing
+order, and a state's or defect's `SupportedVector` built only when it is read.
+The shift oracle reads that table itself, its chains sorted.  Both the
 oracle's blocks A^n and the genuine trajectory A^n x_0 are one two-sided fill
 outward from n = 0, `_window_powers`.
 For a dense operator with a certified splitting
@@ -52,7 +56,6 @@ from .operators import (
     SupportedVector,
     _complex_pairs,
     _integer_field,
-    _plus,
     _powers,
     _vector_of,
     adjoint,
@@ -83,7 +86,6 @@ DECAY_ORDER = 32
 BGAIN_MIN_Q = 1.00033
 
 
-@dataclass(frozen=True, eq=False)
 class PseudoOrbit:
     """Finite window n_lo..n_hi of states with the per-step defect sequence.
 
@@ -91,58 +93,100 @@ class PseudoOrbit:
     delta (up to a float-roundoff slack proportional to the state scale).
     FloatingPointError when a state or defect norm is not finite (overflow).
     The window always straddles index 0, where the seed state lives.
+
+    The orbit builders keep a shift orbit as its chain x time table
+    (`_ChainTable`) and build a state's or defect's `SupportedVector` when it
+    is first read; `states` and `defects` build every one once.
     """
 
-    n_lo: int
-    n_hi: int
-    states: tuple
-    delta: float
-    defects: tuple
+    def __init__(self, n_lo: int, n_hi: int, states, delta: float, defects):
+        self._setup(n_lo, n_hi, delta, tuple(states), tuple(defects), None, None)
 
-    def __post_init__(self):
-        if not (self.n_lo <= 0 <= self.n_hi):
+    @classmethod
+    def _built(cls, n_lo: int, n_hi: int, delta, states, defects, norms: tuple, table):
+        """An orbit from a builder, which gives the state and defect norms;
+        delta=None takes the largest defect norm.  A table orbit's states and
+        defects are lists, None where a vector is not built yet."""
+        orbit = cls.__new__(cls)
+        orbit._setup(n_lo, n_hi, delta, states, defects, norms, table)
+        return orbit
+
+    def _setup(self, n_lo, n_hi, delta, states, defects, norms, table):
+        if not (n_lo <= 0 <= n_hi):
             raise ValueError("orbit window must straddle index 0")
-        if len(self.states) != self.n_hi - self.n_lo + 1:
+        if len(states) != n_hi - n_lo + 1:
             raise ValueError("state count does not match the window")
-        if len(self.defects) != len(self.states) - 1:
+        if len(defects) != len(states) - 1:
             raise ValueError("need exactly one defect per step")
-        if not (math.isfinite(self.delta) and self.delta >= 0):
-            raise ValueError(f"delta must be a finite number >= 0, got {self.delta!r}")
-        state_norms = [vec_norm(s) for s in self.states]
-        defect_norms = [vec_norm(z) for z in self.defects]
-        if not all(map(math.isfinite, state_norms + defect_norms)):
+        state_norms, defect_norms = norms or (_norms(states), _norms(defects))
+        if delta is None:
+            delta = float(defect_norms.max(initial=0.0))
+        if not (math.isfinite(delta) and delta >= 0):
+            raise ValueError(f"delta must be a finite number >= 0, got {delta!r}")
+        if not (np.isfinite(state_norms).all() and np.isfinite(defect_norms).all()):
             raise FloatingPointError("pseudo-orbit has a non-finite state or defect norm")
-        slack = 1e-12 * (1.0 + max(state_norms, default=0.0)) + 1e-15
-        for norm in defect_norms:
-            if norm > self.delta + slack:
-                raise ValueError(f"defect norm {norm:.3e} exceeds delta {self.delta:.3e}")
-        object.__setattr__(self, "states", tuple(self.states))
-        object.__setattr__(self, "defects", tuple(self.defects))
+        slack = 1e-12 * (1.0 + float(state_norms.max())) + 1e-15
+        over = np.flatnonzero(defect_norms > delta + slack)
+        if len(over):
+            raise ValueError(f"defect norm {defect_norms[over[0]]:.3e} exceeds delta {delta:.3e}")
+        fields = {"n_lo": n_lo, "n_hi": n_hi, "delta": delta, "_defect_norms": defect_norms,
+                  "_table": table, "_vectors": {"states": states, "defects": defects}}
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PseudoOrbit is immutable: cannot assign {name!r}")
 
     @property
     def window(self) -> tuple:
         return (self.n_lo, self.n_hi)
 
+    @property
+    def states(self) -> tuple:
+        return self._all("states")
+
+    @property
+    def defects(self) -> tuple:
+        return self._all("defects")
+
     def state(self, n: int):
-        return self._at(self.states, n)
+        return self._at("states", n)
 
     def defect(self, n: int):
-        return self._at(self.defects, n)
+        return self._at("defects", n)
 
-    def _at(self, seq: tuple, n: int):
-        j = n - self.n_lo
-        if not 0 <= j < len(seq):  # a negative j would wrap to the far end
+    def _at(self, kind: str, n: int):
+        vectors, j = self._vectors[kind], n - self.n_lo
+        if not 0 <= j < len(vectors):  # a negative j would wrap to the far end
             raise IndexError(f"index {n} outside the orbit window {self.window}")
-        return seq[j]
+        if vectors[j] is None:
+            vectors[j] = self._table.vector(kind, j)
+        return vectors[j]
+
+    def _all(self, kind: str) -> tuple:
+        vectors = self._vectors[kind]
+        if not isinstance(vectors, tuple):
+            vectors = tuple(self._at(kind, self.n_lo + j) for j in range(len(vectors)))
+            self._vectors[kind] = vectors
+        return vectors
 
     def defect_norms(self) -> list:
-        return [vec_norm(z) for z in self.defects]
+        return self._defect_norms.tolist()
 
 
 def _row_norms(g: np.ndarray) -> np.ndarray:
     """`np.linalg.norm` of each row of a complex 2-D array, bit for bit (one dot per part)."""
     re, im = g.real[:, None, :], g.imag[:, None, :]
-    return np.sqrt((re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0, 0])
+    with np.errstate(over="ignore"):  # a norm that overflows is inf, for the caller to refuse
+        return np.sqrt((re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0, 0])
+
+
+def _norms(vectors: tuple) -> np.ndarray:
+    """`vec_norm` of each vector: `SupportedVector.norm`, or one `_row_norms`
+    over the dense vectors, raveled as `np.linalg.norm` reads them."""
+    if all(isinstance(v, SupportedVector) for v in vectors):
+        return np.array([v.norm() for v in vectors], dtype=float)
+    return _row_norms(np.array([np.ravel(v) for v in vectors], dtype=np.complex128))
 
 
 def _draw_defects(size: int, delta: float, n_lo: int, n_hi: int, rng):
@@ -160,46 +204,120 @@ def _draw_defects(size: int, delta: float, n_lo: int, n_hi: int, rng):
     return z, zero
 
 
-def _propagate(op, x0, defects, n_lo: int):
-    """States from x0 at index 0 through x_{n+1} = T x_n + z_n, forward and,
-    by the exact inverse, backward; and the defects re-read off the states.
-    A shift runs on its chains c = i - n*step, which T never leaves, as dicts
-    from chain to value with SupportedVector's listing order and digits (its
-    `a - b` is a + complex(-1) * b); its defects come as (chain, value) pairs."""
-    idx0 = -n_lo
-    states = [None] * (len(defects) + 1)
-    if not isinstance(op, ShiftOperator):
-        a, ainv = op.entries, inverse(op).entries
-        states[idx0] = x0
-        for j in range(idx0, len(defects)):
-            states[j + 1] = a @ states[j] + defects[j]
-        for j in range(idx0 - 1, -1, -1):
-            states[j] = ainv @ (states[j + 1] - defects[j])
-        actual = [states[j + 1] - a @ states[j] for j in range(len(defects))]
-        return tuple(states), tuple(actual)
+@dataclass(frozen=True, eq=False)
+class _ChainTable:
+    """A shift orbit as one chain x time table.
 
-    step, minus = op.step, complex(-1.0)
-    chains = list(dict.fromkeys([*x0.coefficients, *(c for z in defects for c, _ in z)]))
-    grid = np.add.outer(step * np.arange(n_lo, n_lo + len(states)), chains)
-    fwd = [dict(zip(chains, w)) for w in op.hop_weights(grid[:-1]).tolist()]
-    bwd = [dict(zip(chains, w)) for w in inverse(op).hop_weights(grid[1:]).tolist()]
-    images = [None] * len(defects)  # T x_j, chain by chain
-    states[idx0] = x0.coefficients  # at time 0, chain c is index c
-    for j in range(idx0, len(defects)):
-        images[j] = {c: fwd[j][c] * x for c, x in states[j].items()}
-        states[j + 1] = _plus(images[j], defects[j])
-    for j in range(idx0 - 1, -1, -1):
-        diff = _plus(states[j + 1], [(c, minus * z) for c, z in defects[j]])
-        states[j] = {c: bwd[j][c] * x for c, x in diff.items()}
-        images[j] = {c: fwd[j][c] * x for c, x in states[j].items()}
-    actual = [_plus(y, [(c, minus * v) for c, v in t.items()]) for y, t in zip(states[1:], images)]
+    Row r is chain chains[r], sorted as `np.unique` sorts them, which holds
+    index chains[r] + n*step at time n; column j of `states` is time n_lo + j
+    and column j of `defects` time n_lo + j + 1.  A cell that a vector does
+    not list holds +0j.  orders[1] lists the rows as the vectors from time 0
+    on list them, in first appearance along the path out of the seed, and
+    orders[0] as the vectors before time 0 list them.
+    """
 
-    def vector(j, chain_values):  # chain c at window row j is index c + (n_lo + j) * step
-        off = (n_lo + j) * step
-        return SupportedVector({c + off: v for c, v in chain_values.items()})
+    step: int
+    n_lo: int
+    chains: np.ndarray
+    orders: tuple
+    states: np.ndarray
+    listed: np.ndarray
+    defects: np.ndarray
+    defect_listed: np.ndarray
 
-    vectors = [x0 if j == idx0 else vector(j, s) for j, s in enumerate(states)]
-    return tuple(vectors), tuple(vector(j + 1, z) for j, z in enumerate(actual))
+    def vector(self, kind: str, j: int) -> SupportedVector:
+        values, listed = (
+            (self.states, self.listed) if kind == "states" else (self.defects, self.defect_listed)
+        )
+        rows = self.orders[j >= -self.n_lo]
+        rows = rows[listed[rows, j]]
+        index = self.chains[rows] + (self.n_lo + j + (kind == "defects")) * self.step
+        return SupportedVector(dict(zip(index.tolist(), values[rows, j].tolist())))
+
+    def norms(self) -> tuple:
+        """`SupportedVector.norm` of every state and of every defect: abs()
+        is hypot, squared as a * a and summed in each vector's listing order
+        (a cell it does not list adds +0.0, which changes no sum)."""
+        k0, out = -self.n_lo, []
+        for values in (self.states, self.defects):
+            sq = np.hypot(values.real, values.imag)
+            with np.errstate(over="ignore"):  # inf, as a * a gives it
+                sq *= sq
+            total = np.zeros(sq.shape[1])
+            for side, rows in ((slice(None, k0), self.orders[0]), (slice(k0, None), self.orders[1])):
+                for r in rows:
+                    total[side] += sq[r, side]
+            out.append(np.sqrt(total))
+        return tuple(out)
+
+
+def _shift_orbit(op: ShiftOperator, x0, delta, n_lo: int, chains, z, z_listed, orders):
+    """The shift recurrence on a `_ChainTable` (z and z_listed are chain x
+    step), as a PseudoOrbit whose state at time 0 is x0 itself; delta=None
+    takes the largest defect norm.
+
+    From x0 at time 0, where chain c is index c, forward x_{j+1} = w x_j + z_j,
+    backward x_j = w' (x_{j+1} - z_j) by the exact inverse, and the defects
+    re-read as x_{j+1} - w x_j.  Each step updates a whole column with
+    SupportedVector's scalar operations: w x is a complex multiply and a - b
+    is a + complex(-1) * b.  A defect adds only where it lists the chain;
+    elsewhere -0.0 is added, which leaves every value as it is, signed zeros
+    included.  ValueError, as SupportedVector raises it, when a coefficient
+    is not finite.
+    """
+    k0, (rows, steps) = -n_lo, z.shape
+    seed_listed = np.array([c in x0.coefficients for c in chains.tolist()], dtype=bool)
+    grid = np.add.outer(chains, op.step * np.arange(n_lo, n_lo + steps + 1))
+    fwd = op.hop_weights(grid[:, :-1]).astype(np.complex128)
+    bwd = inverse(op).hop_weights(grid[:, 1:]).astype(np.complex128)
+    minus, keep = complex(-1.0), complex(-0.0, -0.0)
+    # each column is a list of Python complex: a column holds one or a few
+    # chains, where a numpy call per step would cost more than its arithmetic
+    fwd_t, bwd_t = fwd.T.tolist(), bwd.T.tolist()
+    plus_z = np.where(z_listed, z, keep).T.tolist()
+    minus_z = np.where(z_listed, minus * z, keep).T.tolist()
+    cols = [None] * (steps + 1)
+    cols[k0] = [x0.coefficients.get(c, 0j) for c in chains.tolist()]
+    for j in range(k0, steps):
+        cols[j + 1] = [w * x + dz for w, x, dz in zip(fwd_t[j], cols[j], plus_z[j])]
+    for j in range(k0 - 1, -1, -1):
+        cols[j] = [w * (x + dz) for w, x, dz in zip(bwd_t[j], cols[j + 1], minus_z[j])]
+    x = np.array(cols, dtype=np.complex128).T.copy()
+    # a state lists the seed's chains and those of every defect between it and time 0
+    listed = np.empty((rows, steps + 1), dtype=bool)
+    listed[:, k0] = False
+    listed[:, k0 + 1:] = np.logical_or.accumulate(z_listed[:, k0:], axis=1)
+    listed[:, :k0] = np.logical_or.accumulate(z_listed[:, :k0][:, ::-1], axis=1)[:, ::-1]
+    listed |= seed_listed[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, as the states are
+        actual = x[:, 1:] + np.where(listed[:, :-1], minus * (fwd * x[:, :-1]), keep)
+    if not (np.isfinite(x).all() and np.isfinite(actual).all()):
+        raise ValueError("coefficients must be finite")
+    defect_listed = listed[:, 1:] | listed[:, :-1]
+    table = _ChainTable(op.step, n_lo, chains, orders, x, listed, actual, defect_listed)
+    states = [None] * (steps + 1)
+    states[k0] = x0
+    return PseudoOrbit._built(n_lo, n_lo + steps, delta, states, [None] * steps, table.norms(), table)
+
+
+def _dense_orbit(op: DenseOperator, x0, defects, n_lo: int, n_hi: int, delta) -> PseudoOrbit:
+    """States from x0 at index 0 through x_{n+1} = A x_n + z_n, forward and,
+    by the exact inverse, backward; and the defects re-read off the states,
+    as the rows of two arrays.  delta=None takes the largest defect norm."""
+    k0, steps = -n_lo, len(defects)
+    a, ainv = op.entries, inverse(op).entries
+    x = np.empty((steps + 1, op.dim), dtype=np.complex128)
+    actual = np.empty((steps, op.dim), dtype=np.complex128)
+    x[k0] = x0
+    with np.errstate(over="ignore", invalid="ignore"):  # the norm check refuses what overflowed
+        for j in range(k0, steps):
+            x[j + 1] = a @ x[j] + defects[j]
+        for j in range(k0 - 1, -1, -1):
+            x[j] = ainv @ (x[j + 1] - defects[j])
+        for j in range(steps):
+            actual[j] = x[j + 1] - a @ x[j]
+    norms = (_row_norms(x), _row_norms(actual))
+    return PseudoOrbit._built(n_lo, n_hi, delta, tuple(x), tuple(actual), norms, None)
 
 
 def generate_pseudo_orbit(
@@ -228,14 +346,15 @@ def generate_pseudo_orbit(
     rng = np.random.default_rng(rng_seed)
     size = op.dim if isinstance(op, DenseOperator) else len(x0.coefficients)
     defects, zero = _draw_defects(size, delta, n_lo, n_hi, rng)
-    if isinstance(op, ShiftOperator):
-        # z_n lists the seed's indices moved to time n+1, so on the seed's own
-        # chains; a zero z_n lists only the first, with 0j
-        seed = x0.support()
-        defects = [list(zip(seed, [0j] if empty else row))
-                   for row, empty in zip(defects.tolist(), zero.tolist())]
-    states, actual = _propagate(op, x0, defects, n_lo)
-    return PseudoOrbit(n_lo=n_lo, n_hi=n_hi, states=states, delta=delta, defects=actual)
+    if isinstance(op, DenseOperator):
+        return _dense_orbit(op, x0, defects, n_lo, n_hi, delta)
+    # z_n lists the seed's indices moved to time n+1, so its rows are the
+    # seed's own chains, sorted; a zero z_n lists only the first, with 0j
+    chains = np.array(x0.support())
+    z_listed = np.ones((size, n_hi - n_lo), dtype=bool)
+    z_listed[1:, zero] = False
+    order = np.searchsorted(chains, list(x0.coefficients))
+    return _shift_orbit(op, x0, delta, n_lo, chains, defects.T, z_listed, (order, order))
 
 
 def orbit_from_defects(op, x0, defects, window: tuple) -> PseudoOrbit:
@@ -252,13 +371,26 @@ def orbit_from_defects(op, x0, defects, window: tuple) -> PseudoOrbit:
     x0, defects = _vector_of(op, x0), [_vector_of(op, z) for z in defects]
     if len(defects) != n_hi - n_lo:
         raise ValueError("need exactly one defect per step")
-    if isinstance(op, ShiftOperator):
-        # z_n's index i lies on chain i - (n+1)*step
-        defects = [[(i - (n + 1) * op.step, v) for i, v in z.coefficients.items()]
-                   for n, z in zip(range(n_lo, n_hi), defects)]
-    states, actual = _propagate(op, x0, defects, n_lo)
-    delta = max((vec_norm(z) for z in actual), default=0.0)
-    return PseudoOrbit(n_lo=n_lo, n_hi=n_hi, states=states, delta=delta, defects=actual)
+    if isinstance(op, DenseOperator):
+        return _dense_orbit(op, x0, defects, n_lo, n_hi, None)
+    # z_n's index i lies on chain i - (n+1)*step
+    pairs = [[(i - (n + 1) * op.step, v) for i, v in z.coefficients.items()]
+             for n, z in zip(range(n_lo, n_hi), defects)]
+    seed = list(x0.coefficients)
+    chains = np.array(sorted({*seed, *(c for p in pairs for c, _ in p)}), dtype=np.int64)
+    row = {c: r for r, c in enumerate(chains.tolist())}
+    z = np.zeros((len(chains), len(pairs)), dtype=np.complex128)
+    z_listed = np.zeros(z.shape, dtype=bool)
+    for j, p in enumerate(pairs):
+        for c, v in p:
+            z[row[c], j], z_listed[row[c], j] = v, True
+
+    def order(steps):  # rows in first appearance from the seed along these steps
+        return np.array([row[c] for c in dict.fromkeys([*seed, *(c for p in steps for c, _ in p)])],
+                        dtype=np.intp)
+
+    orders = (order(pairs[:-n_lo][::-1]), order(pairs[-n_lo:]))
+    return _shift_orbit(op, x0, None, n_lo, chains, z, z_listed, orders)
 
 
 @dataclass(frozen=True, eq=False)
@@ -381,6 +513,27 @@ def _window_powers(op: DenseOperator, n_lo: int, n_hi: int, first) -> np.ndarray
     return out
 
 
+def _chain_time_table(op, orbit: PseudoOrbit, times: np.ndarray) -> tuple:
+    """The chains of a shift orbit's states on op's chains, sorted, and their
+    chain x time table: the orbit's own table when it has one for op's step,
+    else one read off the states (an orbit built from vectors, or the orbit
+    of a shift in the other direction)."""
+    table = orbit._table
+    if isinstance(op, ShiftOperator) and table is not None and table.step == op.step:
+        return table.chains, table.states
+    states = [_vector_of(op, s) for s in orbit.states]
+    # listed coefficient i of y_n lies on chain j = i - n*step, where T^n e_j lives
+    cells = [(i - n * op.step, k, v) for k, (n, y) in enumerate(zip(times.tolist(), states))
+             for i, v in y.coefficients.items()]
+    if not cells:
+        return (), None
+    listed, cols, values = zip(*cells)
+    chains, rows = np.unique(listed, return_inverse=True)
+    ys = np.zeros((len(chains), len(times)), dtype=np.complex128)  # chain x time
+    ys[rows, cols] = values
+    return chains, ys
+
+
 def shadow_oracle_lsq(op, orbit: PseudoOrbit) -> OracleResult:
     """Independent shadowing oracle: minimize sum_n ||y_n - T^n x||^2 over x.
 
@@ -393,8 +546,8 @@ def shadow_oracle_lsq(op, orbit: PseudoOrbit) -> OracleResult:
     solved in closed form.  Either way the reported distance is the sup norm
     over the window.
     """
-    states = [_vector_of(op, s) for s in orbit.states]
     if isinstance(op, DenseOperator):
+        states = [_vector_of(op, s) for s in orbit.states]
         d = op.dim
         blocks = _window_powers(op, orbit.n_lo, orbit.n_hi, np.eye(d))
         target = np.concatenate(states)
@@ -403,17 +556,11 @@ def shadow_oracle_lsq(op, orbit: PseudoOrbit) -> OracleResult:
         cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else float("inf")
         return OracleResult(best_anchor=sol, epsilon_achieved=eps, condition=cond)
 
-    step = op.step
     times = np.arange(orbit.n_lo, orbit.n_hi + 1)
-    # listed coefficient i of y_n lies on chain j = i - n*step, where T^n e_j lives
-    cells = [(i - n * step, k, v) for k, (n, y) in enumerate(zip(times.tolist(), states))
-             for i, v in y.coefficients.items()]
-    if not cells:
+    chains, ys = _chain_time_table(op, orbit, times)
+    if not len(chains):
         return OracleResult(best_anchor=SupportedVector({}), epsilon_achieved=0.0, condition=1.0)
-    listed, cols, values = zip(*cells)
-    chains, rows = np.unique(listed, return_inverse=True)
-    ys = np.zeros((len(chains), len(times)), dtype=np.complex128)  # chain x time
-    ys[rows, cols] = values
+    step = op.step
 
     # weight of T^n e_j: one cumulative product of hop weights per chain,
     # outward from n = 0
@@ -432,9 +579,9 @@ def shadow_oracle_lsq(op, orbit: PseudoOrbit) -> OracleResult:
     dens = np.add.accumulate(weights * weights, axis=1)[:, -1]
     num = np.add.accumulate(weights * ys, axis=1)[:, -1]
     anchor = num.real / dens + 1j * (num.imag / dens)
-    ys -= weights * anchor[:, None]  # ys is now the residual
+    res = ys - weights * anchor[:, None]
     # hypot is what abs() of a Python complex computes; np.abs rounds differently
-    eps = float(np.max(np.sqrt(np.sum(np.hypot(ys.real, ys.imag) ** 2, axis=0))))
+    eps = float(np.max(np.sqrt(np.sum(np.hypot(res.real, res.imag) ** 2, axis=0))))
     cond = math.sqrt(float(dens.max() / dens.min()))
     return OracleResult(
         best_anchor=SupportedVector(dict(zip(chains, anchor))),
@@ -497,8 +644,13 @@ def _shift_chain_gain(op: ShiftOperator, kind: str, n: int, m) -> float:
     # (script-B, row to column), so either way it moves the index by T's own
     # step across the edge T crosses; the next hop keeps the index
     nodes = 4 * n + 3 if kind == "script-B" else 4 * n + 1
+    reach = op.step * (nodes // 2)  # the last node's move; the moves run from 0 to it
+    lo, hi = min(reach, 0), max(reach, 0)
+    # the index grid first: numpy refuses a window too large before anything else its size
+    index = np.empty((2 * m + hi - lo + 1, nodes), dtype=np.int64)
     moved = op.step * ((np.arange(nodes) + 1) // 2)
-    index = np.arange(-m - moved.max(), m - moved.min() + 1)[:, None] + moved
+    index[:] = np.arange(-m - hi, m - lo + 1)[:, None]
+    index += moved
     inside = np.abs(index) <= m  # materialize drops what leaves -M..M
     hops = op.hop_weights(index[:, :-1])
     hops[:, 1::2] = 1.0

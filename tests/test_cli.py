@@ -41,6 +41,16 @@ EXAMPLE17_SEED17_ORACLE_TREND = (
     'T,32,9.929260166692e+10\n'
     'T,64,3.851268831426e+25\n'
 )
+EXAMPLE17_SEED17_ORACLE_TREND_HEX = [
+    ("S", 8, "0x1.3fe255bcb96e5p-10"),
+    ("S", 16, "0x1.39b51bf8a9405p-10"),
+    ("S", 32, "0x1.8c03f3d672d00p-10"),
+    ("S", 64, "0x1.8c4db93118bb6p-10"),
+    ("T", 8, "0x1.3114ccb9bcde1p+1"),
+    ("T", 16, "0x1.0c16477553954p+13"),
+    ("T", 32, "0x1.71e4cdd42ead2p+36"),
+    ("T", 64, "0x1.fdb6104557724p+84"),
+]
 
 
 # sorted key paths and JSON value types of four reports, pinned so that a
@@ -339,15 +349,16 @@ class TestFlagValidation:
         assert flag in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["op.json"]
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_report_is_a_numerical_failure(self, dense_op_file, tmp_path, capsys):
-        # JSON has no Infinity: the report is refused before anything is written
+        # JSON has no Infinity: the report is refused before anything is
+        # written, and stderr holds the typed line alone (no numpy warning)
         out = tmp_path / "out"
         flags = ["--window", "3", "--delta", "1e300"]
         rc = main(["shadow", "--input", str(dense_op_file), "--output", str(out), *flags])
         assert rc == 3
         captured = capsys.readouterr()
-        assert "non-finite" in captured.err and captured.out == ""
+        assert captured.err == "numerical failure: pseudo-orbit has a non-finite state or defect norm\n"
+        assert captured.out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["op.json"]
 
 
@@ -382,6 +393,23 @@ class TestShadow:
         assert rc == 4
         err = capsys.readouterr().err
         assert "r_plus=1.0" in err
+
+    @pytest.mark.parametrize(
+        "entries, splitting, reason",
+        [
+            ([[2.0, 0.0], [0.0, 0.5]], [[1.0, 0.0], [0.0, 0.0]], "splitting not certified"),
+            ([[0.5, 0.0], [0.0, 1e6]], [[1.0, 1.0], [0.0, 0.0]], "envelope not certified"),
+        ],
+    )
+    def test_certificate_failure_states_the_rates_once(self, entries, splitting, reason, tmp_path, capsys):
+        payload = ss.operator_to_json(ss.DenseOperator(entries))
+        payload["splitting"] = ss.operator_to_json(ss.DenseOperator(splitting))
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps(payload))
+        assert main(["shadow", "--input", str(path), "--output", str(tmp_path / "x.json")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"certificate failure: {reason}") and err.count("\n") == 1
+        assert err.count("r_plus=") == err.count("r_minus=") == 1
 
     def test_explicit_splitting_from_input_file(self, tmp_path):
         payload = ss.operator_to_json(ss.diagonal([2.0, 0.5]))
@@ -665,3 +693,6 @@ class TestExample17:
         gains = [(row["q"], row["gain_measured"].hex(), row["gain_identity"].hex())
                  for row in report["gain_sweep_for_T"]]
         assert gains == EXAMPLE17_SEED17_GAIN_HEX
+        trend = [(row["operator"], row["N"], row["epsilon"].hex())
+                 for row in report["oracle_epsilon_trend"]["rows"]]
+        assert trend == EXAMPLE17_SEED17_ORACLE_TREND_HEX

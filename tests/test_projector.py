@@ -566,7 +566,7 @@ class TestDecayRates:
             rates.envelope(0.5 * (1.0 + rates.worst))
         assert str(err.value) == (
             "envelope not certified past order 32: ||(BA)^32||=4.657e-04, "
-            "||((I-B)A^-1)^32||=1.414e-192, q^32=1.250e-04"
+            "||((I-B)A^-1)^32||=1.414e-192, q^32=1.250e-04 (r_plus=0.510298, r_minus=0.000001)"
         )
         assert (err.value.r_plus, err.value.r_minus) == (rates.r_plus, rates.r_minus)
 

@@ -1,5 +1,10 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,7 +54,6 @@ class TestGeneratePseudoOrbit:
         with pytest.raises(ValueError, match="delta must be a finite number"):
             ss.PseudoOrbit(n_lo=-3, n_hi=3, states=good.states, delta=delta, defects=good.defects)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowed_orbit_is_refused(self):
         # states grow like 2^n * delta and overflow past the largest float
         a = ss.diagonal([2.0, 0.5])
@@ -901,3 +905,110 @@ class TestOrbitReference:
         op = ss.ShiftOperator("forward", W_HI, W_LO, 0)
         with pytest.raises(ValueError, match="at least one index"):
             ss.generate_pseudo_orbit(op, ss.SupportedVector({}), 1e-3, (-3, 3), rng_seed=0)
+
+
+def _oracle_bits(res):
+    anchor = res.best_anchor
+    return (_bits(anchor), res.epsilon_achieved.hex(), res.condition.hex())
+
+
+# seeds for the table tests; the last lists more chains than a pairwise sum
+# adds one by one, so a sum in another order would show
+TABLE_SEEDS = (
+    ss.basis_vector(0),
+    ss.SupportedVector({5: 0.5 - 1j, -3: 1.0, 2: 2j, 0: -0.25}),
+    ss.SupportedVector({0: 1.0, 3: -0.0}),
+    ss.SupportedVector({(7 * k) % 23 - 11: complex(k, -k / 3) for k in range(12)}),
+)
+
+
+class TestChainTableOrbit:
+    """Shift orbits stay a chain x time table; vectors are built when read."""
+
+    @pytest.fixture
+    def constructions(self, monkeypatch):
+        count = [0]
+        init = ss.SupportedVector.__init__
+
+        def counted(self, *args, **kwargs):
+            count[0] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ss.SupportedVector, "__init__", counted)
+        return count
+
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    def test_orbit_and_oracle_build_only_the_anchor(self, direction, constructions):
+        op = ss.ShiftOperator(direction, W_HI, W_LO, 0)
+        x0 = TABLE_SEEDS[1]
+        window = (-6, 5)
+        orbit = ss.generate_pseudo_orbit(op, x0, 1e-3, window, rng_seed=3)
+        ss.shadow_oracle_lsq(op, orbit)
+        assert constructions[0] == 1  # the oracle's anchor
+        assert orbit.state(0) is x0
+        orbit.state(2)
+        assert constructions[0] == 2
+        states, defects = orbit.states, orbit.defects
+        # every other state (x0 is the seed itself) and every defect, once
+        assert constructions[0] == 1 + (len(states) - 1) + len(defects)
+        assert orbit.states is states and orbit.state(2) is states[8]
+        assert constructions[0] == 1 + (len(states) - 1) + len(defects)
+        ref_states, ref_defects = _reference_pseudo_orbit(op, x0, 1e-3, window, 3)
+        assert [_bits(s) for s in states] == [_bits(s) for s in ref_states]
+        assert [_bits(z) for z in defects] == [_bits(z) for z in ref_defects]
+
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    @pytest.mark.parametrize("delta", [1e-3, 0.0])
+    def test_oracle_reads_the_table_as_it_reads_the_states(self, direction, delta):
+        op = ss.ShiftOperator(direction, 0.7, 1.6, 2)
+        for x0 in TABLE_SEEDS:
+            orbits = [ss.generate_pseudo_orbit(op, x0, delta, w, rng_seed=7)
+                      for w in ((-8, 8), (0, 5), (-4, 0))]
+            for family in OFF_CHAIN_DEFECTS.values():
+                defects = [delta * 1e3 * family(op, x0, n) for n in range(-3, 4)]
+                orbits.append(ss.orbit_from_defects(op, x0, defects, (-3, 4)))
+            for orbit in orbits:
+                # the operator's own direction reads the table; the other
+                # direction's reads the states
+                for reader in (op, ss.adjoint(op)):
+                    got = _oracle_bits(ss.shadow_oracle_lsq(reader, orbit))
+                    copy = ss.PseudoOrbit(n_lo=orbit.n_lo, n_hi=orbit.n_hi, states=orbit.states,
+                                          delta=orbit.delta, defects=orbit.defects)
+                    assert got == _oracle_bits(ss.shadow_oracle_lsq(reader, copy))
+
+    def test_norms_are_those_of_the_vectors(self):
+        op = ss.ShiftOperator("backward", W_HI, W_LO, 1)
+        for x0 in TABLE_SEEDS:
+            defects = [OFF_CHAIN_DEFECTS["new-and-listed"](op, x0, n) for n in range(-4, 3)]
+            orbit = ss.orbit_from_defects(op, x0, defects, (-4, 3))
+            assert orbit.defect_norms() == [z.norm() for z in orbit.defects]
+            assert orbit.delta == max(z.norm() for z in orbit.defects)
+
+    def test_orbit_is_immutable(self):
+        orbit = ss.generate_pseudo_orbit(ONE_DIM_DOUBLE, np.zeros(1), 1e-3, (-2, 2), rng_seed=0)
+        with pytest.raises(AttributeError, match="immutable"):
+            orbit.delta = 1.0
+
+
+def test_refused_chain_probe_allocates_nothing_of_its_size():
+    # N = 10^6 asks for a 116 TiB index grid; the (4N+3)-long node vectors
+    # (about 60 MiB) must not be allocated before numpy refuses it.  ru_maxrss
+    # is read in a fresh process, after a tiny probe has loaded everything
+    code = textwrap.dedent(
+        """
+        import math, resource
+        import shadowspec as ss
+        t = ss.ShiftOperator("forward", 2 * math.sqrt(2), 1 / (2 * math.sqrt(2)), 0)
+        ss.window_probe(t, "script-B", 2, 10)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        try:
+            ss.window_probe(t, "script-B", 10**6, 10**6 + 8)
+        except MemoryError:
+            print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)
+        """
+    )
+    src = str(Path(ss.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert float(out) < 16.0
