@@ -649,8 +649,7 @@ def _shift_chain_gain(op: ShiftOperator, kind: str, n: int, m) -> float:
     # the index grid first: numpy refuses a window too large before anything else its size
     index = np.empty((2 * m + hi - lo + 1, nodes), dtype=np.int64)
     moved = op.step * ((np.arange(nodes) + 1) // 2)
-    index[:] = np.arange(-m - hi, m - lo + 1)[:, None]
-    index += moved
+    np.add(np.arange(-m - hi, m - lo + 1)[:, None], moved, out=index)
     inside = np.abs(index) <= m  # materialize drops what leaves -M..M
     hops = op.hop_weights(index[:, :-1])
     hops[:, 1::2] = 1.0

@@ -968,12 +968,12 @@ class TestChainTableOrbit:
                 defects = [delta * 1e3 * family(op, x0, n) for n in range(-3, 4)]
                 orbits.append(ss.orbit_from_defects(op, x0, defects, (-3, 4)))
             for orbit in orbits:
-                # the operator's own direction reads the table; the other
-                # direction's reads the states
+                copy = ss.PseudoOrbit(n_lo=orbit.n_lo, n_hi=orbit.n_hi, states=orbit.states,
+                                      delta=orbit.delta, defects=orbit.defects)
+                # the operator's own direction reads the orbit's table, the
+                # other direction's reads its states, as both read the copy's
                 for reader in (op, ss.adjoint(op)):
                     got = _oracle_bits(ss.shadow_oracle_lsq(reader, orbit))
-                    copy = ss.PseudoOrbit(n_lo=orbit.n_lo, n_hi=orbit.n_hi, states=orbit.states,
-                                          delta=orbit.delta, defects=orbit.defects)
                     assert got == _oracle_bits(ss.shadow_oracle_lsq(reader, copy))
 
     def test_norms_are_those_of_the_vectors(self):
