@@ -2,18 +2,17 @@
 
 A delta-pseudo-orbit is a finite window of states whose one-step recurrence
 defect never exceeds delta: arrays for dense operators, `SupportedVector`s
-for shifts, each seed and defect, and each state read back as a vector,
-checked by `operators._vector_of`.  `generate_pseudo_orbit` draws its defects
-up front, as one array, `orbit_from_defects` takes them from the caller, and
-both run one recurrence on integer window bounds.  A dense orbit multiplies by
-A and A^-1 directly, into the rows of one array, and checks all its norms in
-one `_row_norms` pass.  A shift orbit runs on its chains c = i - n*step, which
-T never leaves, and stays one chain x time table, `_ChainTable`: one multiply
-per listed coefficient and step, each norm summed in its vector's listing
-order, and a state's or defect's `SupportedVector` built only when it is read.
-The shift oracle reads that table itself, its chains sorted.  Both the
-oracle's blocks A^n and the genuine trajectory A^n x_0 are one two-sided fill
-outward from n = 0, `_window_powers`.
+for shifts, each seed and defect checked by `operators._vector_of`.
+`generate_pseudo_orbit` draws its defects up front, as one array,
+`orbit_from_defects` takes them from the caller, and both run one recurrence
+on integer window bounds.  Every orbit is one coordinate x time table,
+`_OrbitTable`, and builds a state's or defect's vector only when it is read:
+a dense orbit's rows are its d coordinates, filled by A and A^-1 directly; a
+shift orbit's rows are its chains c = i - n*step, which T never leaves, with
+one multiply per listed coefficient and step.  `construct_shadow` and the
+oracles read the table itself, kind and size checked once.  Both the oracle's
+blocks A^n and the genuine trajectory A^n x_0 are one two-sided fill outward
+from n = 0, `_window_powers`.
 For a dense operator with a certified splitting
 B (forward powers of A damped through B, backward powers damped through I-B),
 the bounded solution of x_{n+1} = A x_n + z_n is written down explicitly as
@@ -94,31 +93,39 @@ class PseudoOrbit:
     FloatingPointError when a state or defect norm is not finite (overflow).
     The window always straddles index 0, where the seed state lives.
 
-    The orbit builders keep a shift orbit as its chain x time table
-    (`_ChainTable`) and build a state's or defect's `SupportedVector` when it
-    is first read; `states` and `defects` build every one once.
+    A dense orbit, and every orbit the builders make, is one coordinate x
+    time table (`_OrbitTable`) whose vectors are built when first read;
+    ValueError for a dense state or defect that is not 1-D of one shared length.
     """
 
     def __init__(self, n_lo: int, n_hi: int, states, delta: float, defects):
-        self._setup(n_lo, n_hi, delta, tuple(states), tuple(defects), None, None)
+        self._setup(n_lo, n_hi, delta, tuple(states), tuple(defects), None)
 
     @classmethod
-    def _built(cls, n_lo: int, n_hi: int, delta, states, defects, norms: tuple, table):
-        """An orbit from a builder, which gives the state and defect norms;
-        delta=None takes the largest defect norm.  A table orbit's states and
-        defects are lists, None where a vector is not built yet."""
-        orbit = cls.__new__(cls)
-        orbit._setup(n_lo, n_hi, delta, states, defects, norms, table)
+    def _built(cls, n_lo: int, n_hi: int, delta, table, seed=None):
+        """An orbit from a builder's table; delta=None takes the largest defect norm."""
+        orbit, states = cls.__new__(cls), [None] * (n_hi - n_lo + 1)
+        states[-n_lo] = seed  # a shift orbit's state at time 0 is its seed itself
+        orbit._setup(n_lo, n_hi, delta, states, [None] * (n_hi - n_lo), table)
         return orbit
 
-    def _setup(self, n_lo, n_hi, delta, states, defects, norms, table):
+    def _setup(self, n_lo, n_hi, delta, states, defects, table):
         if not (n_lo <= 0 <= n_hi):
             raise ValueError("orbit window must straddle index 0")
         if len(states) != n_hi - n_lo + 1:
             raise ValueError("state count does not match the window")
         if len(defects) != len(states) - 1:
             raise ValueError("need exactly one defect per step")
-        state_norms, defect_norms = norms or (_norms(states), _norms(defects))
+        if table is None and not all(isinstance(v, SupportedVector) for v in (*states, *defects)):
+            x = [np.asarray(v, dtype=np.complex128) for v in (*states, *defects)]
+            shapes = list(dict.fromkeys(v.shape for v in x))
+            if len(shapes) > 1 or len(shapes[0]) != 1:
+                raise ValueError(f"dense states and defects must be 1-D of one length, got {shapes}")
+            x = np.array(x)
+            table = _OrbitTable(n_lo, x[: len(states)].T, x[len(states):].T)
+            states, defects = [None] * len(states), [None] * len(defects)
+        state_norms, defect_norms = table.norms() if table is not None else (
+            np.array([v.norm() for v in vs], dtype=float) for vs in (states, defects))
         if delta is None:
             delta = float(defect_norms.max(initial=0.0))
         if not (math.isfinite(delta) and delta >= 0):
@@ -173,20 +180,25 @@ class PseudoOrbit:
     def defect_norms(self) -> list:
         return self._defect_norms.tolist()
 
+    def _table_for(self, op) -> tuple:
+        """The table op reads, kind and size checked once on the state at time
+        0: d x W states and d x (W-1) defects for a dense op; a shift's sorted
+        chains and chain x time states, read off the states when the orbit
+        has no table for op's step (built from vectors, or the other direction's)."""
+        _vector_of(op, self.state(0))
+        table = self._table
+        if isinstance(op, DenseOperator):
+            return table.states, table.defects
+        if table is not None and table.step == op.step:
+            return table.chains, table.states
+        return _chain_cells(self.states, range(self.n_lo, self.n_hi + 1), op.step)[:2]
+
 
 def _row_norms(g: np.ndarray) -> np.ndarray:
     """`np.linalg.norm` of each row of a complex 2-D array, bit for bit (one dot per part)."""
     re, im = g.real[:, None, :], g.imag[:, None, :]
     with np.errstate(over="ignore"):  # a norm that overflows is inf, for the caller to refuse
         return np.sqrt((re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0, 0])
-
-
-def _norms(vectors: tuple) -> np.ndarray:
-    """`vec_norm` of each vector: `SupportedVector.norm`, or one `_row_norms`
-    over the dense vectors, raveled as `np.linalg.norm` reads them."""
-    if all(isinstance(v, SupportedVector) for v in vectors):
-        return np.array([v.norm() for v in vectors], dtype=float)
-    return _row_norms(np.array([np.ravel(v) for v in vectors], dtype=np.complex128))
 
 
 def _draw_defects(size: int, delta: float, n_lo: int, n_hi: int, rng):
@@ -205,39 +217,44 @@ def _draw_defects(size: int, delta: float, n_lo: int, n_hi: int, rng):
 
 
 @dataclass(frozen=True, eq=False)
-class _ChainTable:
-    """A shift orbit as one chain x time table.
+class _OrbitTable:
+    """A pseudo-orbit as one coordinate x time table.
 
-    Row r is chain chains[r], sorted as `np.unique` sorts them, which holds
-    index chains[r] + n*step at time n; column j of `states` is time n_lo + j
-    and column j of `defects` time n_lo + j + 1.  A cell that a vector does
-    not list holds +0j.  orders[1] lists the rows as the vectors from time 0
-    on list them, in first appearance along the path out of the seed, and
-    orders[0] as the vectors before time 0 list them.
+    Column j of `states` is time n_lo + j, column j of `defects` time n_lo + j
+    + 1.  A dense orbit's rows are its coordinates (chains is None), its
+    tables transposed views of time-major arrays.  A shift orbit's row r is
+    chain chains[r], sorted, which holds index chains[r] + n*step at time n;
+    a cell that `listed` does not mark holds +0j, and a defect lists the
+    chains of the states on either side.  orders[1] lists the rows as the
+    vectors from time 0 on list them, in first appearance along the path out
+    of the seed, and orders[0] as the vectors before time 0 list them.
     """
 
-    step: int
     n_lo: int
-    chains: np.ndarray
-    orders: tuple
     states: np.ndarray
-    listed: np.ndarray
     defects: np.ndarray
-    defect_listed: np.ndarray
+    step: int = 0
+    chains: np.ndarray | None = None
+    orders: tuple = ()
+    listed: np.ndarray | None = None
 
-    def vector(self, kind: str, j: int) -> SupportedVector:
-        values, listed = (
-            (self.states, self.listed) if kind == "states" else (self.defects, self.defect_listed)
-        )
+    def vector(self, kind: str, j: int):
+        defect = kind == "defects"
+        values = self.defects if defect else self.states
+        if self.chains is None:
+            return values[:, j]
         rows = self.orders[j >= -self.n_lo]
-        rows = rows[listed[rows, j]]
-        index = self.chains[rows] + (self.n_lo + j + (kind == "defects")) * self.step
+        rows = rows[self.listed[rows, j : j + 1 + defect].any(axis=1)]
+        index = self.chains[rows] + (self.n_lo + j + defect) * self.step
         return SupportedVector(dict(zip(index.tolist(), values[rows, j].tolist())))
 
     def norms(self) -> tuple:
-        """`SupportedVector.norm` of every state and of every defect: abs()
-        is hypot, squared as a * a and summed in each vector's listing order
-        (a cell it does not list adds +0.0, which changes no sum)."""
+        """`vec_norm` of every state and of every defect: `_row_norms` of the
+        time-major arrays, or `SupportedVector.norm`, abs() as hypot, squared
+        as a * a and summed in each vector's listing order (a cell it does not
+        list adds +0.0, which changes no sum)."""
+        if self.chains is None:
+            return _row_norms(self.states.T), _row_norms(self.defects.T)
         k0, out = -self.n_lo, []
         for values in (self.states, self.defects):
             sq = np.hypot(values.real, values.imag)
@@ -251,8 +268,23 @@ class _ChainTable:
         return tuple(out)
 
 
+def _chain_cells(vectors, times, step: int) -> tuple:
+    """SupportedVectors at the given times on a shift's chains c = i - n*step:
+    the chains, sorted; a chain x vector table of the coefficients and a mask
+    of the listed cells; and each listed cell's (column, row), vector by
+    vector in listing order."""
+    cells = [(k, i - n * step, v) for k, (n, y) in enumerate(zip(times, vectors))
+             for i, v in y.coefficients.items()]
+    cols, listed, values = zip(*cells) if cells else ((), (), ())
+    chains, rows = np.unique(np.array(listed, dtype=np.int64), return_inverse=True)
+    table = np.zeros((len(chains), len(vectors)), dtype=np.complex128)
+    mask = np.zeros(table.shape, dtype=bool)
+    table[rows, cols], mask[rows, cols] = values, True
+    return chains, table, mask, list(zip(cols, rows.tolist()))
+
+
 def _shift_orbit(op: ShiftOperator, x0, delta, n_lo: int, chains, z, z_listed, orders):
-    """The shift recurrence on a `_ChainTable` (z and z_listed are chain x
+    """The shift recurrence on an `_OrbitTable` (z and z_listed are chain x
     step), as a PseudoOrbit whose state at time 0 is x0 itself; delta=None
     takes the largest defect norm.
 
@@ -293,17 +325,14 @@ def _shift_orbit(op: ShiftOperator, x0, delta, n_lo: int, chains, z, z_listed, o
         actual = x[:, 1:] + np.where(listed[:, :-1], minus * (fwd * x[:, :-1]), keep)
     if not (np.isfinite(x).all() and np.isfinite(actual).all()):
         raise ValueError("coefficients must be finite")
-    defect_listed = listed[:, 1:] | listed[:, :-1]
-    table = _ChainTable(op.step, n_lo, chains, orders, x, listed, actual, defect_listed)
-    states = [None] * (steps + 1)
-    states[k0] = x0
-    return PseudoOrbit._built(n_lo, n_lo + steps, delta, states, [None] * steps, table.norms(), table)
+    table = _OrbitTable(n_lo, x, actual, op.step, chains, orders, listed)
+    return PseudoOrbit._built(n_lo, n_lo + steps, delta, table, x0)
 
 
 def _dense_orbit(op: DenseOperator, x0, defects, n_lo: int, n_hi: int, delta) -> PseudoOrbit:
     """States from x0 at index 0 through x_{n+1} = A x_n + z_n, forward and,
-    by the exact inverse, backward; and the defects re-read off the states,
-    as the rows of two arrays.  delta=None takes the largest defect norm."""
+    by the exact inverse, backward, and the defects re-read off the states:
+    the orbit's table, transposed.  delta=None takes the largest defect norm."""
     k0, steps = -n_lo, len(defects)
     a, ainv = op.entries, inverse(op).entries
     x = np.empty((steps + 1, op.dim), dtype=np.complex128)
@@ -316,8 +345,7 @@ def _dense_orbit(op: DenseOperator, x0, defects, n_lo: int, n_hi: int, delta) ->
             x[j] = ainv @ (x[j + 1] - defects[j])
         for j in range(steps):
             actual[j] = x[j + 1] - a @ x[j]
-    norms = (_row_norms(x), _row_norms(actual))
-    return PseudoOrbit._built(n_lo, n_hi, delta, tuple(x), tuple(actual), norms, None)
+    return PseudoOrbit._built(n_lo, n_hi, delta, _OrbitTable(n_lo, x.T, actual.T))
 
 
 def generate_pseudo_orbit(
@@ -373,24 +401,14 @@ def orbit_from_defects(op, x0, defects, window: tuple) -> PseudoOrbit:
         raise ValueError("need exactly one defect per step")
     if isinstance(op, DenseOperator):
         return _dense_orbit(op, x0, defects, n_lo, n_hi, None)
-    # z_n's index i lies on chain i - (n+1)*step
-    pairs = [[(i - (n + 1) * op.step, v) for i, v in z.coefficients.items()]
-             for n, z in zip(range(n_lo, n_hi), defects)]
-    seed = list(x0.coefficients)
-    chains = np.array(sorted({*seed, *(c for p in pairs for c, _ in p)}), dtype=np.int64)
-    row = {c: r for r, c in enumerate(chains.tolist())}
-    z = np.zeros((len(chains), len(pairs)), dtype=np.complex128)
-    z_listed = np.zeros(z.shape, dtype=bool)
-    for j, p in enumerate(pairs):
-        for c, v in p:
-            z[row[c], j], z_listed[row[c], j] = v, True
-
-    def order(steps):  # rows in first appearance from the seed along these steps
-        return np.array([row[c] for c in dict.fromkeys([*seed, *(c for p in steps for c, _ in p)])],
-                        dtype=np.intp)
-
-    orders = (order(pairs[:-n_lo][::-1]), order(pairs[-n_lo:]))
-    return _shift_orbit(op, x0, None, n_lo, chains, z, z_listed, orders)
+    # the seed is column 0, at time 0; z_n lists its cells at time n+1, in column n - n_lo + 1
+    times = [0, *range(n_lo + 1, n_hi + 1)]
+    chains, z, z_listed, cells = _chain_cells([x0, *defects], times, op.step)
+    # rows in first appearance along the path out of the seed, backward and forward
+    back = sorted((c for c in cells if c[0] <= -n_lo), key=lambda c: (c[0] > 0, -c[0]))
+    fwd = [c for c in cells if c[0] == 0 or c[0] > -n_lo]
+    orders = tuple(np.fromiter(dict.fromkeys(r for _, r in p), np.intp) for p in (back, fwd))
+    return _shift_orbit(op, x0, None, n_lo, chains, z[:, 1:], z_listed[:, 1:], orders)
 
 
 @dataclass(frozen=True, eq=False)
@@ -444,7 +462,7 @@ def construct_shadow(
     if not isinstance(op, DenseOperator) or not isinstance(b, DenseOperator):
         raise TypeError("construct_shadow needs dense operator and splitting")
     d = op.dim
-    states = [_vector_of(op, s) for s in orbit.states]
+    ys, z = orbit._table_for(op)  # d x W states, d x (W-1) defects
     a, b_mat = op.entries, b.entries
     ainv = inverse(op).entries
 
@@ -452,10 +470,9 @@ def construct_shadow(
     q = 0.5 * (1.0 + rates.worst) if q is None else q
     K = rates.envelope(q)
 
-    W = len(states)
+    W = ys.shape[1]
     x = np.zeros((d, W), dtype=np.complex128)
     if W > 1:
-        z = np.stack(orbit.defects, axis=1)  # d x (W-1)
         comp = np.eye(d, dtype=np.complex128) - b_mat
         u = np.zeros(d, dtype=np.complex128)
         for n in range(1, W):
@@ -469,8 +486,8 @@ def construct_shadow(
     else:
         residual = 0.0
 
-    anchor = states[-orbit.n_lo] - x[:, -orbit.n_lo]
-    gap = np.stack(states, axis=1)  # d x W, C-ordered, as the norm below sums it
+    anchor = ys[:, -orbit.n_lo] - x[:, -orbit.n_lo]
+    gap = ys.copy(order="C")  # the norm below sums down a C-ordered d x W array
     gap -= _window_powers(op, orbit.n_lo, orbit.n_hi, anchor).T
     eps = float(np.max(np.linalg.norm(gap, axis=0)))
 
@@ -513,27 +530,6 @@ def _window_powers(op: DenseOperator, n_lo: int, n_hi: int, first) -> np.ndarray
     return out
 
 
-def _chain_time_table(op, orbit: PseudoOrbit, times: np.ndarray) -> tuple:
-    """The chains of a shift orbit's states on op's chains, sorted, and their
-    chain x time table: the orbit's own table when it has one for op's step,
-    else one read off the states (an orbit built from vectors, or the orbit
-    of a shift in the other direction)."""
-    table = orbit._table
-    if isinstance(op, ShiftOperator) and table is not None and table.step == op.step:
-        return table.chains, table.states
-    states = [_vector_of(op, s) for s in orbit.states]
-    # listed coefficient i of y_n lies on chain j = i - n*step, where T^n e_j lives
-    cells = [(i - n * op.step, k, v) for k, (n, y) in enumerate(zip(times.tolist(), states))
-             for i, v in y.coefficients.items()]
-    if not cells:
-        return (), None
-    listed, cols, values = zip(*cells)
-    chains, rows = np.unique(listed, return_inverse=True)
-    ys = np.zeros((len(chains), len(times)), dtype=np.complex128)  # chain x time
-    ys[rows, cols] = values
-    return chains, ys
-
-
 def shadow_oracle_lsq(op, orbit: PseudoOrbit) -> OracleResult:
     """Independent shadowing oracle: minimize sum_n ||y_n - T^n x||^2 over x.
 
@@ -547,17 +543,15 @@ def shadow_oracle_lsq(op, orbit: PseudoOrbit) -> OracleResult:
     over the window.
     """
     if isinstance(op, DenseOperator):
-        states = [_vector_of(op, s) for s in orbit.states]
-        d = op.dim
+        d, ys = op.dim, orbit._table_for(op)[0].T  # time-major, W x d
         blocks = _window_powers(op, orbit.n_lo, orbit.n_hi, np.eye(d))
-        target = np.concatenate(states)
-        sol, _, _, svals = np.linalg.lstsq(blocks.reshape(-1, d), target, rcond=None)
-        eps = float(np.max(_row_norms(np.stack(states) - blocks @ sol)))
+        sol, _, _, svals = np.linalg.lstsq(blocks.reshape(-1, d), ys.ravel(), rcond=None)
+        eps = float(np.max(_row_norms(ys - blocks @ sol)))
         cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else float("inf")
         return OracleResult(best_anchor=sol, epsilon_achieved=eps, condition=cond)
 
+    chains, ys = orbit._table_for(op)
     times = np.arange(orbit.n_lo, orbit.n_hi + 1)
-    chains, ys = _chain_time_table(op, orbit, times)
     if not len(chains):
         return OracleResult(best_anchor=SupportedVector({}), epsilon_achieved=0.0, condition=1.0)
     step = op.step

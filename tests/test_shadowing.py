@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -988,6 +989,99 @@ class TestChainTableOrbit:
         orbit = ss.generate_pseudo_orbit(ONE_DIM_DOUBLE, np.zeros(1), 1e-3, (-2, 2), rng_seed=0)
         with pytest.raises(AttributeError, match="immutable"):
             orbit.delta = 1.0
+
+
+# float.hex of the dense shadow and oracle digits on one non-normal orbit;
+# d = 8, so a norm summed down a column-major table would pair its terms
+# differently and show here
+DENSE_DIGITS_HEX = {
+    "epsilon_achieved": "0x1.4492d797eeecdp-9",
+    "recurrence_residual": "0x1.db0ed1f551a49p-60",
+    "anchor": [
+        "0x1.e401817a7fd1ap+0", "-0x1.4489afbd67d12p-2", "-0x1.cac9ee64a698fp-7",
+        "0x1.178d22c6d0e19p-2", "-0x1.a0a9bceddef77p-3", "0x1.ecee7d7406b18p+0",
+        "0x1.cd51ed6584c9cp-1", "-0x1.cfc8cb633d2c0p-1", "-0x1.d402302dd9aefp-5",
+        "-0x1.05b03af65fe7dp-3", "0x1.15a0e3c44262dp+0", "0x1.3d55ea172e8ebp-1",
+        "0x1.1614af20526fep-2", "0x1.370f67748ca87p-1", "-0x1.ab021565abef8p-1",
+        "0x1.111509a9d2b57p-1",
+    ],
+    "oracle_epsilon_achieved": "0x1.3da1a662e2b33p-9",
+    "condition": "0x1.2b6410a91f4c9p+8",
+    "best_anchor": [
+        "0x1.e4016f83cb958p+0", "-0x1.448988ed35868p-2", "-0x1.cabd2c87daa58p-7",
+        "0x1.178d316adfd0fp-2", "-0x1.a0a9e63831e8ap-3", "0x1.ecee6cad66351p+0",
+        "0x1.cd524117c0652p-1", "-0x1.cfc8b1f5b7bc9p-1", "-0x1.d4037f25c4fb0p-5",
+        "-0x1.05afb08d16e74p-3", "0x1.15a0830562679p+0", "0x1.3d55dfc0347c1p-1",
+        "0x1.16148435b759dp-2", "0x1.370fa56437942p-1", "-0x1.ab01b9df5ea43p-1",
+        "0x1.11153e82ffab7p-1",
+    ],
+}
+
+
+class TestDenseOrbitTable:
+    """Dense orbits are one d x W table, checked once by each reader."""
+
+    @pytest.mark.parametrize("case", ["row-states", "column-defects", "longer-state", "scalar-state"])
+    def test_malformed_dense_vectors_are_refused(self, case):
+        good = ss.generate_pseudo_orbit(ss.diagonal([2.0, 0.5]), np.ones(2), 1e-3, (-2, 2), 0)
+        states, defects = list(good.states), list(good.defects)
+        if case == "row-states":  # both raveled to length 2, delta 1e-3
+            states, defects = [s.reshape(1, 2) for s in states], [z.reshape(2, 1) for z in defects]
+        elif case == "column-defects":
+            defects = [z.reshape(2, 1) for z in defects]
+        elif case == "longer-state":
+            states[-1] = np.zeros(3)
+        else:
+            states[0] = np.complex128(1.0)
+        shape = {"row-states": (1, 2), "column-defects": (2, 1), "longer-state": (3,),
+                 "scalar-state": ()}[case]
+        with pytest.raises(ValueError, match=r"1-D of one length, got \[.*" + re.escape(str(shape))):
+            ss.PseudoOrbit(n_lo=-2, n_hi=2, states=states, delta=1e-3, defects=defects)
+
+    def test_shadow_and_oracle_refuse_another_kind_or_dimension(self):
+        a = ss.diagonal([2.0, 0.5])
+        t = ss.ShiftOperator("forward", W_HI, W_LO, 0)
+        shift = ss.generate_pseudo_orbit(t, ss.basis_vector(0), 1e-3, (-2, 2), rng_seed=0)
+        wide = ss.generate_pseudo_orbit(ss.diagonal([2.0, 0.5, 3.0]), np.ones(3), 1e-3, (-2, 2), 0)
+        for orbit, message in ((shift, "not a SupportedVector"), (wide, "does not match dimension 2")):
+            with pytest.raises(ss.DimensionMismatchError, match=message):
+                ss.construct_shadow(a, ss.riesz_projector(a), orbit)
+            with pytest.raises(ss.DimensionMismatchError, match=message):
+                ss.shadow_oracle_lsq(a, orbit)
+
+    def test_shadow_and_oracle_check_one_vector(self, monkeypatch):
+        a, _ = random_hyperbolic(np.random.default_rng(32), 32, normal=True)
+        orbit = ss.generate_pseudo_orbit(a, np.zeros(32), 1e-3, (-30, 30), rng_seed=5)
+        b = ss.riesz_projector(a)
+        calls, check = [], shadowing._vector_of
+        monkeypatch.setattr(shadowing, "_vector_of", lambda op, v: calls.append(v) or check(op, v))
+        ss.construct_shadow(a, b, orbit)
+        assert len(calls) == 1
+        ss.shadow_oracle_lsq(a, orbit)
+        assert len(calls) == 2
+
+    def test_dense_digits_are_pinned(self):
+        rng = np.random.default_rng(2101)
+        a, _ = random_hyperbolic(rng, 8, normal=False)
+        x0 = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        orbit = ss.generate_pseudo_orbit(a, x0, 1e-3, (-20, 20), rng_seed=21)
+        copy = ss.PseudoOrbit(n_lo=orbit.n_lo, n_hi=orbit.n_hi, states=orbit.states,
+                              delta=orbit.delta, defects=orbit.defects)
+
+        def hexes(v):
+            return [h for c in v for h in (c.real.hex(), c.imag.hex())]
+
+        for o in (orbit, copy):
+            res = ss.construct_shadow(a, ss.riesz_projector(a), o)
+            oracle = ss.shadow_oracle_lsq(a, o)
+            assert {
+                "epsilon_achieved": res.epsilon_achieved.hex(),
+                "recurrence_residual": res.recurrence_residual.hex(),
+                "anchor": hexes(res.anchor),
+                "oracle_epsilon_achieved": oracle.epsilon_achieved.hex(),
+                "condition": oracle.condition.hex(),
+                "best_anchor": hexes(oracle.best_anchor),
+            } == DENSE_DIGITS_HEX
 
 
 def test_refused_chain_probe_allocates_nothing_of_its_size():
