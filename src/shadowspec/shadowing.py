@@ -34,12 +34,12 @@ l2 norm (exact minimum gain via SVD) although the sequence operators natively
 live on l1/l-infinity; on finite windows the norms are equivalent and every
 probe is labelled as the l2 surrogate it is.  The l1 gain itself is evaluated
 exactly on the two-sided geometric test family via `bgain_test_sequence`, in
-one pass over a real support x row table: the truncated script-B image, with
-scales mirrored in n, and the closed-form identity's two rows, shift digits kept.
+one pass over a real support x row table (a shift's x and T*x placed straight
+from x's coefficients and hop weights), with SupportedVector's digits.
 
 Shift probes never build the window matrix: the stencils couple (time, index)
-only to (time +- 1, index +- 1), so the matrix splits into scalar bidiagonal
-chains, each resolved to high relative accuracy (see `_shift_chain_gain`).
+only to (time +- 1, index +- 1), so it splits into scalar bidiagonal chains,
+each read off its first node and resolved to high relative accuracy (`_shift_chain_gain`).
 """
 
 import math
@@ -47,7 +47,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import NotUnimodularError
+from .errors import DimensionMismatchError, NotUnimodularError
 from .operators import (
     UNIMODULAR_TOL,
     DenseOperator,
@@ -58,7 +58,6 @@ from .operators import (
     _powers,
     _vector_of,
     adjoint,
-    apply,
     inverse,
     vec_norm,
 )
@@ -95,7 +94,8 @@ class PseudoOrbit:
 
     A dense orbit, and every orbit the builders make, is one coordinate x
     time table (`_OrbitTable`) whose vectors are built when first read;
-    ValueError for a dense state or defect that is not 1-D of one shared length.
+    ValueError for a dense state or defect that is not 1-D of one shared length,
+    DimensionMismatchError for SupportedVectors mixed with arrays.
     """
 
     def __init__(self, n_lo: int, n_hi: int, states, delta: float, defects):
@@ -117,6 +117,8 @@ class PseudoOrbit:
         if len(defects) != len(states) - 1:
             raise ValueError("need exactly one defect per step")
         if table is None and not all(isinstance(v, SupportedVector) for v in (*states, *defects)):
+            if any(isinstance(v, SupportedVector) for v in (*states, *defects)):
+                raise DimensionMismatchError("states and defects mix SupportedVectors and arrays")
             x = [np.asarray(v, dtype=np.complex128) for v in (*states, *defects)]
             shapes = list(dict.fromkeys(v.shape for v in x))
             if len(shapes) > 1 or len(shapes[0]) != 1:
@@ -620,12 +622,12 @@ def _shift_chain_gain(op: ShiftOperator, kind: str, n: int, m) -> float:
     the least smallest singular value.
 
     Every step is a product or hypot of hop weights, so tiny gains keep full
-    relative accuracy: chains with an extra column are rotated square
-    (Givens, bottom-up); the reciprocal column norms tau of the square R's
-    inverse bound sigma_min(R) within [1 / ||1/tau||_2, min tau]; and only
-    chains whose lower bound reaches the least upper bound get an SVD,
-    batched by size.  LAPACK leaves a real upper bidiagonal as it is and
-    resolves it by dqds.
+    relative accuracy: chains with an extra column are rotated square (Givens,
+    bottom-up, one row of every chain per step); the reciprocal column norms
+    tau of the square R's inverse bound sigma_min(R) within [1 / ||1/tau||_2,
+    min tau]; and only chains whose lower bound reaches the least upper bound
+    get an SVD, batched by size.  LAPACK leaves a real upper bidiagonal as it
+    is and resolves it by dqds.
     """
     if m is None:
         raise ValueError("shift operators need a materialization half-width M")
@@ -638,49 +640,41 @@ def _shift_chain_gain(op: ShiftOperator, kind: str, n: int, m) -> float:
     # (script-B, row to column), so either way it moves the index by T's own
     # step across the edge T crosses; the next hop keeps the index
     nodes = 4 * n + 3 if kind == "script-B" else 4 * n + 1
-    reach = op.step * (nodes // 2)  # the last node's move; the moves run from 0 to it
-    lo, hi = min(reach, 0), max(reach, 0)
-    # the index grid first: numpy refuses a window too large before anything else its size
-    index = np.empty((2 * m + hi - lo + 1, nodes), dtype=np.int64)
-    moved = op.step * ((np.arange(nodes) + 1) // 2)
-    np.add(np.arange(-m - hi, m - lo + 1)[:, None], moved, out=index)
-    inside = np.abs(index) <= m  # materialize drops what leaves -M..M
-    hops = op.hop_weights(index[:, :-1])
-    hops[:, 1::2] = 1.0
-    hops[~(inside[:, :-1] & inside[:, 1:])] = 0.0
-    hops = np.hstack([hops, np.zeros((len(hops), 1))])  # a zero past the last node
+    steps = nodes // 2  # the most diagonal entries a chain holds
+    # the step x chain grid first: numpy refuses a window too large before anything else its size
+    grid = np.empty((steps, 2 * m + steps), dtype=np.int64)
+    # chain v's node j holds index step * (v + u_j); v = -M-steps..M-1 keep two or more
+    # nodes inside -M..M, as materialize does: one run first..first+count-1, the k x k (k x
+    # (k+1) for odd count) upper bidiagonal of diagonal a_i, superdiagonal b_i, k = count // 2
+    u, v = (np.arange(nodes) + 1) // 2, np.arange(-m - steps, m)
+    first = np.searchsorted(u, -m - v)
+    count = np.searchsorted(u, m - v, side="right") - first
+    size = count // 2
+    # rows are steps, chains right-aligned under decoupled ones: row r of chain v
+    # crosses T's edge from step * (v + u_f + r - steps + size), f its first even node
+    np.add.outer(np.arange(steps), v + (first + 1) // 2 + size - steps, out=grid)
+    w = op.hop_weights(op.step * grid)
+    odd = first % 2 == 1  # a chain from an odd node starts with an identity hop
+    a, b = np.where(odd, 1.0, w), np.where(odd, w, 1.0)
+    pad = np.arange(steps)[:, None] < steps - size
+    a[pad], b[pad] = 1.0, 0.0
+    b[-1, count % 2 == 0] = 0.0  # the last row's b is the extra column's entry
 
-    # a chain with `count` nodes from `first` is the k x k (k x (k+1) for odd
-    # count) upper bidiagonal with diagonal a_i and superdiagonal b_i;
-    # rows are padded to k_max with decoupled ones
-    count = inside.sum(axis=1)
-    size = count[count >= 2] // 2
-    first = np.argmax(inside[count >= 2], axis=1)
-    hops = hops[count >= 2]
-    k_max = int(size.max())
-    chain = np.arange(len(size))[:, None]
-    at = np.minimum(first[:, None] + 2 * np.arange(k_max), nodes - 2)  # clips padding only
-    pad = np.arange(k_max) >= size[:, None]
-    a = np.where(pad, 1.0, hops[chain, at])
-    b = np.where(pad, 0.0, hops[chain, at + 1])
+    extra = b[-1].copy()  # chased upward by Givens rotations
+    for i in range(steps - 1, 0, -1):
+        rho = np.hypot(a[i], extra)
+        np.multiply(b[i - 1], extra / rho, out=extra)
+        b[i - 1] *= a[i] / rho
+        a[i] = rho
+    a[0] = np.hypot(a[0], extra)
 
-    extra = np.zeros(len(size))  # the extra column's entry, chased upward
-    for i in range(k_max - 1, -1, -1):
-        extra = np.where(size - 1 == i, b[:, i], extra)
-        rho = np.hypot(a[:, i], extra)
-        if i:
-            b[:, i - 1], extra = b[:, i - 1] * (a[:, i] / rho), b[:, i - 1] * (extra / rho)
-        a[:, i] = rho
-    b[chain[:, 0], size - 1] = 0.0
-
-    tau = np.empty_like(a)
-    tau[:, 0] = a[:, 0]
+    tau = a.copy()
     with np.errstate(invalid="ignore"):  # 0/0 once tau underflows
-        for i in range(1, k_max):
-            tau[:, i] = a[:, i] * (tau[:, i - 1] / np.hypot(tau[:, i - 1], b[:, i - 1]))
+        for i in range(1, steps):
+            tau[i] *= tau[i - 1] / np.hypot(tau[i - 1], b[i - 1])
         tau[pad] = np.inf
-        upper = tau.min(axis=1)
-        lower = upper / np.sqrt(np.sum((upper[:, None] / tau) ** 2, axis=1))
+        upper = tau.min(axis=0)
+        lower = upper / np.sqrt(np.sum((upper / tau) ** 2, axis=0))
     # a NaN bound keeps its chain; the slack covers rounding in the bounds
     keep = np.flatnonzero(~(lower > upper.min() * (1.0 + 1e-9)))
     gain = np.inf
@@ -688,8 +682,8 @@ def _shift_chain_gain(op: ShiftOperator, kind: str, n: int, m) -> float:
         sel = keep[size[keep] == k]
         diag = np.arange(k)
         mats = np.zeros((len(sel), k, k))
-        mats[:, diag, diag] = a[sel, :k]
-        mats[:, diag[:-1], diag[:-1] + 1] = b[sel, : k - 1]
+        mats[:, diag, diag] = a[-k:, sel].T
+        mats[:, diag[:-1], diag[:-1] + 1] = b[-k:-1, sel].T
         gain = min(gain, float(np.linalg.svd(mats, compute_uv=False)[:, -1].min()))
     return gain
 
@@ -755,7 +749,7 @@ def bgain_test_sequence(op, x, q: float) -> BGainResult:
     ||(I - T*) x|| / ||x||, which is how near-eigenvectors of T* at 1 expose a
     failing bounded-below constant.  The window has the least N with q^-N <=
     1e-14 terms per side, so q has a floor: ValueError below BGAIN_MIN_Q = 1.00033,
-    and for an infinite q or a non-finite ||x||.
+    and for an infinite q or a non-finite ||x|| or T*x (a shift's, formed as arrays).
     """
     q = float(q)
     if not (math.isfinite(q) and q >= BGAIN_MIN_Q):
@@ -767,13 +761,21 @@ def bgain_test_sequence(op, x, q: float) -> BGainResult:
     while q**-n_trunc > 1e-14:  # the ceil can land a few ulps short
         n_trunc += 1
 
-    t_star_x = apply(adjoint(op), x)
-    if isinstance(x, SupportedVector):
-        # the indices of x - T*x, in the order SupportedVector lists them
-        support = list(dict.fromkeys([*x.coefficients, *t_star_x.coefficients]))
-        x_arr, tx_arr = (np.array([v.get(i) for i in support]) for v in (x, t_star_x))
+    x_arr = _vector_of(op, x)
+    if isinstance(op, DenseOperator):
+        tx_arr = adjoint(op).entries @ x_arr  # as `apply` forms it
     else:
-        x_arr, tx_arr = _vector_of(op, x), t_star_x
+        # x and T*x on the indices of x - T*x, as SupportedVector lists them;
+        # T* moves e_i to e_{i-step} by the hop weight from i - step, as `apply` does
+        values = np.fromiter(x.coefficients.values(), np.complex128, len(x.coefficients))
+        t_index = [i - op.step for i in x.coefficients]
+        with np.errstate(over="ignore"):
+            t_values = op.hop_weights(np.array(t_index)) * values
+        if not np.isfinite(t_values).all():
+            raise ValueError("coefficients must be finite")
+        rows = {i: r for r, i in enumerate(dict.fromkeys([*x.coefficients, *t_index]))}
+        x_arr, tx_arr = np.zeros((2, len(rows)), dtype=np.complex128)
+        x_arr[: len(values)], tx_arr[[rows[i] for i in t_index]] = values, t_values
 
     # column n = -N..N+1 is row n of script-B's image, y_{n-1} - T* y_n =
     # s_prev x - s_cur T*x with s = q^{-|n|} on -N..N and 0 outside; two more
@@ -791,9 +793,7 @@ def bgain_test_sequence(op, x, q: float) -> BGainResult:
         im -= np.multiply.outer(tx_arr.imag, s_cur)
         np.hypot(re, im, out=re)
     re *= re
-    for row in re[1:]:  # summed down the support, in listing order
-        re[0] += row
-    norms = np.sqrt(re[0])
+    norms = np.sqrt(np.add.reduce(re, axis=0))  # row by row down a C-ordered table: listing order
     total = np.add.accumulate(norms[:-2])[-1]
     norm_y1 = np.add.accumulate(scales * norm_x)[-1]
     identity = (norms[-2] * q + norms[-1]) / ((1.0 + q) * norm_x)

@@ -466,6 +466,18 @@ class TestBGain:
         with pytest.raises(ValueError, match="finite norm"):
             ss.bgain_test_sequence(t, ss.SupportedVector({0: 1e200}), 1.2)
 
+    def test_overflowing_adjoint_image_is_refused(self):
+        # ||x|| = 1e150 is finite, T*x = 1e350 e_{-1} is not
+        t = ss.ShiftOperator("forward", 1e200, 1e200)
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            ss.bgain_test_sequence(t, ss.SupportedVector({0: 1e150}), 1.2)
+
+    def test_vector_of_the_other_kind_is_refused(self):
+        with pytest.raises(ss.DimensionMismatchError):
+            ss.bgain_test_sequence(ss.diagonal([2.0, 0.5]), ss.basis_vector(0), 1.2)
+        with pytest.raises(ss.DimensionMismatchError):
+            ss.bgain_test_sequence(ss.ShiftOperator("forward", W_HI, W_LO), np.ones(3), 1.2)
+
     def test_truncation_is_the_least_n_as_evaluated(self):
         # 14 / log10 q = 10 exactly, where q^-10 lands a few ulps above 1e-14
         q = 10**1.4
@@ -661,6 +673,29 @@ class TestShiftChainProbe:
         t = ss.ShiftOperator("backward", W_HI, W_LO, 2)
         assert ss.window_probe(t, kind, n, m).gain.hex() == gain_hex
 
+    @pytest.mark.parametrize(
+        "weights, kind, n, gain_hex",
+        [
+            ((1.0, 1.0), "script-B", 1, "0x1.c7b90e3024582p-2"),
+            ((1.0, 1.0), "script-B", 8, "0x1.6f885e6312d71p-4"),
+            ((1.0, 1.0), "script-S", 1, "0x1.3c6ef372fe94fp-1"),
+            ((1.0, 1.0), "script-S", 8, "0x1.85ca828b02085p-4"),
+            ((1.5, 0.9), "script-B", 1, "0x1.f12361e310c5cp-2"),
+            ((1.5, 0.9), "script-B", 8, "0x1.f531eb3308312p-5"),
+            ((1.5, 0.9), "script-S", 1, "0x1.4b0d44e1cc0bdp-1"),
+            ((1.5, 0.9), "script-S", 8, "0x1.4fb8b761cec81p-4"),
+            ((0.5, 2.0), "script-B", 1, "0x1.8d2e9d540e799p-3"),
+            ((0.5, 2.0), "script-B", 8, "0x1.5798257d48148p-13"),
+            ((0.5, 2.0), "script-S", 1, "0x1.a827999fcef33p-2"),
+            ((0.5, 2.0), "script-S", 8, "0x1.57ff7cb99d902p-13"),
+        ],
+    )
+    def test_forward_tied_shift_gains_are_pinned_exactly(self, weights, kind, n, gain_hex):
+        # near-tied chains, where most survive the bounds and reach the SVD;
+        # M = N + 3 leaves chains of every length, with and without an extra column
+        t = ss.ShiftOperator("forward", *weights, 1)
+        assert ss.window_probe(t, kind, n, n + 3).gain.hex() == gain_hex
+
     def test_tiny_gain_has_relative_accuracy(self):
         # 3.1086244689504298e-15 is this compression's smallest singular
         # value in 120-digit arithmetic; a dense SVD resolves it only to
@@ -705,14 +740,25 @@ class TestArrayGainAndOracle:
                 more = [(op, ss.SupportedVector({i: v.real for i, v in x.coefficients.items()}))]
                 tol = id_tol = 0.0  # same operations in the same order
             for op, x in [(op, x), *more]:  # real rows skip hypot
-                res = ss.bgain_test_sequence(op, x, q)
-                ref = _reference_gain_measured(op, x, q, res.truncation)
-                assert abs(res.gain_measured - ref) <= tol * ref
-                t_star_x = ss.apply(ss.adjoint(op), x)
-                identity = (
-                    vec_norm((1.0 / q) * x - t_star_x) * q + vec_norm(q * x - t_star_x)
-                ) / ((1.0 + q) * vec_norm(x))
-                assert abs(res.gain_identity - identity) <= id_tol * identity
+                self.check_gain(op, x, q, tol, id_tol)
+        # the 61-index eigenvectors of the workload and `example17`; the
+        # second has complex rows, so its norms go through hypot
+        t = ss.ShiftOperator("forward", W_HI, W_LO, 0)
+        for lam in (1.0, np.exp(0.3j)):
+            x = ss.shift_eigenvector(ss.adjoint(t), lam, radius=30)
+            for q in (1.2, 1.1, 1.01):
+                self.check_gain(t, x, q, 0.0, 0.0)
+
+    @staticmethod
+    def check_gain(op, x, q, tol, id_tol):
+        res = ss.bgain_test_sequence(op, x, q)
+        ref = _reference_gain_measured(op, x, q, res.truncation)
+        assert abs(res.gain_measured - ref) <= tol * ref
+        t_star_x = ss.apply(ss.adjoint(op), x)
+        identity = (
+            vec_norm((1.0 / q) * x - t_star_x) * q + vec_norm(q * x - t_star_x)
+        ) / ((1.0 + q) * vec_norm(x))
+        assert abs(res.gain_identity - identity) <= id_tol * identity
 
     @pytest.mark.parametrize("direction", ["forward", "backward"])
     def test_shift_oracle_matches_time_loop(self, direction):
@@ -1037,6 +1083,17 @@ class TestDenseOrbitTable:
                  "scalar-state": ()}[case]
         with pytest.raises(ValueError, match=r"1-D of one length, got \[.*" + re.escape(str(shape))):
             ss.PseudoOrbit(n_lo=-2, n_hi=2, states=states, delta=1e-3, defects=defects)
+
+    @pytest.mark.parametrize("mixed", ["defect", "state"])
+    def test_mixed_vector_kinds_are_refused(self, mixed):
+        # numpy's bare "TypeError: must be real number, not SupportedVector" before
+        states, defects = [ss.basis_vector(0), ss.basis_vector(1)], [ss.basis_vector(1)]
+        if mixed == "defect":
+            defects = [np.zeros(1)]
+        else:
+            states[1] = np.zeros(1)
+        with pytest.raises(ss.DimensionMismatchError, match="SupportedVectors and arrays"):
+            ss.PseudoOrbit(0, 1, states, 1.0, defects)
 
     def test_shadow_and_oracle_refuse_another_kind_or_dimension(self):
         a = ss.diagonal([2.0, 0.5])
