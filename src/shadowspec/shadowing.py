@@ -640,13 +640,13 @@ def _shift_chain_gain(op: ShiftOperator, kind: str, n: int, m) -> float:
     # (script-B, row to column), so either way it moves the index by T's own
     # step across the edge T crosses; the next hop keeps the index
     nodes = 4 * n + 3 if kind == "script-B" else 4 * n + 1
-    steps = nodes // 2  # the most diagonal entries a chain holds
+    steps = min(nodes // 2, 2 * m + 1)  # a chain's most diagonal entries, one per index at most
     # the step x chain grid first: numpy refuses a window too large before anything else its size
-    grid = np.empty((steps, 2 * m + steps), dtype=np.int64)
-    # chain v's node j holds index step * (v + u_j); v = -M-steps..M-1 keep two or more
+    grid = np.empty((steps, 2 * m + nodes // 2), dtype=np.int64)
+    # chain v's node j holds index step * (v + u_j); v = -M-nodes//2..M-1 keep two or more
     # nodes inside -M..M, as materialize does: one run first..first+count-1, the k x k (k x
     # (k+1) for odd count) upper bidiagonal of diagonal a_i, superdiagonal b_i, k = count // 2
-    u, v = (np.arange(nodes) + 1) // 2, np.arange(-m - steps, m)
+    u, v = (np.arange(nodes) + 1) // 2, np.arange(-m - nodes // 2, m)
     first = np.searchsorted(u, -m - v)
     count = np.searchsorted(u, m - v, side="right") - first
     size = count // 2
@@ -678,13 +678,11 @@ def _shift_chain_gain(op: ShiftOperator, kind: str, n: int, m) -> float:
     # a NaN bound keeps its chain; the slack covers rounding in the bounds
     keep = np.flatnonzero(~(lower > upper.min() * (1.0 + 1e-9)))
     gain = np.inf
-    for k in np.unique(size[keep]):
+    for k in set(size[keep].tolist()):
         sel = keep[size[keep] == k]
-        diag = np.arange(k)
-        mats = np.zeros((len(sel), k, k))
-        mats[:, diag, diag] = a[-k:, sel].T
-        mats[:, diag[:-1], diag[:-1] + 1] = b[-k:-1, sel].T
-        gain = min(gain, float(np.linalg.svd(mats, compute_uv=False)[:, -1].min()))
+        mats = np.zeros((len(sel), k * k))  # flat: diagonal at i * (k + 1), superdiagonal one on
+        mats[:, :: k + 1], mats[:, 1 :: k + 1] = a[-k:, sel].T, b[-k:-1, sel].T
+        gain = min(gain, float(np.linalg.svd(mats.reshape(-1, k, k), compute_uv=False)[:, -1].min()))
     return gain
 
 
@@ -768,22 +766,22 @@ def bgain_test_sequence(op, x, q: float) -> BGainResult:
         # x and T*x on the indices of x - T*x, as SupportedVector lists them;
         # T* moves e_i to e_{i-step} by the hop weight from i - step, as `apply` does
         values = np.fromiter(x.coefficients.values(), np.complex128, len(x.coefficients))
-        t_index = [i - op.step for i in x.coefficients]
+        t_index = np.fromiter(x.coefficients, np.int64, len(values)) - op.step
         with np.errstate(over="ignore"):
-            t_values = op.hop_weights(np.array(t_index)) * values
+            t_values = op.hop_weights(t_index) * values
         if not np.isfinite(t_values).all():
             raise ValueError("coefficients must be finite")
-        rows = {i: r for r, i in enumerate(dict.fromkeys([*x.coefficients, *t_index]))}
+        rows = {i: r for r, i in enumerate(dict.fromkeys([*x.coefficients, *t_index.tolist()]))}
         x_arr, tx_arr = np.zeros((2, len(rows)), dtype=np.complex128)
-        x_arr[: len(values)], tx_arr[[rows[i] for i in t_index]] = values, t_values
+        x_arr[: len(values)], tx_arr[[rows[i] for i in t_index.tolist()]] = values, t_values
 
     # column n = -N..N+1 is row n of script-B's image, y_{n-1} - T* y_n =
     # s_prev x - s_cur T*x with s = q^{-|n|} on -N..N and 0 outside; two more
     # are the identity's x/q - T*x and q x - T*x.  Real support x column tables
     # (a real scale times a complex number is two real products), one Python
     # pow per |n|, hypot and in-order sums keep SupportedVector's digits.
-    half = [q**-n for n in range(n_trunc + 1)]
-    scales = np.array(half[:0:-1] + half)
+    half = np.fromiter(map(q.__pow__, range(0, -n_trunc - 1, -1)), float, n_trunc + 1)  # q ** -n
+    scales = np.concatenate([half[:0:-1], half])
     s_prev = np.concatenate([[0.0], scales, [1.0 / q, q]])
     s_cur = np.concatenate([scales, [0.0, 1.0, 1.0]])
     re = np.multiply.outer(x_arr.real, s_prev)
