@@ -35,7 +35,7 @@ live on l1/l-infinity; on finite windows the norms are equivalent and every
 probe is labelled as the l2 surrogate it is.  The l1 gain itself is evaluated
 exactly on the two-sided geometric test family via `bgain_test_sequence`, in
 one pass over a real support x row table (a shift's x and T*x placed straight
-from x's coefficients and hop weights), with SupportedVector's digits.
+from x's coefficients and edge weights), with SupportedVector's digits.
 
 Shift probes never build the window matrix: the stencils couple (time, index)
 only to (time +- 1, index +- 1), so it splits into scalar bidiagonal chains,
@@ -640,7 +640,7 @@ def _shift_chain_gain(op: ShiftOperator, kind: str, n: int, m) -> float:
     # (script-B, row to column), so either way it moves the index by T's own
     # step across the edge T crosses; the next hop keeps the index
     nodes = 4 * n + 3 if kind == "script-B" else 4 * n + 1
-    steps = min(nodes // 2, 2 * m + 1)  # a chain's most diagonal entries, one per index at most
+    steps = min(nodes // 2, 2 * m + 1)  # a chain's most diagonal entries: one per index, at most
     # the step x chain grid first: numpy refuses a window too large before anything else its size
     grid = np.empty((steps, 2 * m + nodes // 2), dtype=np.int64)
     # chain v's node j holds index step * (v + u_j); v = -M-nodes//2..M-1 keep two or more
@@ -763,17 +763,18 @@ def bgain_test_sequence(op, x, q: float) -> BGainResult:
     if isinstance(op, DenseOperator):
         tx_arr = adjoint(op).entries @ x_arr  # as `apply` forms it
     else:
-        # x and T*x on the indices of x - T*x, as SupportedVector lists them;
-        # T* moves e_i to e_{i-step} by the hop weight from i - step, as `apply` does
+        # x and T*x on the indices of x - T*x, as SupportedVector lists them; T* moves
+        # e_i to e_{i-step} across the edge at min(i, i - step), in Python ints as `apply`
         values = np.fromiter(x.coefficients.values(), np.complex128, len(x.coefficients))
-        t_index = np.fromiter(x.coefficients, np.int64, len(values)) - op.step
+        t_index = [i - op.step for i in x.coefficients]
+        weights = [op.edge_weight(min(i, j)) for i, j in zip(x.coefficients, t_index)]
         with np.errstate(over="ignore"):
-            t_values = op.hop_weights(t_index) * values
+            t_values = np.array(weights) * values
         if not np.isfinite(t_values).all():
             raise ValueError("coefficients must be finite")
-        rows = {i: r for r, i in enumerate(dict.fromkeys([*x.coefficients, *t_index.tolist()]))}
+        rows = {i: r for r, i in enumerate(dict.fromkeys([*x.coefficients, *t_index]))}
         x_arr, tx_arr = np.zeros((2, len(rows)), dtype=np.complex128)
-        x_arr[: len(values)], tx_arr[[rows[i] for i in t_index.tolist()]] = values, t_values
+        x_arr[: len(values)], tx_arr[[rows[i] for i in t_index]] = values, t_values
 
     # column n = -N..N+1 is row n of script-B's image, y_{n-1} - T* y_n =
     # s_prev x - s_cur T*x with s = q^{-|n|} on -N..N and 0 outside; two more

@@ -472,6 +472,15 @@ class TestBGain:
         with pytest.raises(ValueError, match="coefficients must be finite"):
             ss.bgain_test_sequence(t, ss.SupportedVector({0: 1e150}), 1.2)
 
+    def test_indices_past_int64_keep_their_gain(self):
+        # in int64, a backward T* would wrap 2^63 - 1 to -2^63 and 2^70 would not fit
+        for direction in ("forward", "backward"):
+            t = ss.ShiftOperator(direction, 2.0, 0.5)
+            for i in (2**63 - 1, -(2**63), 2**70):
+                x = ss.SupportedVector({i: 1.0, i - 1: 0.5j})
+                res = ss.bgain_test_sequence(t, x, 1.2)
+                assert res.gain_measured == _reference_gain_measured(t, x, 1.2, res.truncation)
+
     def test_vector_of_the_other_kind_is_refused(self):
         with pytest.raises(ss.DimensionMismatchError):
             ss.bgain_test_sequence(ss.diagonal([2.0, 0.5]), ss.basis_vector(0), 1.2)
