@@ -161,7 +161,10 @@ class SupportedVector:
     __rmul__ = __mul__
 
     def __add__(self, other: "SupportedVector") -> "SupportedVector":
-        return SupportedVector(_plus(self.coefficients, other.coefficients.items()))
+        out = dict(self.coefficients)  # self's listing, then other's new indices in its order
+        for k, v in other.coefficients.items():
+            out[k] = out.get(k, 0j) + v
+        return SupportedVector(out)
 
     def __sub__(self, other: "SupportedVector") -> "SupportedVector":
         return self + -1.0 * other
@@ -173,14 +176,6 @@ class SupportedVector:
             if -half_width <= n <= half_width:
                 out[n + half_width] = v
         return out
-
-
-def _plus(x: dict, pairs) -> dict:
-    """x + v as SupportedVector adds: x's listing, then new keys in pairs' order."""
-    out = dict(x)
-    for k, v in pairs:
-        out[k] = out.get(k, 0j) + v
-    return out
 
 
 def basis_vector(n: int, value=1.0) -> SupportedVector:
@@ -256,15 +251,18 @@ def inverse(op):
     return op._inverse
 
 
-def _powers(step: np.ndarray, k_max: int, first: np.ndarray, project=None, out=None):
-    """first, step @ first, ..., step^k_max @ first (matrices or vectors), stacked
-    along a new axis 0 of `out` (a new array unless given); with project given,
-    each term is project @ (step @ previous)."""
+def _powers(step: np.ndarray, k_max: int, first: np.ndarray, project=None, out=None,
+            before=None, after=None):
+    """Terms 0..k_max (matrices or vectors) stacked along a new axis 0 of `out`, a
+    new array unless given: term 0 is first and term k is project @ (step @
+    (term_{k-1} + before[k-1]) + after[k-1]), each part applied only when given."""
     if out is None:
         out = np.empty((k_max + 1, *np.shape(first)), dtype=np.complex128)
     out[0] = first
     for k in range(1, k_max + 1):
-        out[k] = step @ out[k - 1]
+        out[k] = step @ (out[k - 1] if before is None else out[k - 1] + before[k - 1])
+        if after is not None:
+            out[k] += after[k - 1]
         if project is not None:
             out[k] = project @ out[k]
     return out

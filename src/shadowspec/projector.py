@@ -433,7 +433,7 @@ def splitting_power_stacks(a: DenseOperator, b: DenseOperator, k_max: int):
     amplified exponentially.  Returns (fwd, bwd, norms_fwd, norms_bwd), the
     norms taken on range(B) and range(I-B), where M_k and N_k lie.
     """
-    d = a.dim
+    d, k_max = a.dim, _integer_field(k_max, "k_max")
     if b.dim != d:
         raise ValueError("splitting operator dimension mismatch")
     ainv = inverse(a).entries
@@ -477,6 +477,7 @@ def decay_rates(a: DenseOperator, b: DenseOperator, n_max: int) -> DecayRates:
     `splitting_power_stacks`): for a genuine splitting these are the plain power
     norms, and for a broken one the tail norms or the construction's recurrence
     residual expose the disagreement.  Rates are maxima over the last n_max/2 orders."""
+    n_max = _integer_field(n_max, "n_max")
     if n_max < 8:
         raise ValueError("n_max must be >= 8")
     fwd, bwd, norms_fwd, norms_bwd = splitting_power_stacks(a, b, n_max)

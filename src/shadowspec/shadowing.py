@@ -7,13 +7,13 @@ for shifts, each seed and defect checked by `operators._vector_of`.
 `orbit_from_defects` takes them from the caller, and both run one recurrence
 on integer window bounds.  Every orbit is one coordinate x time table,
 `_OrbitTable`, and builds a state's or defect's vector only when it is read:
-a dense orbit's rows are its d coordinates, filled by A and A^-1 directly; a
-shift orbit's rows are its chains c = i - n*step, which T never leaves, with
+a dense orbit's rows are its d coordinates; a shift orbit's rows are its
+chains c = i - n*step, which T never leaves, each index in int64, with
 one multiply per listed coefficient and step.  `construct_shadow` and the
-oracles read the table itself, kind and size checked once.  Both the oracle's
-blocks A^n and the genuine trajectory A^n x_0 are one two-sided fill outward
-from n = 0, `_window_powers`.
-For a dense operator with a certified splitting
+oracles read the table itself, kind and size checked once.  Every dense
+window sequence is one two-sided fill outward from n = 0, `_window_powers`:
+the pseudo-orbit from its defects, the oracle's blocks A^n and the genuine
+trajectory A^n x_0 with none.  For a dense operator with a certified splitting
 B (forward powers of A damped through B, backward powers damped through I-B),
 the bounded solution of x_{n+1} = A x_n + z_n is written down explicitly as
 
@@ -21,8 +21,8 @@ the bounded solution of x_{n+1} = A x_n + z_n is written down explicitly as
 
 with z = 0 outside the window.  That is the discrete exponential-dichotomy
 Green's function, so it is evaluated exactly by one forward and one backward
-sweep over the window; subtracting it from the pseudo-orbit leaves a genuine
-trajectory, and the shadowing distance obeys the a-priori bound
+`_powers` sweep driven by the defects; subtracting it from the pseudo-orbit
+leaves a genuine trajectory, and the shadowing distance obeys the a-priori bound
 K*(1+q)/(1-q)*delta.  An independent least-squares oracle fits the best
 genuine trajectory directly, with no knowledge of the splitting.
 
@@ -193,7 +193,7 @@ class PseudoOrbit:
             return table.states, table.defects
         if table is not None and table.step == op.step:
             return table.chains, table.states
-        return _chain_cells(self.states, range(self.n_lo, self.n_hi + 1), op.step)[:2]
+        return _chain_cells(self.states, range(self.n_lo, self.n_hi + 1), op.step, self.window)[:2]
 
 
 def _row_norms(g: np.ndarray) -> np.ndarray:
@@ -270,14 +270,23 @@ class _OrbitTable:
         return tuple(out)
 
 
-def _chain_cells(vectors, times, step: int) -> tuple:
+def _require_int64(chains, step: int, n_lo: int, n_hi: int) -> None:
+    """ValueError unless every index c + n*step (n = n_lo..n_hi) of the Python-int
+    chains fits in int64, where numpy would wrap it; `hop_weights` reads no index off it."""
+    lo, hi = sorted((n_lo * step, n_hi * step))
+    if chains and not (-2**63 <= min(chains) + lo and max(chains) + hi < 2**63):
+        raise ValueError("shift indices over the window must lie in int64, -2**63..2**63 - 1")
+
+
+def _chain_cells(vectors, times, step: int, window: tuple) -> tuple:
     """SupportedVectors at the given times on a shift's chains c = i - n*step:
     the chains, sorted; a chain x vector table of the coefficients and a mask
     of the listed cells; and each listed cell's (column, row), vector by
-    vector in listing order."""
+    vector in listing order.  The chains' grid over window must fit in int64."""
     cells = [(k, i - n * step, v) for k, (n, y) in enumerate(zip(times, vectors))
              for i, v in y.coefficients.items()]
     cols, listed, values = zip(*cells) if cells else ((), (), ())
+    _require_int64(listed, step, *window)
     chains, rows = np.unique(np.array(listed, dtype=np.int64), return_inverse=True)
     table = np.zeros((len(chains), len(vectors)), dtype=np.complex128)
     mask = np.zeros(table.shape, dtype=bool)
@@ -335,18 +344,10 @@ def _dense_orbit(op: DenseOperator, x0, defects, n_lo: int, n_hi: int, delta) ->
     """States from x0 at index 0 through x_{n+1} = A x_n + z_n, forward and,
     by the exact inverse, backward, and the defects re-read off the states:
     the orbit's table, transposed.  delta=None takes the largest defect norm."""
-    k0, steps = -n_lo, len(defects)
-    a, ainv = op.entries, inverse(op).entries
-    x = np.empty((steps + 1, op.dim), dtype=np.complex128)
-    actual = np.empty((steps, op.dim), dtype=np.complex128)
-    x[k0] = x0
+    inverse(op)  # a singular A is refused on every window, one-sided ones too
     with np.errstate(over="ignore", invalid="ignore"):  # the norm check refuses what overflowed
-        for j in range(k0, steps):
-            x[j + 1] = a @ x[j] + defects[j]
-        for j in range(k0 - 1, -1, -1):
-            x[j] = ainv @ (x[j + 1] - defects[j])
-        for j in range(steps):
-            actual[j] = x[j + 1] - a @ x[j]
+        x = _window_powers(op, n_lo, n_hi, x0, np.asarray(defects, dtype=np.complex128))
+        actual = x[1:] - (op.entries @ x[:-1, :, None])[:, :, 0]
     return PseudoOrbit._built(n_lo, n_hi, delta, _OrbitTable(n_lo, x.T, actual.T))
 
 
@@ -380,6 +381,7 @@ def generate_pseudo_orbit(
         return _dense_orbit(op, x0, defects, n_lo, n_hi, delta)
     # z_n lists the seed's indices moved to time n+1, so its rows are the
     # seed's own chains, sorted; a zero z_n lists only the first, with 0j
+    _require_int64(x0.coefficients, op.step, n_lo, n_hi)
     chains = np.array(x0.support())
     z_listed = np.ones((size, n_hi - n_lo), dtype=bool)
     z_listed[1:, zero] = False
@@ -405,7 +407,7 @@ def orbit_from_defects(op, x0, defects, window: tuple) -> PseudoOrbit:
         return _dense_orbit(op, x0, defects, n_lo, n_hi, None)
     # the seed is column 0, at time 0; z_n lists its cells at time n+1, in column n - n_lo + 1
     times = [0, *range(n_lo + 1, n_hi + 1)]
-    chains, z, z_listed, cells = _chain_cells([x0, *defects], times, op.step)
+    chains, z, z_listed, cells = _chain_cells([x0, *defects], times, op.step, (n_lo, n_hi))
     # rows in first appearance along the path out of the seed, backward and forward
     back = sorted((c for c in cells if c[0] <= -n_lo), key=lambda c: (c[0] > 0, -c[0]))
     fwd = [c for c in cells if c[0] == 0 or c[0] > -n_lo]
@@ -450,8 +452,8 @@ def construct_shadow(
     K is its `DecayRates.envelope` at q (default: the midpoint between the
     worst rate and 1), which raises when the certificate does not hold.
 
-    The correction is the two-sided series restricted to the window, computed
-    by two sweeps with the same per-step re-projection as the kernels:
+    The correction is the two-sided series restricted to the window: two
+    `_powers` sweeps driven by the defects, re-projected per step as the kernels are,
 
         u_n = B (A u_{n-1} + z_{n-1}),             u = 0 at the left edge,
         v_n = (I-B) A^{-1} (v_{n+1} + (I-B) z_n),  v = 0 at the right edge,
@@ -466,27 +468,18 @@ def construct_shadow(
     d = op.dim
     ys, z = orbit._table_for(op)  # d x W states, d x (W-1) defects
     a, b_mat = op.entries, b.entries
-    ainv = inverse(op).entries
 
     rates = decay_rates(op, b, DECAY_ORDER)
     q = 0.5 * (1.0 + rates.worst) if q is None else q
     K = rates.envelope(q)
 
-    W = ys.shape[1]
-    x = np.zeros((d, W), dtype=np.complex128)
-    if W > 1:
-        comp = np.eye(d, dtype=np.complex128) - b_mat
-        u = np.zeros(d, dtype=np.complex128)
-        for n in range(1, W):
-            u = b_mat @ (a @ u + z[:, n - 1])
-            x[:, n] = u
-        v = np.zeros(d, dtype=np.complex128)
-        for n in range(W - 2, -1, -1):
-            v = comp @ (ainv @ (v + comp @ z[:, n]))
-            x[:, n] -= v
-        residual = float(np.max(np.linalg.norm(x[:, 1:] - a @ x[:, :-1] - z, axis=0)))
-    else:
-        residual = 0.0
+    comp = np.eye(d, dtype=np.complex128) - b_mat
+    u = _powers(a, z.shape[1], np.zeros(d), project=b_mat, after=z.T)
+    # (I-B) z_n as one matrix-vector product per n: one gemm comp @ z rounds differently
+    comp_z = (comp @ z.T[::-1, :, None])[:, :, 0]
+    v = _powers(inverse(op).entries, z.shape[1], np.zeros(d), project=comp, before=comp_z)
+    x = (u - v[::-1]).T.copy()  # d x W and C-ordered, as the residual's product reads it
+    residual = float(np.max(np.linalg.norm(x[:, 1:] - a @ x[:, :-1] - z, axis=0), initial=0.0))
 
     anchor = ys[:, -orbit.n_lo] - x[:, -orbit.n_lo]
     gap = ys.copy(order="C")  # the norm below sums down a C-ordered d x W array
@@ -522,13 +515,16 @@ class OracleResult:
         }
 
 
-def _window_powers(op: DenseOperator, n_lo: int, n_hi: int, first) -> np.ndarray:
-    """A^n first for n = n_lo..n_hi (n_lo <= 0 <= n_hi), stacked along axis 0,
-    filled outward from n = 0 by A and by A^-1 straight into one array."""
+def _window_powers(op: DenseOperator, n_lo: int, n_hi: int, first, defects=None) -> np.ndarray:
+    """x_n for n = n_lo..n_hi (n_lo <= 0 <= n_hi), stacked along axis 0 and filled
+    outward from x_0 = first by `_powers` into one array: A^n first, or with
+    defects (row j is z_{n_lo+j}) x_{n+1} = A x_n + z_n and x_n = A^-1 (x_{n+1} - z_n)."""
     out = np.empty((n_hi - n_lo + 1, *np.shape(first)), dtype=np.complex128)
-    _powers(op.entries, n_hi, first, out=out[-n_lo:])
+    # x - z is x + (-z) bit for bit, so a backward step adds -z before A^-1
+    fwd, bwd = (None, None) if defects is None else (defects[-n_lo:], -defects[:-n_lo][::-1])
+    _powers(op.entries, n_hi, first, out=out[-n_lo:], after=fwd)
     if n_lo < 0:
-        _powers(inverse(op).entries, -n_lo, first, out=out[-n_lo::-1])
+        _powers(inverse(op).entries, -n_lo, first, out=out[-n_lo::-1], before=bwd)
     return out
 
 

@@ -33,6 +33,7 @@ from .operators import (
     ShiftOperator,
     SupportedVector,
     _complex_pairs,
+    _integer_field,
     adjoint,
     inverse,
 )
@@ -372,6 +373,7 @@ def expansivity_witness(a: DenseOperator, n_max: int, samples: int = 64) -> Expa
     candidate agree to WITNESS_GAP_RTOL or n has taken `samples` steps, or t
     stops moving (n undecided, its minimum within rounding of the threshold).
     """
+    n_max, samples = _integer_field(n_max, "n_max"), _integer_field(samples, "samples")
     if n_max < 1 or samples < 1:
         raise ValueError("n_max and samples must be >= 1")
     ainv = inverse(a).entries
@@ -423,7 +425,9 @@ def shift_eigenvector(op: ShiftOperator, lam: complex, radius: int) -> Supported
     crossover index; lam must lie in the open point-spectrum annulus so the
     coefficients decay on both sides and truncation error is geometric.
     """
-    lam = complex(lam)
+    lam, radius = complex(lam), _integer_field(radius, "radius")
+    if radius < 0:
+        raise ValueError(f"radius must be >= 0, got {radius}")
     spectra = shift_spectra(op)
     if spectra.point_spectrum is None:
         raise ValueError("shift has empty point spectrum; no eigenvector exists")

@@ -319,6 +319,12 @@ SIZED_CALLS = {
     "probe M": lambda k: ss.window_probe(example_shift_pair()[0], "script-B", 2, k),
     "Laurent n": lambda k: ss.laurent_coefficient(ss.diagonal([2.0, 0.5]), k),
     "Laurent n_max": lambda k: ss.laurent_table(ss.diagonal([2.0, 0.5]), k),
+    "witness n_max": lambda k: ss.expansivity_witness(ss.diagonal([2.0, 0.5]), k),
+    "witness samples": lambda k: ss.expansivity_witness(ss.diagonal([2.0, 0.5]), 2, k),
+    "power stacks k_max": lambda k: ss.splitting_power_stacks(
+        ss.diagonal([2.0, 0.5]), ss.diagonal([0.0, 1.0]), k
+    ),
+    "eigenvector radius": lambda k: ss.shift_eigenvector(example_shift_pair()[1], 1.0, k),
 }
 
 

@@ -506,6 +506,12 @@ class TestDecayRates:
         assert rates.r_plus == pytest.approx(0.5, abs=1e-12)
         assert rates.r_minus == pytest.approx(0.5, abs=1e-12)
 
+    def test_order_must_be_an_integer(self):
+        a, b = ss.diagonal([2.0, 0.5]), ss.diagonal([0.0, 1.0])
+        assert ss.decay_rates(a, b, 8.0).n_max == 8
+        with pytest.raises(ValueError, match=r"'n_max' must be an integer, got 8\.5"):
+            ss.decay_rates(a, b, 8.5)
+
     def test_riesz_splitting_certifies(self):
         rng = np.random.default_rng(60)
         a, _ = random_hyperbolic(rng, 4)

@@ -281,6 +281,12 @@ class TestShadowOracle:
         assert oracle.epsilon_achieved < 1e-9
         assert np.allclose(oracle.best_anchor, x0, atol=1e-9)
 
+    def test_shift_oracle_on_an_empty_orbit(self):
+        orbit = ss.PseudoOrbit(0, 0, [ss.SupportedVector({})], 0.0, [])
+        oracle = ss.shadow_oracle_lsq(ss.ShiftOperator("forward", W_HI, W_LO, 0), orbit)
+        assert oracle.best_anchor.coefficients == {}
+        assert (oracle.epsilon_achieved, oracle.condition) == (0.0, 1.0)
+
     def test_shift_oracle_refuses_a_dense_orbit(self):
         orbit = ss.generate_pseudo_orbit(ss.diagonal([2.0, 0.5]), np.zeros(2), 1e-3, (-2, 2), 0)
         with pytest.raises(ss.DimensionMismatchError, match="SupportedVector"):
@@ -963,6 +969,50 @@ class TestOrbitReference:
             ss.generate_pseudo_orbit(op, ss.SupportedVector({}), 1e-3, (-3, 3), rng_seed=0)
 
 
+class TestInt64Indices:
+    """numpy holds shift indices in int64; a window that leaves it is refused."""
+
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    @pytest.mark.parametrize("edge", [2**63 - 2, -(2**63) + 2], ids=["top", "bottom"])
+    def test_orbits_past_the_limit_are_refused(self, direction, edge):
+        op = ss.ShiftOperator(direction, 2.0, 0.5)
+        # three steps toward the edge from two steps inside it
+        window = (0, 3) if (edge > 0) == (op.step > 0) else (-3, 0)
+        x0 = ss.SupportedVector({edge: 1.0})
+        with pytest.raises(ValueError, match=r"int64, -2\*\*63\.\.2\*\*63 - 1"):
+            ss.generate_pseudo_orbit(op, x0, 0.0, window, rng_seed=0)
+        with pytest.raises(ValueError, match="int64"):
+            ss.orbit_from_defects(op, x0, [ss.SupportedVector({})] * 3, window)
+
+    def test_oracle_past_the_limit_is_refused(self):
+        # an exact trajectory whose last state sits at index 2**63, past int64
+        op = ss.ShiftOperator("forward", 2.0, 0.5)
+        states = [ss.SupportedVector({2**63 - 3: 1.0})]
+        for _ in range(3):
+            states.append(ss.apply(op, states[-1]))
+        orbit = ss.PseudoOrbit(0, 3, states, 0.0, [ss.SupportedVector({})] * 3)
+        with pytest.raises(ValueError, match="int64"):
+            ss.shadow_oracle_lsq(op, orbit)
+        inside = ss.PseudoOrbit(0, 2, states[:3], 0.0, [ss.SupportedVector({})] * 2)
+        assert ss.shadow_oracle_lsq(op, inside).epsilon_achieved == 0.0
+
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    @pytest.mark.parametrize("seed", [2**62, 2**63 - 9, -(2**63) + 8], ids=["2**62", "top", "bottom"])
+    def test_orbits_up_to_the_limit_match_the_per_step_loop(self, direction, seed):
+        # on (-8, 8) the last two seeds reach 2**63 - 1 and -2**63 exactly
+        op = ss.ShiftOperator(direction, 2.0, 0.5, seed - 3)
+        x0 = ss.SupportedVector({seed: 1.0, seed - 1 if seed > 0 else seed + 1: -0.5j})
+        orbit = ss.generate_pseudo_orbit(op, x0, 1e-3, (-8, 8), rng_seed=3)
+        states, defects = _reference_pseudo_orbit(op, x0, 1e-3, (-8, 8), 3)
+        assert [_bits(s) for s in orbit.states] == [_bits(s) for s in states]
+        assert [_bits(z) for z in orbit.defects] == [_bits(z) for z in defects]
+        oracle = ss.shadow_oracle_lsq(op, orbit)
+        anchor, eps, cond = _reference_shift_oracle(op, orbit)
+        assert oracle.best_anchor.coefficients == anchor
+        assert oracle.condition == cond
+        assert oracle.epsilon_achieved == pytest.approx(eps, rel=1e-13)
+
+
 def _oracle_bits(res):
     anchor = res.best_anchor
     return (_bits(anchor), res.epsilon_achieved.hex(), res.condition.hex())
@@ -1073,6 +1123,78 @@ DENSE_DIGITS_HEX = {
 }
 
 
+# the same operator, seed and draw seed on the windows where the forward and
+# backward fills meet the window's edge
+EDGE_DIGITS_HEX = {
+    (0, 6): {
+        "epsilon_achieved": "0x1.d184cf2f92facp-10",
+        "recurrence_residual": "0x1.0da304d95fb06p-60",
+        "anchor": [
+            "0x1.e3da56c4411bdp+0", "-0x1.4409184770086p-2", "-0x1.d87fa0732d853p-7",
+            "0x1.1801ceec896efp-2", "-0x1.a0271d95f176ep-3", "0x1.ecf70ac8b68bap+0",
+            "0x1.ccf95f762cf01p-1", "-0x1.cffc0faefb8bdp-1", "-0x1.d27d2f42360ddp-5",
+            "-0x1.05cfd132b91b0p-3", "0x1.15b9a1778a238p+0", "0x1.3d6c85736967ep-1",
+            "0x1.166ac13c7ad62p-2", "0x1.36f37bff98f0ap-1", "-0x1.aad5632927ab4p-1",
+            "0x1.113bf70f36e47p-1",
+        ],
+        "oracle_epsilon_achieved": "0x1.8168b2eee93aep-10",
+        "condition": "0x1.2e5acaa9da259p+5",
+        "best_anchor": [
+            "0x1.e3e673c721d17p+0", "-0x1.4430a9cc65f82p-2", "-0x1.d8ca00e1f0280p-7",
+            "0x1.17c14e1c3b32cp-2", "-0x1.a01587faf20b3p-3", "0x1.ed0dafbea9100p+0",
+            "0x1.cd02210e4a5efp-1", "-0x1.cff86f48d160cp-1", "-0x1.d27d3c5aade1cp-5",
+            "-0x1.0589827d08a1cp-3", "0x1.15abfc7288e38p+0", "0x1.3d73fce782957p-1",
+            "0x1.1659f0da0326ap-2", "0x1.3715259114c08p-1", "-0x1.aac5900dca068p-1",
+            "0x1.11268d11e8167p-1",
+        ],
+    },
+    (-6, 0): {
+        "epsilon_achieved": "0x1.4fb97447bcbcep-10",
+        "recurrence_residual": "0x1.1792339d66cb1p-60",
+        "anchor": [
+            "0x1.e3cbd8473f14dp+0", "-0x1.44310348d0aafp-2", "-0x1.e6a38d02a6035p-7",
+            "0x1.1841a5a199fb2p-2", "-0x1.9e73319742515p-3", "0x1.ececcca958c10p+0",
+            "0x1.ccf17651621bdp-1", "-0x1.cff35050f202bp-1", "-0x1.d14111d46f6ebp-5",
+            "-0x1.05e009b2b478bp-3", "0x1.15af4772c32b6p+0", "0x1.3d8be576c2ec1p-1",
+            "0x1.16ed436c3292dp-2", "0x1.3745be65f3b4fp-1", "-0x1.aaa2dd8f8caabp-1",
+            "0x1.112945ef23fd2p-1",
+        ],
+        "oracle_epsilon_achieved": "0x1.4a0b4034c34abp-10",
+        "condition": "0x1.7a10deb5749a7p+5",
+        "best_anchor": [
+            "0x1.e3d14fb0b5b67p+0", "-0x1.444e35b554f01p-2", "-0x1.dacbfdad969b8p-7",
+            "0x1.181a9f84b0578p-2", "-0x1.9edd9b845235cp-3", "0x1.ecf0e6d7d71f8p+0",
+            "0x1.ccf698e920317p-1", "-0x1.cff8d195da821p-1", "-0x1.d0e29aba2fab0p-5",
+            "-0x1.0598f0faaf26ep-3", "0x1.15a457c5069c8p+0", "0x1.3daa6f53d2b84p-1",
+            "0x1.16b4ae2515007p-2", "0x1.37258a631024ep-1", "-0x1.aab186a22b245p-1",
+            "0x1.111ced9d92111p-1",
+        ],
+    },
+    (0, 0): {
+        "epsilon_achieved": "0x0.0p+0",
+        "recurrence_residual": "0x0.0p+0",
+        "anchor": [
+            "0x1.e3d25e665d57fp+0", "-0x1.43e9ceafba93ep-2", "-0x1.d986272a907a8p-7",
+            "0x1.1839bc6804efbp-2", "-0x1.a01d3939048aap-3", "0x1.ecea456bb41d5p+0",
+            "0x1.cd067088ab088p-1", "-0x1.cff69f70c848bp-1", "-0x1.d323856e5d358p-5",
+            "-0x1.05fdf475c5a48p-3", "0x1.15a1902549a64p+0", "0x1.3d5ec7db3294ep-1",
+            "0x1.169c1bed7e48dp-2", "0x1.372533ece79f6p-1", "-0x1.aac00d48ed1e7p-1",
+            "0x1.113d248a81dc1p-1",
+        ],
+        "oracle_epsilon_achieved": "0x0.0p+0",
+        "condition": "0x1.0000000000000p+0",
+        "best_anchor": [
+            "0x1.e3d25e665d57fp+0", "-0x1.43e9ceafba93ep-2", "-0x1.d986272a907a8p-7",
+            "0x1.1839bc6804efbp-2", "-0x1.a01d3939048aap-3", "0x1.ecea456bb41d5p+0",
+            "0x1.cd067088ab088p-1", "-0x1.cff69f70c848bp-1", "-0x1.d323856e5d358p-5",
+            "-0x1.05fdf475c5a48p-3", "0x1.15a1902549a64p+0", "0x1.3d5ec7db3294ep-1",
+            "0x1.169c1bed7e48dp-2", "0x1.372533ece79f6p-1", "-0x1.aac00d48ed1e7p-1",
+            "0x1.113d248a81dc1p-1",
+        ],
+    },
+}
+
+
 class TestDenseOrbitTable:
     """Dense orbits are one d x W table, checked once by each reader."""
 
@@ -1148,6 +1270,42 @@ class TestDenseOrbitTable:
                 "condition": oracle.condition.hex(),
                 "best_anchor": hexes(oracle.best_anchor),
             } == DENSE_DIGITS_HEX
+
+    @pytest.mark.parametrize("window", sorted(EDGE_DIGITS_HEX))
+    def test_window_edge_digits_are_pinned(self, window):
+        rng = np.random.default_rng(2101)
+        a, _ = random_hyperbolic(rng, 8, normal=False)
+        x0 = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        orbit = ss.generate_pseudo_orbit(a, x0, 1e-3, window, rng_seed=21)
+        res = ss.construct_shadow(a, ss.riesz_projector(a), orbit)
+        oracle = ss.shadow_oracle_lsq(a, orbit)
+
+        def hexes(v):
+            return [h for c in v for h in (c.real.hex(), c.imag.hex())]
+
+        assert {
+            "epsilon_achieved": res.epsilon_achieved.hex(),
+            "recurrence_residual": res.recurrence_residual.hex(),
+            "anchor": hexes(res.anchor),
+            "oracle_epsilon_achieved": oracle.epsilon_achieved.hex(),
+            "condition": oracle.condition.hex(),
+            "best_anchor": hexes(oracle.best_anchor),
+        } == EDGE_DIGITS_HEX[window]
+
+    def test_singular_operator_refused_on_a_one_sided_window(self):
+        # no step runs through A^-1 on (0, 3), yet the orbit needs an invertible A
+        a = ss.DenseOperator([[1.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(ss.SingularOperatorError):
+            ss.generate_pseudo_orbit(a, np.ones(2), 1e-3, (0, 3), rng_seed=0)
+        with pytest.raises(ss.SingularOperatorError):
+            ss.orbit_from_defects(a, np.ones(2), [np.zeros(2)] * 3, (0, 3))
+
+    def test_single_time_window_has_no_residual(self):
+        a = ss.diagonal([2.0, 0.5])
+        orbit = ss.generate_pseudo_orbit(a, np.array([1.0, -2j]), 1e-3, (0, 0), rng_seed=0)
+        res = ss.construct_shadow(a, ss.riesz_projector(a), orbit)
+        assert res.recurrence_residual == 0.0 and res.epsilon_achieved == 0.0
+        assert np.array_equal(res.anchor, [1.0, -2j])
 
 
 def test_refused_chain_probe_allocates_nothing_of_its_size():

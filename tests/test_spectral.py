@@ -340,6 +340,12 @@ class TestShiftEigenvector:
         with pytest.raises(ValueError):
             ss.shift_eigenvector(t, 1.0, radius=5)
 
+    def test_negative_radius_is_refused(self):
+        s = ss.ShiftOperator("backward", W_HI, W_LO, 0)
+        assert ss.shift_eigenvector(s, 1.0, radius=0).coefficients == {0: 1.0}
+        with pytest.raises(ValueError, match="radius must be >= 0, got -3"):
+            ss.shift_eigenvector(s, 1.0, radius=-3)
+
     def test_forward_shift_with_inward_weights(self):
         # funnelling weights give the forward shift its own point spectrum
         op = ss.ShiftOperator("forward", 0.4, 2.5, 3)
