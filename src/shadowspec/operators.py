@@ -294,9 +294,7 @@ def rotate(op, lam):
     family; other factors require a dense operator.  Kept for acceptance
     criterion 8 (rotation invariance).
     """
-    lam = complex(lam)
-    if abs(abs(lam) - 1.0) >= UNIMODULAR_TOL:
-        raise NotUnimodularError(f"|lambda| = {abs(lam)!r} is not within {UNIMODULAR_TOL} of 1")
+    lam = _unimodular(lam)
     if isinstance(op, DenseOperator):
         return DenseOperator(op.entries / lam)
     if isinstance(op, ShiftOperator):
@@ -307,6 +305,14 @@ def rotate(op, lam):
             "shift family; materialize or use a dense operator instead"
         )
     raise TypeError(f"not an operator: {op!r}")
+
+
+def _unimodular(lam) -> complex:
+    """lam as a complex; NotUnimodularError unless |lam| is within UNIMODULAR_TOL of 1 (NaN is not)."""
+    lam = complex(lam)
+    if not abs(abs(lam) - 1.0) < UNIMODULAR_TOL:
+        raise NotUnimodularError(f"|lambda| = {abs(lam)!r} is not within {UNIMODULAR_TOL} of 1")
+    return lam
 
 
 def vec_norm(v) -> float:
@@ -347,9 +353,12 @@ def operator_to_json(op) -> dict:
 
 
 def _integer_field(value, key: str) -> int:
-    if not float(value).is_integer():
-        raise ValueError(f"{key!r} must be an integer, got {value!r}")
-    return int(value)
+    try:
+        if float(value).is_integer():
+            return int(value)
+    except OverflowError:  # an int past the float range, which numpy could not hold either
+        raise ValueError(f"{key!r} must be an integer within the float range") from None
+    raise ValueError(f"{key!r} must be an integer, got {value!r}")
 
 
 def operator_from_json(data: dict):

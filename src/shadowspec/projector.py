@@ -84,9 +84,10 @@ class ContourConfig:
     def __post_init__(self):
         if not self.radius > 0:
             raise ValueError("contour radius must be positive")
-        n = int(self.nodes)
+        n = _integer_field(self.nodes, "nodes")
         if n < 16 or (n & (n - 1)) != 0:
             raise ValueError("nodes must be a power of two, at least 16")
+        object.__setattr__(self, "nodes", n)  # an int, as arange and the aliasing bound read it
 
 
 def _solve_on_contour(lhs: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
@@ -172,7 +173,7 @@ def _coefficients(
     whatever the orders.  Products are summed over blocks of NODE_BLOCK nodes
     from the first block's on, so up to NODE_BLOCK nodes each is one product.
     """
-    nodes = int(cfg.nodes)
+    nodes = cfg.nodes
     if 2 * int(np.max(np.abs(orders))) >= nodes:
         raise ValueError(f"|n| must stay below nodes/2 = {nodes // 2}, or C_n aliases")
     rows = np.append(orders, -1)
@@ -246,7 +247,7 @@ def riesz_splitting(a: DenseOperator, cfg: ContourConfig = ContourConfig()) -> R
     a step is singular.
     """
     d = a.dim
-    steps = int(cfg.nodes).bit_length() - 1
+    steps = cfg.nodes.bit_length() - 1
     a_j = a.entries / cfg.radius
     b_j = np.eye(d, dtype=np.complex128)
     for j in range(1, steps + 1):
@@ -256,8 +257,8 @@ def riesz_splitting(a: DenseOperator, cfg: ContourConfig = ContourConfig()) -> R
         if j == steps - 1:
             half = _solve_on_contour(b_j - a_j, b_j, f"squaring step {j}")
     p = _solve_on_contour(b_j - a_j, b_j, f"squaring step {steps}")
-    (residual,) = _node_halving_residuals(p[None], half[None], np.array([-1]), int(cfg.nodes))
-    _check_projector_trace(p, half, int(cfg.nodes))
+    (residual,) = _node_halving_residuals(p[None], half[None], np.array([-1]), cfg.nodes)
+    _check_projector_trace(p, half, cfg.nodes)
     scale = max(1.0, float(np.max(np.abs(p))))
     idempotency = float(np.max(np.abs(p @ p - p)))
     commutation = float(np.max(np.abs(a.entries @ p - p @ a.entries)))
@@ -434,6 +435,8 @@ def splitting_power_stacks(a: DenseOperator, b: DenseOperator, k_max: int):
     norms taken on range(B) and range(I-B), where M_k and N_k lie.
     """
     d, k_max = a.dim, _integer_field(k_max, "k_max")
+    if k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got {k_max}")
     if b.dim != d:
         raise ValueError("splitting operator dimension mismatch")
     ainv = inverse(a).entries

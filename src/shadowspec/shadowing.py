@@ -5,8 +5,8 @@ defect never exceeds delta: arrays for dense operators, `SupportedVector`s
 for shifts, each seed and defect checked by `operators._vector_of`.
 `generate_pseudo_orbit` draws its defects up front, as one array,
 `orbit_from_defects` takes them from the caller, and both run one recurrence
-on integer window bounds.  Every orbit is one coordinate x time table,
-`_OrbitTable`, and builds a state's or defect's vector only when it is read:
+on integer window bounds.  A `PseudoOrbit` is its own coordinate x time
+table and builds a state's or defect's vector only when it is read:
 a dense orbit's rows are its d coordinates; a shift orbit's rows are its
 chains c = i - n*step, which T never leaves, each index in int64, with
 one multiply per listed coefficient and step.  `construct_shadow` and the
@@ -47,15 +47,15 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NotUnimodularError
+from .errors import DimensionMismatchError
 from .operators import (
-    UNIMODULAR_TOL,
     DenseOperator,
     ShiftOperator,
     SupportedVector,
     _complex_pairs,
     _integer_field,
     _powers,
+    _unimodular,
     _vector_of,
     adjoint,
     inverse,
@@ -90,44 +90,54 @@ class PseudoOrbit:
     defects[j] = states[j+1] - T states[j]; every defect norm is bounded by
     delta (up to a float-roundoff slack proportional to the state scale).
     FloatingPointError when a state or defect norm is not finite (overflow).
-    The window always straddles index 0, where the seed state lives.
+    The window, its bounds read as sizes are, straddles index 0, where the
+    seed state lives.  ValueError for a dense state or defect that is not 1-D
+    of one shared length, DimensionMismatchError for SupportedVectors mixed
+    with arrays.
 
-    A dense orbit, and every orbit the builders make, is one coordinate x
-    time table (`_OrbitTable`) whose vectors are built when first read;
-    ValueError for a dense state or defect that is not 1-D of one shared length,
-    DimensionMismatchError for SupportedVectors mixed with arrays.
+    An orbit made of SupportedVectors keeps them.  Every other orbit is one
+    coordinate x time table whose vectors are built when first read: column
+    j of the states is time n_lo + j, of the defects time n_lo + j + 1.  A
+    dense orbit's rows are its coordinates (no chains), its tables transposed
+    views of time-major arrays.  A shift orbit's row r is chain chains[r],
+    sorted, which holds index chains[r] + n*step at time n; a cell that
+    `listed` does not mark holds +0j, and a defect lists the chains of the
+    states on either side.  orders[1] lists the rows as the vectors from time
+    0 on list them, in first appearance along the path out of the seed, and
+    orders[0] as the vectors before time 0 list them.
     """
 
     def __init__(self, n_lo: int, n_hi: int, states, delta: float, defects):
-        self._setup(n_lo, n_hi, delta, tuple(states), tuple(defects), None)
-
-    @classmethod
-    def _built(cls, n_lo: int, n_hi: int, delta, table, seed=None):
-        """An orbit from a builder's table; delta=None takes the largest defect norm."""
-        orbit, states = cls.__new__(cls), [None] * (n_hi - n_lo + 1)
-        states[-n_lo] = seed  # a shift orbit's state at time 0 is its seed itself
-        orbit._setup(n_lo, n_hi, delta, states, [None] * (n_hi - n_lo), table)
-        return orbit
-
-    def _setup(self, n_lo, n_hi, delta, states, defects, table):
-        if not (n_lo <= 0 <= n_hi):
-            raise ValueError("orbit window must straddle index 0")
+        n_lo, n_hi = _window_bounds((n_lo, n_hi))
+        states, defects = tuple(states), tuple(defects)
         if len(states) != n_hi - n_lo + 1:
             raise ValueError("state count does not match the window")
         if len(defects) != len(states) - 1:
             raise ValueError("need exactly one defect per step")
-        if table is None and not all(isinstance(v, SupportedVector) for v in (*states, *defects)):
+        vectors, x, z = {"states": states, "defects": defects}, None, None
+        if not all(isinstance(v, SupportedVector) for v in (*states, *defects)):
             if any(isinstance(v, SupportedVector) for v in (*states, *defects)):
                 raise DimensionMismatchError("states and defects mix SupportedVectors and arrays")
             x = [np.asarray(v, dtype=np.complex128) for v in (*states, *defects)]
             shapes = list(dict.fromkeys(v.shape for v in x))
             if len(shapes) > 1 or len(shapes[0]) != 1:
                 raise ValueError(f"dense states and defects must be 1-D of one length, got {shapes}")
-            x = np.array(x)
-            table = _OrbitTable(n_lo, x[: len(states)].T, x[len(states):].T)
-            states, defects = [None] * len(states), [None] * len(defects)
-        state_norms, defect_norms = table.norms() if table is not None else (
-            np.array([v.norm() for v in vs], dtype=float) for vs in (states, defects))
+            x = np.array(x).T
+            vectors, x, z = None, x[:, : len(states)], x[:, len(states):]
+        self.__dict__.update(self._built(n_lo, n_hi, delta, x, z, vectors=vectors).__dict__)
+
+    @classmethod
+    def _built(cls, n_lo: int, n_hi: int, delta, x, z, seed=None, step=0, chains=None,
+               orders=(), listed=None, vectors=None):
+        """The orbit of states x and defects z (see above) from the seed at time 0, or
+        of the SupportedVectors in vectors; delta=None takes the largest defect norm."""
+        orbit = cls.__new__(cls)
+        if vectors is None:
+            vectors = {"states": [None] * (n_hi - n_lo + 1), "defects": [None] * (n_hi - n_lo)}
+            vectors["states"][-n_lo] = seed  # a shift orbit's state at time 0 is its seed itself
+        orbit.__dict__.update(n_lo=n_lo, n_hi=n_hi, _vectors=vectors, _states=x, _defects=z,
+                              _step=step, _chains=chains, _orders=orders, _listed=listed)
+        state_norms, defect_norms = orbit._norms()
         if delta is None:
             delta = float(defect_norms.max(initial=0.0))
         if not (math.isfinite(delta) and delta >= 0):
@@ -138,10 +148,8 @@ class PseudoOrbit:
         over = np.flatnonzero(defect_norms > delta + slack)
         if len(over):
             raise ValueError(f"defect norm {defect_norms[over[0]]:.3e} exceeds delta {delta:.3e}")
-        fields = {"n_lo": n_lo, "n_hi": n_hi, "delta": delta, "_defect_norms": defect_norms,
-                  "_table": table, "_vectors": {"states": states, "defects": defects}}
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
+        orbit.__dict__.update(delta=delta, _defect_norms=defect_norms)
+        return orbit
 
     def __setattr__(self, name, value):
         raise AttributeError(f"PseudoOrbit is immutable: cannot assign {name!r}")
@@ -169,7 +177,7 @@ class PseudoOrbit:
         if not 0 <= j < len(vectors):  # a negative j would wrap to the far end
             raise IndexError(f"index {n} outside the orbit window {self.window}")
         if vectors[j] is None:
-            vectors[j] = self._table.vector(kind, j)
+            vectors[j] = self._vector(kind, j)
         return vectors[j]
 
     def _all(self, kind: str) -> tuple:
@@ -178,6 +186,36 @@ class PseudoOrbit:
             vectors = tuple(self._at(kind, self.n_lo + j) for j in range(len(vectors)))
             self._vectors[kind] = vectors
         return vectors
+
+    def _vector(self, kind: str, j: int):
+        defect = kind == "defects"
+        values = self._defects if defect else self._states
+        if self._chains is None:
+            return values[:, j]
+        rows = self._orders[j >= -self.n_lo]
+        rows = rows[self._listed[rows, j : j + 1 + defect].any(axis=1)]
+        index = self._chains[rows] + (self.n_lo + j + defect) * self._step
+        return SupportedVector(dict(zip(index.tolist(), values[rows, j].tolist())))
+
+    def _norms(self) -> tuple:
+        """`vec_norm` of every state and defect, bit for bit: `SupportedVector.norm` of kept
+        vectors, `_row_norms` of a dense table, and for chains abs() as hypot, squared as
+        a * a and added row by row in listing order (a reduction down a single column would
+        pair the terms); an unlisted cell adds +0.0, which changes no sum."""
+        if self._states is None:
+            return tuple(np.array([v.norm() for v in self._vectors[kind]], dtype=float)
+                         for kind in ("states", "defects"))
+        if self._chains is None:
+            return _row_norms(self._states.T), _row_norms(self._defects.T)
+        k0, out = -self.n_lo, []
+        for values in (self._states, self._defects):
+            with np.errstate(over="ignore"):  # inf, as a * a gives it
+                sq = np.hypot(values.real, values.imag) ** 2
+            total = np.zeros(sq.shape[1])
+            for cols, rows in ((slice(None, k0), self._orders[0]), (slice(k0, None), self._orders[1])):
+                total[cols] = np.add.accumulate(sq[rows, cols], axis=0)[-1] if len(rows) else 0.0
+            out.append(np.sqrt(total))
+        return tuple(out)
 
     def defect_norms(self) -> list:
         return self._defect_norms.tolist()
@@ -188,12 +226,19 @@ class PseudoOrbit:
         chains and chain x time states, read off the states when the orbit
         has no table for op's step (built from vectors, or the other direction's)."""
         _vector_of(op, self.state(0))
-        table = self._table
         if isinstance(op, DenseOperator):
-            return table.states, table.defects
-        if table is not None and table.step == op.step:
-            return table.chains, table.states
+            return self._states, self._defects
+        if self._step == op.step:
+            return self._chains, self._states
         return _chain_cells(self.states, range(self.n_lo, self.n_hi + 1), op.step, self.window)[:2]
+
+
+def _window_bounds(window) -> tuple:
+    """A window's bounds (n_lo, n_hi), read as sizes are; ValueError unless n_lo <= 0 <= n_hi."""
+    n_lo, n_hi = (_integer_field(n, "window") for n in window)
+    if not (n_lo <= 0 <= n_hi):
+        raise ValueError("orbit window must straddle index 0")
+    return n_lo, n_hi
 
 
 def _row_norms(g: np.ndarray) -> np.ndarray:
@@ -216,58 +261,6 @@ def _draw_defects(size: int, delta: float, n_lo: int, n_hi: int, rng):
     z = np.divide(delta, r, out=np.zeros_like(r), where=~zero)[:, None] * g
     z[zero] = 0.0
     return z, zero
-
-
-@dataclass(frozen=True, eq=False)
-class _OrbitTable:
-    """A pseudo-orbit as one coordinate x time table.
-
-    Column j of `states` is time n_lo + j, column j of `defects` time n_lo + j
-    + 1.  A dense orbit's rows are its coordinates (chains is None), its
-    tables transposed views of time-major arrays.  A shift orbit's row r is
-    chain chains[r], sorted, which holds index chains[r] + n*step at time n;
-    a cell that `listed` does not mark holds +0j, and a defect lists the
-    chains of the states on either side.  orders[1] lists the rows as the
-    vectors from time 0 on list them, in first appearance along the path out
-    of the seed, and orders[0] as the vectors before time 0 list them.
-    """
-
-    n_lo: int
-    states: np.ndarray
-    defects: np.ndarray
-    step: int = 0
-    chains: np.ndarray | None = None
-    orders: tuple = ()
-    listed: np.ndarray | None = None
-
-    def vector(self, kind: str, j: int):
-        defect = kind == "defects"
-        values = self.defects if defect else self.states
-        if self.chains is None:
-            return values[:, j]
-        rows = self.orders[j >= -self.n_lo]
-        rows = rows[self.listed[rows, j : j + 1 + defect].any(axis=1)]
-        index = self.chains[rows] + (self.n_lo + j + defect) * self.step
-        return SupportedVector(dict(zip(index.tolist(), values[rows, j].tolist())))
-
-    def norms(self) -> tuple:
-        """`vec_norm` of every state and of every defect: `_row_norms` of the
-        time-major arrays, or `SupportedVector.norm`, abs() as hypot, squared
-        as a * a and summed in each vector's listing order (a cell it does not
-        list adds +0.0, which changes no sum)."""
-        if self.chains is None:
-            return _row_norms(self.states.T), _row_norms(self.defects.T)
-        k0, out = -self.n_lo, []
-        for values in (self.states, self.defects):
-            sq = np.hypot(values.real, values.imag)
-            with np.errstate(over="ignore"):  # inf, as a * a gives it
-                sq *= sq
-            total = np.zeros(sq.shape[1])
-            for side, rows in ((slice(None, k0), self.orders[0]), (slice(k0, None), self.orders[1])):
-                for r in rows:
-                    total[side] += sq[r, side]
-            out.append(np.sqrt(total))
-        return tuple(out)
 
 
 def _require_int64(chains, step: int, n_lo: int, n_hi: int) -> None:
@@ -295,9 +288,9 @@ def _chain_cells(vectors, times, step: int, window: tuple) -> tuple:
 
 
 def _shift_orbit(op: ShiftOperator, x0, delta, n_lo: int, chains, z, z_listed, orders):
-    """The shift recurrence on an `_OrbitTable` (z and z_listed are chain x
-    step), as a PseudoOrbit whose state at time 0 is x0 itself; delta=None
-    takes the largest defect norm.
+    """The shift recurrence on a chain x time table (z and z_listed are chain x
+    step), as the PseudoOrbit of that table, its state at time 0 x0 itself;
+    delta=None takes the largest defect norm.
 
     From x0 at time 0, where chain c is index c, forward x_{j+1} = w x_j + z_j,
     backward x_j = w' (x_{j+1} - z_j) by the exact inverse, and the defects
@@ -336,8 +329,7 @@ def _shift_orbit(op: ShiftOperator, x0, delta, n_lo: int, chains, z, z_listed, o
         actual = x[:, 1:] + np.where(listed[:, :-1], minus * (fwd * x[:, :-1]), keep)
     if not (np.isfinite(x).all() and np.isfinite(actual).all()):
         raise ValueError("coefficients must be finite")
-    table = _OrbitTable(n_lo, x, actual, op.step, chains, orders, listed)
-    return PseudoOrbit._built(n_lo, n_lo + steps, delta, table, x0)
+    return PseudoOrbit._built(n_lo, n_lo + steps, delta, x, actual, x0, op.step, chains, orders, listed)
 
 
 def _dense_orbit(op: DenseOperator, x0, defects, n_lo: int, n_hi: int, delta) -> PseudoOrbit:
@@ -348,7 +340,7 @@ def _dense_orbit(op: DenseOperator, x0, defects, n_lo: int, n_hi: int, delta) ->
     with np.errstate(over="ignore", invalid="ignore"):  # the norm check refuses what overflowed
         x = _window_powers(op, n_lo, n_hi, x0, np.asarray(defects, dtype=np.complex128))
         actual = x[1:] - (op.entries @ x[:-1, :, None])[:, :, 0]
-    return PseudoOrbit._built(n_lo, n_hi, delta, _OrbitTable(n_lo, x.T, actual.T))
+    return PseudoOrbit._built(n_lo, n_hi, delta, x.T, actual.T)
 
 
 def generate_pseudo_orbit(
@@ -366,11 +358,9 @@ def generate_pseudo_orbit(
     y_n = T^{-1}(y_{n+1} - z_n), and the defects are re-read off the final
     states.  A shift seed must list at least one index.
     """
-    n_lo, n_hi = (_integer_field(n, "window") for n in window)
+    n_lo, n_hi = _window_bounds(window)
     if not (math.isfinite(delta) and delta >= 0):
         raise ValueError(f"delta must be a finite number >= 0, got {delta!r}")
-    if not (n_lo <= 0 <= n_hi):
-        raise ValueError("window must straddle index 0")
     x0 = _vector_of(op, x0)
     if isinstance(op, ShiftOperator) and not x0.coefficients:
         raise ValueError("shift seed must list at least one index")
@@ -397,9 +387,7 @@ def orbit_from_defects(op, x0, defects, window: tuple) -> PseudoOrbit:
     identity holds everywhere.  delta is taken to be the largest defect norm.
     Kept for the caller-given defects of the README and the reference tests.
     """
-    n_lo, n_hi = (_integer_field(n, "window") for n in window)
-    if not (n_lo <= 0 <= n_hi):
-        raise ValueError("window must straddle index 0")
+    n_lo, n_hi = _window_bounds(window)
     x0, defects = _vector_of(op, x0), [_vector_of(op, z) for z in defects]
     if len(defects) != n_hi - n_lo:
         raise ValueError("need exactly one defect per step")
@@ -808,9 +796,7 @@ def rotate_orbit(orbit: PseudoOrbit, lam: complex) -> PseudoOrbit:
     so the result composes with `rotate` on the operator side.  Kept for
     acceptance criterion 8 (rotation invariance).
     """
-    lam = complex(lam)
-    if abs(abs(lam) - 1.0) >= UNIMODULAR_TOL:
-        raise NotUnimodularError(f"|lambda| = {abs(lam)!r} is not within {UNIMODULAR_TOL} of 1")
+    lam = _unimodular(lam)
     states = tuple(lam ** (-n) * orbit.state(n) for n in range(orbit.n_lo, orbit.n_hi + 1))
     defects = tuple(lam ** (-(n + 1)) * orbit.defect(n) for n in range(orbit.n_lo, orbit.n_hi))
     return PseudoOrbit(

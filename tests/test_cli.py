@@ -309,6 +309,14 @@ class TestAnalyze:
         assert "must be an integer" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_crossover_past_the_float_range_is_input_error(self, tmp_path, capsys):
+        # float(10**400) raised OverflowError, a numerical failure (exit 3)
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps({"kind": "shift", "direction": "forward", "weight_pos": W_HI,
+                                    "weight_neg": W_LO, "crossover": 10**400}))
+        assert main(["analyze", "--input", str(path), "--output", str(tmp_path / "x.json")]) == 2
+        assert "'crossover' must be an integer within the float range" in capsys.readouterr().err
+
 
 class TestFlagValidation:
     @pytest.mark.parametrize("command", ["analyze", "shadow", "probe", "example17"])

@@ -325,6 +325,7 @@ SIZED_CALLS = {
         ss.diagonal([2.0, 0.5]), ss.diagonal([0.0, 1.0]), k
     ),
     "eigenvector radius": lambda k: ss.shift_eigenvector(example_shift_pair()[1], 1.0, k),
+    "orbit bounds": lambda k: ss.PseudoOrbit(-k, 0, [np.zeros(2)] * 4, 0.0, [np.zeros(2)] * 3),
 }
 
 
@@ -336,3 +337,10 @@ def test_sizes_must_be_integers(name):
     call(3.0)
     with pytest.raises(ValueError, match=r"must be an integer, got -?2\.5"):
         call(2.5)
+
+
+@pytest.mark.parametrize("name", SIZED_CALLS)
+def test_sizes_past_the_float_range_are_refused(name):
+    # float(10**400) raised a bare OverflowError
+    with pytest.raises(ValueError, match="must be an integer within the float range"):
+        SIZED_CALLS[name](10**400)

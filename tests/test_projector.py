@@ -30,6 +30,16 @@ class TestContourConfig:
         with pytest.raises(ValueError):
             ss.ContourConfig(radius=0.0)
 
+    def test_nodes_must_be_an_integer(self):
+        # 256.5 was accepted, and arange(256.5) took 257 nodes: a wrong projector, no error
+        with pytest.raises(ValueError, match="'nodes' must be an integer, got 256.5"):
+            ss.ContourConfig(nodes=256.5)
+        a = ss.diagonal([0.5, 2.0])
+        cfg = ss.ContourConfig(nodes=256.0)
+        assert cfg.nodes == 256 and isinstance(cfg.nodes, int)
+        got = ss.laurent_coefficient(a, -1, cfg).entries
+        assert got.tobytes() == ss.laurent_coefficient(a, -1, ss.ContourConfig()).entries.tobytes()
+
 
 class TestLaurentCoefficient:
     def test_diagonal_projector_coefficient(self):
@@ -585,6 +595,17 @@ class TestDecayRates:
 
 def _svd_norms(stack):
     return np.linalg.svd(stack, compute_uv=False)[:, 0]
+
+
+class TestSplittingPowerStacks:
+    def test_k_max_must_be_nonnegative(self):
+        # -1 raised a bare IndexError from the power fill
+        a, b = ss.diagonal([2.0, 0.5]), ss.diagonal([0.0, 1.0])
+        with pytest.raises(ValueError, match="k_max must be >= 0"):
+            projector.splitting_power_stacks(a, b, -1)
+        fwd, bwd, norms_fwd, norms_bwd = projector.splitting_power_stacks(a, b, 0)
+        assert fwd.shape == bwd.shape == (1, 2, 2) and len(norms_fwd) == len(norms_bwd) == 1
+        assert np.array_equal(fwd[0], b.entries) and np.array_equal(bwd[0], np.eye(2) - b.entries)
 
 
 class TestStackSpectralNorms:

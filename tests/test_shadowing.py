@@ -86,6 +86,17 @@ class TestGeneratePseudoOrbit:
         with pytest.raises(TypeError, match="not an operator"):
             ss.generate_pseudo_orbit(np.eye(2), np.zeros(2), 1e-3, (-2, 2), rng_seed=0)
 
+    def test_orbit_bounds_are_read_as_sizes(self):
+        # float bounds were kept as floats, and every read raised a bare TypeError
+        a = ss.diagonal([2.0, 0.5])
+        orbit = ss.PseudoOrbit(-1.0, 1.0, [np.zeros(2)] * 3, 0.0, [np.zeros(2)] * 2)
+        assert orbit.window == (-1, 1) and isinstance(orbit.n_lo, int)
+        assert np.array_equal(orbit.state(0), np.zeros(2)) and len(orbit.states) == 3
+        assert ss.construct_shadow(a, ss.diagonal([0.0, 1.0]), orbit).epsilon_achieved == 0.0
+        assert ss.shadow_oracle_lsq(a, orbit).epsilon_achieved == 0.0
+        with pytest.raises(ValueError, match="'window' must be an integer, got -0.5"):
+            ss.PseudoOrbit(-0.5, 1.0, [np.zeros(2)] * 3, 0.0, [np.zeros(2)] * 2)
+
     def test_lookups_outside_the_window_raise(self):
         orbit = ss.generate_pseudo_orbit(ONE_DIM_DOUBLE, np.zeros(1, dtype=complex), 1e-3, (-3, 3), 0)
         assert orbit.state(-3) is orbit.states[0] and orbit.state(3) is orbit.states[-1]
@@ -550,6 +561,25 @@ class TestRotateOrbit:
         orbit = ss.generate_pseudo_orbit(a, np.ones(1, dtype=complex), 0.0, (0, 2), rng_seed=0)
         with pytest.raises(ss.NotUnimodularError):
             ss.rotate_orbit(orbit, 0.5)
+
+    def test_a_nan_factor_is_not_unimodular(self):
+        # NaN passed the old |lam| check and failed later with another error
+        a = ss.diagonal([2.0])
+        orbit = ss.generate_pseudo_orbit(a, np.ones(1, dtype=complex), 0.0, (0, 2), rng_seed=0)
+        for call in (lambda: ss.rotate(a, math.nan), lambda: ss.rotate_orbit(orbit, math.nan),
+                     lambda: ss.rotate(ss.ShiftOperator("forward", W_HI, W_LO, 0), math.nan)):
+            with pytest.raises(ss.NotUnimodularError, match="nan"):
+                call()
+
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    def test_shift_orbit_rotates_state_by_state(self, direction):
+        op = ss.ShiftOperator(direction, W_HI, W_LO, 0)
+        orbit = ss.generate_pseudo_orbit(op, TABLE_SEEDS[1], 1e-3, (-5, 4), rng_seed=4)
+        lam = complex(np.exp(0.3j))  # as rotate_orbit reads it: a Python complex power
+        rotated = ss.rotate_orbit(orbit, lam)
+        assert rotated.delta == orbit.delta
+        for n in range(-5, 5):
+            assert _bits(rotated.state(n)) == _bits(lam ** -n * orbit.state(n))
 
 
 # ---------------------------------------------------------------------------
@@ -1089,6 +1119,26 @@ class TestChainTableOrbit:
             orbit = ss.orbit_from_defects(op, x0, defects, (-4, 3))
             assert orbit.defect_norms() == [z.norm() for z in orbit.defects]
             assert orbit.delta == max(z.norm() for z in orbit.defects)
+
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    def test_drawn_norms_are_those_of_the_vectors(self, direction):
+        op = ss.ShiftOperator(direction, 0.7, 1.6, 2)
+        for x0 in TABLE_SEEDS:
+            for window in ((-8, 8), (0, 5), (-4, 0)):
+                orbit = ss.generate_pseudo_orbit(op, x0, 1e-3, window, rng_seed=5)
+                assert orbit.defect_norms() == [z.norm() for z in orbit.defects]
+
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    def test_a_one_column_side_adds_in_listing_order(self, direction):
+        # 1 + 1e-16 + ... (eleven times) is 1 in listing order; numpy's pairwise sum,
+        # which a reduction down a single column takes, keeps the small terms
+        op = ss.ShiftOperator(direction, 0.7, 1.6, 2)
+        x0 = TABLE_SEEDS[3]
+        for n, window in ((0, (0, 1)), (-1, (-1, 0))):
+            z = ss.SupportedVector({i + (n + 1) * op.step: 1.0 if k == 0 else 1e-8
+                                    for k, i in enumerate(x0.coefficients)})
+            orbit = ss.orbit_from_defects(op, x0, [z], window)
+            assert orbit.defect_norms() == [d.norm() for d in orbit.defects]
 
     def test_orbit_is_immutable(self):
         orbit = ss.generate_pseudo_orbit(ONE_DIM_DOUBLE, np.zeros(1), 1e-3, (-2, 2), rng_seed=0)
