@@ -82,8 +82,8 @@ class ContourConfig:
     nodes: int = 256
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError("contour radius must be positive")
+        if not 0 < self.radius < np.inf:  # inf * e^{i theta} makes NaN nodes
+            raise ValueError(f"contour radius must be finite and positive, got {self.radius!r}")
         n = _integer_field(self.nodes, "nodes")
         if n < 16 or (n & (n - 1)) != 0:
             raise ValueError("nodes must be a power of two, at least 16")

@@ -3,19 +3,21 @@
 A delta-pseudo-orbit is a finite window of states whose one-step recurrence
 defect never exceeds delta: arrays for dense operators, `SupportedVector`s
 for shifts, each seed and defect checked by `operators._vector_of`.
-`generate_pseudo_orbit` draws its defects up front, as one array,
-`orbit_from_defects` takes them from the caller, and both run one recurrence
-on integer window bounds.  A `PseudoOrbit` is its own coordinate x time
+`generate_pseudo_orbit` draws its defects up front, as one array, and
+`orbit_from_defects` takes them from the caller, both on integer window
+bounds.  A drawn orbit, and any dense one, is its own coordinate x time
 table and builds a state's or defect's vector only when it is read:
-a dense orbit's rows are its d coordinates; a shift orbit's rows are its
-chains c = i - n*step, which T never leaves, each index in int64, with
-one multiply per listed coefficient and step.  `construct_shadow` and the
-oracles read the table itself, kind and size checked once.  Every dense
-window sequence is one two-sided fill outward from n = 0, `_window_powers`:
-the pseudo-orbit from its defects, the oracle's blocks A^n and the genuine
-trajectory A^n x_0 with none.  For a dense operator with a certified splitting
-B (forward powers of A damped through B, backward powers damped through I-B),
-the bounded solution of x_{n+1} = A x_n + z_n is written down explicitly as
+a dense orbit's rows are its d coordinates; a drawn shift orbit's rows are
+its seed's chains c = i - n*step, which T never leaves and every state
+lists, each index in int64, with one multiply per coefficient and step.
+Caller-given shift defects run `apply`'s recurrence and keep the vectors.
+`construct_shadow` and the oracles read the table itself, kind and size
+checked once.  Every dense window sequence is one two-sided fill outward
+from n = 0, `_window_powers`: the pseudo-orbit from its defects, the
+oracle's blocks A^n and the genuine trajectory A^n x_0 with none.  For a
+dense operator with a certified splitting B (forward powers of A damped
+through B, backward powers damped through I-B), the bounded solution of
+x_{n+1} = A x_n + z_n is written down explicitly as
 
     x_n = sum_{k>=0} A^k B z_{n-k-1}  -  sum_{k>=1} A^{-k} (I-B) z_{n+k-1},
 
@@ -58,6 +60,7 @@ from .operators import (
     _unimodular,
     _vector_of,
     adjoint,
+    apply,
     inverse,
     vec_norm,
 )
@@ -91,20 +94,17 @@ class PseudoOrbit:
     delta (up to a float-roundoff slack proportional to the state scale).
     FloatingPointError when a state or defect norm is not finite (overflow).
     The window, its bounds read as sizes are, straddles index 0, where the
-    seed state lives.  ValueError for a dense state or defect that is not 1-D
-    of one shared length, DimensionMismatchError for SupportedVectors mixed
-    with arrays.
+    seed state lives.  ValueError for a delta that is not a finite number >= 0
+    (None included) and for a dense state or defect that is not 1-D of one
+    shared length, DimensionMismatchError for SupportedVectors mixed with arrays.
 
     An orbit made of SupportedVectors keeps them.  Every other orbit is one
     coordinate x time table whose vectors are built when first read: column
     j of the states is time n_lo + j, of the defects time n_lo + j + 1.  A
     dense orbit's rows are its coordinates (no chains), its tables transposed
-    views of time-major arrays.  A shift orbit's row r is chain chains[r],
-    sorted, which holds index chains[r] + n*step at time n; a cell that
-    `listed` does not mark holds +0j, and a defect lists the chains of the
-    states on either side.  orders[1] lists the rows as the vectors from time
-    0 on list them, in first appearance along the path out of the seed, and
-    orders[0] as the vectors before time 0 list them.
+    views of time-major arrays.  A drawn shift orbit's row r is chain
+    chains[r], sorted, which holds index chains[r] + n*step at time n; every
+    state and defect lists every chain, in the seed's listing order `order`.
     """
 
     def __init__(self, n_lo: int, n_hi: int, states, delta: float, defects):
@@ -124,11 +124,12 @@ class PseudoOrbit:
                 raise ValueError(f"dense states and defects must be 1-D of one length, got {shapes}")
             x = np.array(x).T
             vectors, x, z = None, x[:, : len(states)], x[:, len(states):]
+        delta = _require_delta(delta)  # None too, which `_built` reads as the largest defect norm
         self.__dict__.update(self._built(n_lo, n_hi, delta, x, z, vectors=vectors).__dict__)
 
     @classmethod
     def _built(cls, n_lo: int, n_hi: int, delta, x, z, seed=None, step=0, chains=None,
-               orders=(), listed=None, vectors=None):
+               order=None, vectors=None):
         """The orbit of states x and defects z (see above) from the seed at time 0, or
         of the SupportedVectors in vectors; delta=None takes the largest defect norm."""
         orbit = cls.__new__(cls)
@@ -136,12 +137,9 @@ class PseudoOrbit:
             vectors = {"states": [None] * (n_hi - n_lo + 1), "defects": [None] * (n_hi - n_lo)}
             vectors["states"][-n_lo] = seed  # a shift orbit's state at time 0 is its seed itself
         orbit.__dict__.update(n_lo=n_lo, n_hi=n_hi, _vectors=vectors, _states=x, _defects=z,
-                              _step=step, _chains=chains, _orders=orders, _listed=listed)
+                              _step=step, _chains=chains, _order=order)
         state_norms, defect_norms = orbit._norms()
-        if delta is None:
-            delta = float(defect_norms.max(initial=0.0))
-        if not (math.isfinite(delta) and delta >= 0):
-            raise ValueError(f"delta must be a finite number >= 0, got {delta!r}")
+        delta = _require_delta(float(defect_norms.max(initial=0.0)) if delta is None else delta)
         if not (np.isfinite(state_norms).all() and np.isfinite(defect_norms).all()):
             raise FloatingPointError("pseudo-orbit has a non-finite state or defect norm")
         slack = 1e-12 * (1.0 + float(state_norms.max())) + 1e-15
@@ -192,29 +190,24 @@ class PseudoOrbit:
         values = self._defects if defect else self._states
         if self._chains is None:
             return values[:, j]
-        rows = self._orders[j >= -self.n_lo]
-        rows = rows[self._listed[rows, j : j + 1 + defect].any(axis=1)]
-        index = self._chains[rows] + (self.n_lo + j + defect) * self._step
-        return SupportedVector(dict(zip(index.tolist(), values[rows, j].tolist())))
+        index = self._chains[self._order] + (self.n_lo + j + defect) * self._step
+        return SupportedVector(dict(zip(index.tolist(), values[self._order, j].tolist())))
 
     def _norms(self) -> tuple:
         """`vec_norm` of every state and defect, bit for bit: `SupportedVector.norm` of kept
         vectors, `_row_norms` of a dense table, and for chains abs() as hypot, squared as
         a * a and added row by row in listing order (a reduction down a single column would
-        pair the terms); an unlisted cell adds +0.0, which changes no sum."""
+        pair the terms)."""
         if self._states is None:
             return tuple(np.array([v.norm() for v in self._vectors[kind]], dtype=float)
                          for kind in ("states", "defects"))
         if self._chains is None:
             return _row_norms(self._states.T), _row_norms(self._defects.T)
-        k0, out = -self.n_lo, []
+        out = []
         for values in (self._states, self._defects):
             with np.errstate(over="ignore"):  # inf, as a * a gives it
                 sq = np.hypot(values.real, values.imag) ** 2
-            total = np.zeros(sq.shape[1])
-            for cols, rows in ((slice(None, k0), self._orders[0]), (slice(k0, None), self._orders[1])):
-                total[cols] = np.add.accumulate(sq[rows, cols], axis=0)[-1] if len(rows) else 0.0
-            out.append(np.sqrt(total))
+            out.append(np.sqrt(np.add.accumulate(sq[self._order], axis=0)[-1]))
         return tuple(out)
 
     def defect_norms(self) -> list:
@@ -230,7 +223,14 @@ class PseudoOrbit:
             return self._states, self._defects
         if self._step == op.step:
             return self._chains, self._states
-        return _chain_cells(self.states, range(self.n_lo, self.n_hi + 1), op.step, self.window)[:2]
+        return _chain_cells(self.states, op.step, self.window)
+
+
+def _require_delta(delta):
+    """delta itself; ValueError unless it is a finite number >= 0 (None and NaN are not)."""
+    if delta is None or not (math.isfinite(delta) and delta >= 0):
+        raise ValueError(f"delta must be a finite number >= 0, got {delta!r}")
+    return delta
 
 
 def _window_bounds(window) -> tuple:
@@ -271,65 +271,60 @@ def _require_int64(chains, step: int, n_lo: int, n_hi: int) -> None:
         raise ValueError("shift indices over the window must lie in int64, -2**63..2**63 - 1")
 
 
-def _chain_cells(vectors, times, step: int, window: tuple) -> tuple:
-    """SupportedVectors at the given times on a shift's chains c = i - n*step:
-    the chains, sorted; a chain x vector table of the coefficients and a mask
-    of the listed cells; and each listed cell's (column, row), vector by
-    vector in listing order.  The chains' grid over window must fit in int64."""
-    cells = [(k, i - n * step, v) for k, (n, y) in enumerate(zip(times, vectors))
+def _chain_cells(states, step: int, window: tuple) -> tuple:
+    """The SupportedVector states of window on a shift's chains c = i - n*step:
+    the chains, sorted, and a chain x time table of the coefficients, +0j
+    where a state lists no index.  The chains' grid over window must fit in int64."""
+    cells = [(k, i - (window[0] + k) * step, v) for k, y in enumerate(states)
              for i, v in y.coefficients.items()]
     cols, listed, values = zip(*cells) if cells else ((), (), ())
     _require_int64(listed, step, *window)
     chains, rows = np.unique(np.array(listed, dtype=np.int64), return_inverse=True)
-    table = np.zeros((len(chains), len(vectors)), dtype=np.complex128)
-    mask = np.zeros(table.shape, dtype=bool)
-    table[rows, cols], mask[rows, cols] = values, True
-    return chains, table, mask, list(zip(cols, rows.tolist()))
+    table = np.zeros((len(chains), len(states)), dtype=np.complex128)
+    table[rows, cols] = values
+    return chains, table
 
 
-def _shift_orbit(op: ShiftOperator, x0, delta, n_lo: int, chains, z, z_listed, orders):
-    """The shift recurrence on a chain x time table (z and z_listed are chain x
-    step), as the PseudoOrbit of that table, its state at time 0 x0 itself;
-    delta=None takes the largest defect norm.
+def _shift_orbit(op: ShiftOperator, x0, defects, zero, n_lo: int, n_hi: int, delta) -> PseudoOrbit:
+    """The drawn shift recurrence on the chain x time table of x0's chains,
+    sorted, which every state lists, as the PseudoOrbit of that table, its
+    state at time 0 x0 itself.  Row j of defects is z_{n_lo+j} on the
+    chains, and a zero z_n (zero[j]) lists only the first, with 0j.
 
     From x0 at time 0, where chain c is index c, forward x_{j+1} = w x_j + z_j,
     backward x_j = w' (x_{j+1} - z_j) by the exact inverse, and the defects
     re-read as x_{j+1} - w x_j.  Each step updates a whole column with
     SupportedVector's scalar operations: w x is a complex multiply and a - b
-    is a + complex(-1) * b.  A defect adds only where it lists the chain;
-    elsewhere -0.0 is added, which leaves every value as it is, signed zeros
-    included.  ValueError, as SupportedVector raises it, when a coefficient
-    is not finite.
+    is a + complex(-1) * b.  Where a zero defect lists no chain, -0.0 is
+    added, which leaves every value as it is, signed zeros included.
+    ValueError, as SupportedVector raises it, when a coefficient is not finite.
     """
-    k0, (rows, steps) = -n_lo, z.shape
-    seed_listed = np.array([c in x0.coefficients for c in chains.tolist()], dtype=bool)
-    grid = np.add.outer(chains, op.step * np.arange(n_lo, n_lo + steps + 1))
+    _require_int64(x0.coefficients, op.step, n_lo, n_hi)
+    chains = np.array(x0.support())
+    k0, steps = -n_lo, n_hi - n_lo
+    grid = np.add.outer(chains, op.step * np.arange(n_lo, n_hi + 1))
     fwd = op.hop_weights(grid[:, :-1]).astype(np.complex128)
     bwd = inverse(op).hop_weights(grid[:, 1:]).astype(np.complex128)
     minus, keep = complex(-1.0), complex(-0.0, -0.0)
     # each column is a list of Python complex: a column holds one or a few
     # chains, where a numpy call per step would cost more than its arithmetic
     fwd_t, bwd_t = fwd.T.tolist(), bwd.T.tolist()
-    plus_z = np.where(z_listed, z, keep).T.tolist()
-    minus_z = np.where(z_listed, minus * z, keep).T.tolist()
+    plus_z, minus_z = defects.copy(), minus * defects
+    plus_z[zero, 1:] = minus_z[zero, 1:] = keep
+    plus_z, minus_z = plus_z.tolist(), minus_z.tolist()
     cols = [None] * (steps + 1)
-    cols[k0] = [x0.coefficients.get(c, 0j) for c in chains.tolist()]
+    cols[k0] = [x0.coefficients[c] for c in chains.tolist()]
     for j in range(k0, steps):
         cols[j + 1] = [w * x + dz for w, x, dz in zip(fwd_t[j], cols[j], plus_z[j])]
     for j in range(k0 - 1, -1, -1):
         cols[j] = [w * (x + dz) for w, x, dz in zip(bwd_t[j], cols[j + 1], minus_z[j])]
     x = np.array(cols, dtype=np.complex128).T.copy()
-    # a state lists the seed's chains and those of every defect between it and time 0
-    listed = np.empty((rows, steps + 1), dtype=bool)
-    listed[:, k0] = False
-    listed[:, k0 + 1:] = np.logical_or.accumulate(z_listed[:, k0:], axis=1)
-    listed[:, :k0] = np.logical_or.accumulate(z_listed[:, :k0][:, ::-1], axis=1)[:, ::-1]
-    listed |= seed_listed[:, None]
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, as the states are
-        actual = x[:, 1:] + np.where(listed[:, :-1], minus * (fwd * x[:, :-1]), keep)
+        actual = x[:, 1:] + minus * (fwd * x[:, :-1])
     if not (np.isfinite(x).all() and np.isfinite(actual).all()):
         raise ValueError("coefficients must be finite")
-    return PseudoOrbit._built(n_lo, n_lo + steps, delta, x, actual, x0, op.step, chains, orders, listed)
+    order = np.searchsorted(chains, list(x0.coefficients))
+    return PseudoOrbit._built(n_lo, n_hi, delta, x, actual, x0, op.step, chains, order)
 
 
 def _dense_orbit(op: DenseOperator, x0, defects, n_lo: int, n_hi: int, delta) -> PseudoOrbit:
@@ -359,8 +354,7 @@ def generate_pseudo_orbit(
     states.  A shift seed must list at least one index.
     """
     n_lo, n_hi = _window_bounds(window)
-    if not (math.isfinite(delta) and delta >= 0):
-        raise ValueError(f"delta must be a finite number >= 0, got {delta!r}")
+    delta = _require_delta(delta)
     x0 = _vector_of(op, x0)
     if isinstance(op, ShiftOperator) and not x0.coefficients:
         raise ValueError("shift seed must list at least one index")
@@ -369,14 +363,7 @@ def generate_pseudo_orbit(
     defects, zero = _draw_defects(size, delta, n_lo, n_hi, rng)
     if isinstance(op, DenseOperator):
         return _dense_orbit(op, x0, defects, n_lo, n_hi, delta)
-    # z_n lists the seed's indices moved to time n+1, so its rows are the
-    # seed's own chains, sorted; a zero z_n lists only the first, with 0j
-    _require_int64(x0.coefficients, op.step, n_lo, n_hi)
-    chains = np.array(x0.support())
-    z_listed = np.ones((size, n_hi - n_lo), dtype=bool)
-    z_listed[1:, zero] = False
-    order = np.searchsorted(chains, list(x0.coefficients))
-    return _shift_orbit(op, x0, delta, n_lo, chains, defects.T, z_listed, (order, order))
+    return _shift_orbit(op, x0, defects, zero, n_lo, n_hi, delta)
 
 
 def orbit_from_defects(op, x0, defects, window: tuple) -> PseudoOrbit:
@@ -385,6 +372,8 @@ def orbit_from_defects(op, x0, defects, window: tuple) -> PseudoOrbit:
     defects is the per-step sequence aligned with n = n_lo..n_hi-1; steps
     before index 0 are realized through the exact inverse so the one-step
     identity holds everywhere.  delta is taken to be the largest defect norm.
+    A shift orbit runs `apply`'s recurrence on the caller's SupportedVectors and
+    keeps them; ValueError, as a drawn orbit's, for an index past int64.
     Kept for the caller-given defects of the README and the reference tests.
     """
     n_lo, n_hi = _window_bounds(window)
@@ -393,14 +382,18 @@ def orbit_from_defects(op, x0, defects, window: tuple) -> PseudoOrbit:
         raise ValueError("need exactly one defect per step")
     if isinstance(op, DenseOperator):
         return _dense_orbit(op, x0, defects, n_lo, n_hi, None)
-    # the seed is column 0, at time 0; z_n lists its cells at time n+1, in column n - n_lo + 1
-    times = [0, *range(n_lo + 1, n_hi + 1)]
-    chains, z, z_listed, cells = _chain_cells([x0, *defects], times, op.step, (n_lo, n_hi))
-    # rows in first appearance along the path out of the seed, backward and forward
-    back = sorted((c for c in cells if c[0] <= -n_lo), key=lambda c: (c[0] > 0, -c[0]))
-    fwd = [c for c in cells if c[0] == 0 or c[0] > -n_lo]
-    orders = tuple(np.fromiter(dict.fromkeys(r for _, r in p), np.intp) for p in (back, fwd))
-    return _shift_orbit(op, x0, None, n_lo, chains, z[:, 1:], z_listed[:, 1:], orders)
+    # the chains of the seed at time 0 and of each z_n at time n+1
+    chains = [i - (n + 1) * op.step for n, z in enumerate(defects, n_lo) for i in z.coefficients]
+    _require_int64([*x0.coefficients, *chains], op.step, n_lo, n_hi)
+    states, back, k0 = [None] * (n_hi - n_lo + 1), inverse(op), -n_lo
+    states[k0] = x0
+    for j in range(k0, len(defects)):
+        states[j + 1] = apply(op, states[j]) + defects[j]
+    for j in range(k0 - 1, -1, -1):
+        states[j] = apply(back, states[j + 1] - defects[j])
+    actual = tuple(states[j + 1] - apply(op, states[j]) for j in range(len(defects)))
+    return PseudoOrbit._built(n_lo, n_hi, None, None, None,
+                              vectors={"states": tuple(states), "defects": actual})
 
 
 @dataclass(frozen=True, eq=False)

@@ -293,6 +293,30 @@ class TestAnalyze:
     def test_missing_file_is_input_error(self, tmp_path):
         assert main(["analyze", "--input", str(tmp_path / "nope.json")]) == 2
 
+    def test_missing_input_flag_is_input_error(self, capsys):
+        assert main(["analyze"]) == 2
+        assert capsys.readouterr().err == "input error: --input is required for this command\n"
+
+    @pytest.mark.parametrize("command", ["analyze", "shadow"])
+    def test_shift_splitting_is_input_error(self, command, tmp_path, capsys):
+        payload = ss.operator_to_json(ss.diagonal([2.0, 0.5]))
+        payload["splitting"] = ss.operator_to_json(ss.ShiftOperator("forward", W_HI, W_LO, 0))
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps(payload))
+        out = tmp_path / "x.json"
+        assert main([command, "--input", str(path), "--output", str(out)]) == 2
+        assert "explicit splitting must be a dense operator" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_report_without_output_goes_to_stdout(self, dense_op_file, tmp_path, capsys):
+        # stdout holds the report alone; with --output, the verdict line and the path
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--input", str(dense_op_file), "--output", str(out)]) == 0
+        assert capsys.readouterr().out.endswith(f"shadowing=True\nwrote {out}\n")
+        assert main(["analyze", "--input", str(dense_op_file)]) == 0
+        assert capsys.readouterr().out == out.read_text()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["op.json", "report.json"]
+
     @pytest.mark.parametrize(
         "payload",
         [

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -29,6 +30,13 @@ class TestContourConfig:
     def test_rejects_bad_radius(self):
         with pytest.raises(ValueError):
             ss.ContourConfig(radius=0.0)
+
+    @pytest.mark.parametrize("radius", [math.inf, math.nan])
+    def test_rejects_a_radius_that_is_not_finite(self, radius):
+        # an infinite radius was accepted: its nodes are NaN, laurent_coefficient
+        # warned of invalid values, and riesz_splitting returned P = I with a zero certificate
+        with pytest.raises(ValueError, match="contour radius must be finite and positive"):
+            ss.ContourConfig(radius=radius)
 
     def test_nodes_must_be_an_integer(self):
         # 256.5 was accepted, and arange(256.5) took 257 nodes: a wrong projector, no error
@@ -486,6 +494,16 @@ class TestLaurentTable:
         rhs = ss.inverse(a).entries @ table.coefficient(0).entries
         assert max_abs(lhs - rhs) < 1e-12
 
+    @pytest.mark.parametrize("n_max", [0, projector.LAURENT_ORDER_CAP + 1])
+    def test_order_outside_the_cap_is_refused(self, n_max):
+        with pytest.raises(ValueError, match=f"n_max must be in 1..{projector.LAURENT_ORDER_CAP}"):
+            ss.laurent_table(ss.diagonal([2.0, 0.5]), n_max)
+
+    def test_relations_need_three_orders(self):
+        a = ss.diagonal([2.0, 0.5])
+        with pytest.raises(ValueError, match="at least n_max >= 3"):
+            ss.verify_laurent_relations(a, ss.laurent_table(a, 2))
+
     def test_relations_for_random_hyperbolic(self):
         rng = np.random.default_rng(55)
         a, _ = random_hyperbolic(rng, 5)
@@ -598,6 +616,10 @@ def _svd_norms(stack):
 
 
 class TestSplittingPowerStacks:
+    def test_splitting_of_another_dimension_is_refused(self):
+        with pytest.raises(ValueError, match="splitting operator dimension mismatch"):
+            projector.splitting_power_stacks(ss.diagonal([2.0, 0.5]), ss.identity(3), 4)
+
     def test_k_max_must_be_nonnegative(self):
         # -1 raised a bare IndexError from the power fill
         a, b = ss.diagonal([2.0, 0.5]), ss.diagonal([0.0, 1.0])

@@ -135,6 +135,16 @@ class TestOrbitFromDefects:
             assert (gap - orbit.defect(n)).norm() < 1e-15
 
 
+    @pytest.mark.parametrize("kind", ["dense", "shift"])
+    def test_defect_count_must_match_the_window(self, kind):
+        if kind == "dense":
+            op, x0, z = ss.diagonal([2.0, 0.5]), np.zeros(2), np.zeros(2)
+        else:
+            op, x0, z = ss.ShiftOperator("forward", W_HI, W_LO, 0), ss.basis_vector(0), ss.basis_vector(1)
+        for count in (2, 4):
+            with pytest.raises(ValueError, match="need exactly one defect per step"):
+                ss.orbit_from_defects(op, x0, [z] * count, (-1, 2))
+
     def test_shift_orbit_needs_supported_vectors(self):
         t = ss.ShiftOperator("forward", W_HI, W_LO, 0)
         with pytest.raises(ss.DimensionMismatchError, match="SupportedVector"):
@@ -1127,6 +1137,12 @@ class TestChainTableOrbit:
             for window in ((-8, 8), (0, 5), (-4, 0)):
                 orbit = ss.generate_pseudo_orbit(op, x0, 1e-3, window, rng_seed=5)
                 assert orbit.defect_norms() == [z.norm() for z in orbit.defects]
+            # one defect column, where numpy's pairwise sum (a reduction down a single
+            # column) rounds about one draw in ten of the 12-chain seed differently
+            for window in ((0, 1), (-1, 0)):
+                for rng_seed in range(20):
+                    orbit = ss.generate_pseudo_orbit(op, x0, 1e-3, window, rng_seed=rng_seed)
+                    assert orbit.defect_norms() == [z.norm() for z in orbit.defects]
 
     @pytest.mark.parametrize("direction", ["forward", "backward"])
     def test_a_one_column_side_adds_in_listing_order(self, direction):
@@ -1245,6 +1261,38 @@ EDGE_DIGITS_HEX = {
 }
 
 
+class TestPseudoOrbitConstructor:
+    """The refusals of a caller's own states and defects, dense and shift."""
+
+    VECTORS = {
+        "dense": ((np.zeros(1), np.ones(1)), (np.ones(1),)),
+        "shift": ((ss.SupportedVector({}), ss.basis_vector(1)), (ss.basis_vector(1),)),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(VECTORS))
+    def test_state_and_defect_counts_must_match_the_window(self, kind):
+        states, defects = self.VECTORS[kind]
+        with pytest.raises(ValueError, match="state count does not match the window"):
+            ss.PseudoOrbit(0, 2, states, 1.0, defects)
+        with pytest.raises(ValueError, match="need exactly one defect per step"):
+            ss.PseudoOrbit(0, 1, states, 1.0, defects * 2)
+
+    @pytest.mark.parametrize("kind", sorted(VECTORS))
+    def test_defect_norm_above_delta_is_refused(self, kind):
+        states, defects = self.VECTORS[kind]
+        with pytest.raises(ValueError, match=r"defect norm 1\.000e\+00 exceeds delta 5\.000e-01"):
+            ss.PseudoOrbit(0, 1, states, 0.5, defects)
+        assert ss.PseudoOrbit(0, 1, states, 1.0, defects).defect_norms() == [1.0]
+
+    @pytest.mark.parametrize("kind", sorted(VECTORS))
+    @pytest.mark.parametrize("delta", [None, math.nan], ids=["None", "nan"])
+    def test_delta_must_be_a_finite_number(self, kind, delta):
+        # None, which the builders read as the largest defect norm, gave delta 1.0 here
+        states, defects = self.VECTORS[kind]
+        with pytest.raises(ValueError, match=f"delta must be a finite number >= 0, got {delta!r}"):
+            ss.PseudoOrbit(0, 1, states, delta, defects)
+
+
 class TestDenseOrbitTable:
     """Dense orbits are one d x W table, checked once by each reader."""
 
@@ -1341,6 +1389,14 @@ class TestDenseOrbitTable:
             "condition": oracle.condition.hex(),
             "best_anchor": hexes(oracle.best_anchor),
         } == EDGE_DIGITS_HEX[window]
+
+    def test_shift_operator_is_refused(self):
+        t = ss.ShiftOperator("forward", W_HI, W_LO, 0)
+        orbit = ss.generate_pseudo_orbit(t, ss.basis_vector(0), 1e-3, (-2, 2), rng_seed=0)
+        with pytest.raises(TypeError, match="needs dense operator and splitting"):
+            ss.construct_shadow(t, ss.identity(1), orbit)
+        with pytest.raises(TypeError, match="needs dense operator and splitting"):
+            ss.construct_shadow(ss.identity(1), t, orbit)
 
     def test_singular_operator_refused_on_a_one_sided_window(self):
         # no step runs through A^-1 on (0, 3), yet the orbit needs an invertible A

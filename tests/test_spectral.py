@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import shadowspec as ss
+from shadowspec import spectral
 from _helpers import (
     HYPERBOLIC_BANDS,
     conjugated_diagonal,
@@ -153,6 +154,11 @@ class TestDualityCheck:
         report = ss.duality_check(ss.identity(2))
         assert report.surjectivity_mismatches == 0
         assert report.passes
+
+    def test_dimension_past_the_cap_is_refused(self):
+        d = spectral.DUALITY_DIM_CAP + 1
+        with pytest.raises(ValueError, match=f"capped at dimension {d - 1}, got {d}"):
+            ss.duality_check(ss.identity(d))
 
     def test_normal_matrix_eigen_multisets(self):
         rng = np.random.default_rng(17)
