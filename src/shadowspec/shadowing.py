@@ -3,14 +3,13 @@
 A delta-pseudo-orbit is a finite window of states whose one-step recurrence
 defect never exceeds delta: arrays for dense operators, `SupportedVector`s
 for shifts, each seed and defect checked by `operators._vector_of`.
-`generate_pseudo_orbit` draws its defects up front, as one array, and
-`orbit_from_defects` takes them from the caller, both on integer window
-bounds.  A drawn orbit, and any dense one, is its own coordinate x time
-table and builds a state's or defect's vector only when it is read:
-a dense orbit's rows are its d coordinates; a drawn shift orbit's rows are
-its seed's chains c = i - n*step, which T never leaves and every state
-lists, each index in int64, with one multiply per coefficient and step.
-Caller-given shift defects run `apply`'s recurrence and keep the vectors.
+`generate_pseudo_orbit` draws its defects up front, as one array, for either
+kind; `orbit_from_defects` takes them from the caller, for a dense operator
+only; both read integer window bounds.  Every orbit is its own coordinate x
+time table and builds a state's or defect's vector only when it is read:
+a dense orbit's rows are its d coordinates; a shift orbit's rows are its
+seed's chains c = i - n*step, which T never leaves and every state lists,
+each index in int64, with one multiply per coefficient and step.
 `construct_shadow` and the oracles read the table itself, kind and size
 checked once.  Every dense window sequence is one two-sided fill outward
 from n = 0, `_window_powers`: the pseudo-orbit from its defects, the
@@ -60,7 +59,6 @@ from .operators import (
     _unimodular,
     _vector_of,
     adjoint,
-    apply,
     inverse,
     vec_norm,
 )
@@ -95,16 +93,16 @@ class PseudoOrbit:
     FloatingPointError when a state or defect norm is not finite (overflow).
     The window, its bounds read as sizes are, straddles index 0, where the
     seed state lives.  ValueError for a delta that is not a finite number >= 0
-    (None included) and for a dense state or defect that is not 1-D of one
-    shared length, DimensionMismatchError for SupportedVectors mixed with arrays.
+    (None included) and for a state or defect that is not 1-D of one shared
+    length; DimensionMismatchError for a SupportedVector, since only
+    `generate_pseudo_orbit` builds a shift orbit.
 
-    An orbit made of SupportedVectors keeps them.  Every other orbit is one
-    coordinate x time table whose vectors are built when first read: column
-    j of the states is time n_lo + j, of the defects time n_lo + j + 1.  A
-    dense orbit's rows are its coordinates (no chains), its tables transposed
-    views of time-major arrays.  A drawn shift orbit's row r is chain
-    chains[r], sorted, which holds index chains[r] + n*step at time n; every
-    state and defect lists every chain, in the seed's listing order `order`.
+    Every orbit is one coordinate x time table whose vectors are built when
+    first read: column j of the states is time n_lo + j, of the defects time
+    n_lo + j + 1.  A dense orbit's rows are its coordinates (no chains), its
+    tables transposed views of time-major arrays.  A shift orbit's row r is
+    chain chains[r], sorted, which holds index chains[r] + n*step at time n;
+    every state and defect lists every chain, in the seed's listing order `order`.
     """
 
     def __init__(self, n_lo: int, n_hi: int, states, delta: float, defects):
@@ -114,28 +112,25 @@ class PseudoOrbit:
             raise ValueError("state count does not match the window")
         if len(defects) != len(states) - 1:
             raise ValueError("need exactly one defect per step")
-        vectors, x, z = {"states": states, "defects": defects}, None, None
-        if not all(isinstance(v, SupportedVector) for v in (*states, *defects)):
-            if any(isinstance(v, SupportedVector) for v in (*states, *defects)):
-                raise DimensionMismatchError("states and defects mix SupportedVectors and arrays")
-            x = [np.asarray(v, dtype=np.complex128) for v in (*states, *defects)]
-            shapes = list(dict.fromkeys(v.shape for v in x))
-            if len(shapes) > 1 or len(shapes[0]) != 1:
-                raise ValueError(f"dense states and defects must be 1-D of one length, got {shapes}")
-            x = np.array(x).T
-            vectors, x, z = None, x[:, : len(states)], x[:, len(states):]
+        if any(isinstance(v, SupportedVector) for v in (*states, *defects)):
+            raise DimensionMismatchError("PseudoOrbit takes arrays: shift orbits are drawn "
+                                         "by generate_pseudo_orbit")
+        x = [np.asarray(v, dtype=np.complex128) for v in (*states, *defects)]
+        shapes = list(dict.fromkeys(v.shape for v in x))
+        if len(shapes) > 1 or len(shapes[0]) != 1:
+            raise ValueError(f"dense states and defects must be 1-D of one length, got {shapes}")
+        x = np.array(x).T
         delta = _require_delta(delta)  # None too, which `_built` reads as the largest defect norm
-        self.__dict__.update(self._built(n_lo, n_hi, delta, x, z, vectors=vectors).__dict__)
+        self.__dict__.update(self._built(n_lo, n_hi, delta, x[:, : len(states)],
+                                         x[:, len(states):]).__dict__)
 
     @classmethod
-    def _built(cls, n_lo: int, n_hi: int, delta, x, z, seed=None, step=0, chains=None,
-               order=None, vectors=None):
-        """The orbit of states x and defects z (see above) from the seed at time 0, or
-        of the SupportedVectors in vectors; delta=None takes the largest defect norm."""
+    def _built(cls, n_lo: int, n_hi: int, delta, x, z, seed=None, step=0, chains=None, order=None):
+        """The orbit of states x and defects z (see above) from the seed at time 0;
+        delta=None takes the largest defect norm."""
         orbit = cls.__new__(cls)
-        if vectors is None:
-            vectors = {"states": [None] * (n_hi - n_lo + 1), "defects": [None] * (n_hi - n_lo)}
-            vectors["states"][-n_lo] = seed  # a shift orbit's state at time 0 is its seed itself
+        vectors = {"states": [None] * (n_hi - n_lo + 1), "defects": [None] * (n_hi - n_lo)}
+        vectors["states"][-n_lo] = seed  # a shift orbit's state at time 0 is its seed itself
         orbit.__dict__.update(n_lo=n_lo, n_hi=n_hi, _vectors=vectors, _states=x, _defects=z,
                               _step=step, _chains=chains, _order=order)
         state_norms, defect_norms = orbit._norms()
@@ -194,13 +189,10 @@ class PseudoOrbit:
         return SupportedVector(dict(zip(index.tolist(), values[self._order, j].tolist())))
 
     def _norms(self) -> tuple:
-        """`vec_norm` of every state and defect, bit for bit: `SupportedVector.norm` of kept
-        vectors, `_row_norms` of a dense table, and for chains abs() as hypot, squared as
-        a * a and added row by row in listing order (a reduction down a single column would
+        """`vec_norm` of every state and defect, bit for bit: `_row_norms` of a dense
+        table, and for chains `SupportedVector.norm`'s abs() as hypot, squared as a * a
+        and added row by row in listing order (a reduction down a single column would
         pair the terms)."""
-        if self._states is None:
-            return tuple(np.array([v.norm() for v in self._vectors[kind]], dtype=float)
-                         for kind in ("states", "defects"))
         if self._chains is None:
             return _row_norms(self._states.T), _row_norms(self._defects.T)
         out = []
@@ -216,14 +208,14 @@ class PseudoOrbit:
     def _table_for(self, op) -> tuple:
         """The table op reads, kind and size checked once on the state at time
         0: d x W states and d x (W-1) defects for a dense op; a shift's sorted
-        chains and chain x time states, read off the states when the orbit
-        has no table for op's step (built from vectors, or the other direction's)."""
+        chains and chain x time states.  ValueError for a shift of the other
+        direction than the orbit's, whose chains are not the orbit's rows."""
         _vector_of(op, self.state(0))
         if isinstance(op, DenseOperator):
             return self._states, self._defects
-        if self._step == op.step:
-            return self._chains, self._states
-        return _chain_cells(self.states, op.step, self.window)
+        if self._step != op.step:
+            raise ValueError("a shift orbit is read only by a shift of its own direction")
+        return self._chains, self._states
 
 
 def _require_delta(delta):
@@ -263,28 +255,6 @@ def _draw_defects(size: int, delta: float, n_lo: int, n_hi: int, rng):
     return z, zero
 
 
-def _require_int64(chains, step: int, n_lo: int, n_hi: int) -> None:
-    """ValueError unless every index c + n*step (n = n_lo..n_hi) of the Python-int
-    chains fits in int64, where numpy would wrap it; `hop_weights` reads no index off it."""
-    lo, hi = sorted((n_lo * step, n_hi * step))
-    if chains and not (-2**63 <= min(chains) + lo and max(chains) + hi < 2**63):
-        raise ValueError("shift indices over the window must lie in int64, -2**63..2**63 - 1")
-
-
-def _chain_cells(states, step: int, window: tuple) -> tuple:
-    """The SupportedVector states of window on a shift's chains c = i - n*step:
-    the chains, sorted, and a chain x time table of the coefficients, +0j
-    where a state lists no index.  The chains' grid over window must fit in int64."""
-    cells = [(k, i - (window[0] + k) * step, v) for k, y in enumerate(states)
-             for i, v in y.coefficients.items()]
-    cols, listed, values = zip(*cells) if cells else ((), (), ())
-    _require_int64(listed, step, *window)
-    chains, rows = np.unique(np.array(listed, dtype=np.int64), return_inverse=True)
-    table = np.zeros((len(chains), len(states)), dtype=np.complex128)
-    table[rows, cols] = values
-    return chains, table
-
-
 def _shift_orbit(op: ShiftOperator, x0, defects, zero, n_lo: int, n_hi: int, delta) -> PseudoOrbit:
     """The drawn shift recurrence on the chain x time table of x0's chains,
     sorted, which every state lists, as the PseudoOrbit of that table, its
@@ -297,9 +267,12 @@ def _shift_orbit(op: ShiftOperator, x0, defects, zero, n_lo: int, n_hi: int, del
     SupportedVector's scalar operations: w x is a complex multiply and a - b
     is a + complex(-1) * b.  Where a zero defect lists no chain, -0.0 is
     added, which leaves every value as it is, signed zeros included.
-    ValueError, as SupportedVector raises it, when a coefficient is not finite.
+    ValueError, as SupportedVector raises it, when a coefficient is not finite,
+    and when an index c + n*step leaves int64, where numpy would wrap it.
     """
-    _require_int64(x0.coefficients, op.step, n_lo, n_hi)
+    lo, hi = sorted((n_lo * op.step, n_hi * op.step))  # checked on Python ints
+    if not (-2**63 <= min(x0.coefficients) + lo and max(x0.coefficients) + hi < 2**63):
+        raise ValueError("shift indices over the window must lie in int64, -2**63..2**63 - 1")
     chains = np.array(x0.support())
     k0, steps = -n_lo, n_hi - n_lo
     grid = np.add.outer(chains, op.step * np.arange(n_lo, n_hi + 1))
@@ -367,33 +340,22 @@ def generate_pseudo_orbit(
 
 
 def orbit_from_defects(op, x0, defects, window: tuple) -> PseudoOrbit:
-    """Deterministic pseudo-orbit with caller-chosen defects.
+    """Deterministic pseudo-orbit of a dense operator with caller-chosen defects.
 
     defects is the per-step sequence aligned with n = n_lo..n_hi-1; steps
     before index 0 are realized through the exact inverse so the one-step
     identity holds everywhere.  delta is taken to be the largest defect norm.
-    A shift orbit runs `apply`'s recurrence on the caller's SupportedVectors and
-    keeps them; ValueError, as a drawn orbit's, for an index past int64.
-    Kept for the caller-given defects of the README and the reference tests.
+    TypeError for a shift, as `construct_shadow` raises it: shift orbits are
+    drawn by `generate_pseudo_orbit`.  Kept for the caller-given defects of
+    the README and the reference tests.
     """
+    if isinstance(op, ShiftOperator):
+        raise TypeError("orbit_from_defects needs a dense operator: shift orbits are drawn")
     n_lo, n_hi = _window_bounds(window)
     x0, defects = _vector_of(op, x0), [_vector_of(op, z) for z in defects]
     if len(defects) != n_hi - n_lo:
         raise ValueError("need exactly one defect per step")
-    if isinstance(op, DenseOperator):
-        return _dense_orbit(op, x0, defects, n_lo, n_hi, None)
-    # the chains of the seed at time 0 and of each z_n at time n+1
-    chains = [i - (n + 1) * op.step for n, z in enumerate(defects, n_lo) for i in z.coefficients]
-    _require_int64([*x0.coefficients, *chains], op.step, n_lo, n_hi)
-    states, back, k0 = [None] * (n_hi - n_lo + 1), inverse(op), -n_lo
-    states[k0] = x0
-    for j in range(k0, len(defects)):
-        states[j + 1] = apply(op, states[j]) + defects[j]
-    for j in range(k0 - 1, -1, -1):
-        states[j] = apply(back, states[j + 1] - defects[j])
-    actual = tuple(states[j + 1] - apply(op, states[j]) for j in range(len(defects)))
-    return PseudoOrbit._built(n_lo, n_hi, None, None, None,
-                              vectors={"states": tuple(states), "defects": actual})
+    return _dense_orbit(op, x0, defects, n_lo, n_hi, None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -531,8 +493,6 @@ def shadow_oracle_lsq(op, orbit: PseudoOrbit) -> OracleResult:
 
     chains, ys = orbit._table_for(op)
     times = np.arange(orbit.n_lo, orbit.n_hi + 1)
-    if not len(chains):
-        return OracleResult(best_anchor=SupportedVector({}), epsilon_achieved=0.0, condition=1.0)
     step = op.step
 
     # weight of T^n e_j: one cumulative product of hop weights per chain,
@@ -786,10 +746,16 @@ def rotate_orbit(orbit: PseudoOrbit, lam: complex) -> PseudoOrbit:
 
     A pseudo-orbit of T maps to a pseudo-orbit of lam^{-1} T with identical
     per-step defect norms (each defect is multiplied by a unimodular factor),
-    so the result composes with `rotate` on the operator side.  Kept for
-    acceptance criterion 8 (rotation invariance).
+    so the result composes with `rotate` on the operator side.  As `rotate`
+    does for a shift, a shift orbit comes back as it is for lam == 1 and
+    raises ValueError for any other lam.  Kept for acceptance criterion 8
+    (rotation invariance).
     """
     lam = _unimodular(lam)
+    if orbit._chains is not None:
+        if lam == 1:
+            return orbit
+        raise ValueError("rotation of a shift orbit by lambda != 1 leaves the shift family")
     states = tuple(lam ** (-n) * orbit.state(n) for n in range(orbit.n_lo, orbit.n_hi + 1))
     defects = tuple(lam ** (-(n + 1)) * orbit.defect(n) for n in range(orbit.n_lo, orbit.n_hi))
     return PseudoOrbit(

@@ -161,11 +161,12 @@ def classify_dense(a: DenseOperator, tol: float = DEFAULT_GAP_TOL) -> SpectralRe
     In finite dimension the spectrum, approximate point spectrum and right
     spectrum are all the eigenvalue set, so the three verdicts are one and the
     same boolean: unit-circle gap above tol.  The measured gap is reported so
-    callers can re-threshold.  ValueError unless tol is finite and positive.
+    callers can re-threshold.  ValueError unless tol is finite and positive,
+    and for a dimension past EIGEN_DIM_CAP, checked before A is inverted.
     """
     _check_tol(tol)
+    eigs = eigenvalues(a)  # the dimension cap first, before inverse's SVD and inv
     inverse(a)  # SingularOperatorError unless invertible; kept on `a` for later calls
-    eigs = eigenvalues(a)
     gap = unit_circle_gap(eigs)
     ok = bool(gap > tol)
     state = "disjoint from" if ok else "meets"

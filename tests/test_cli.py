@@ -333,6 +333,15 @@ class TestAnalyze:
         assert "must be an integer" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_operator_past_the_eigenvalue_cap_is_input_error(self, tmp_path, capsys):
+        # singular as well: it exited 3 while inverse ran before the cap's check
+        d = ss.spectral.EIGEN_DIM_CAP + 1
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps(ss.operator_to_json(ss.DenseOperator(np.zeros((d, d))))))
+        assert main(["analyze", "--input", str(path), "--output", str(tmp_path / "x.json")]) == 2
+        assert f"capped at dimension {d - 1}, got {d}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["op.json"]
+
     def test_crossover_past_the_float_range_is_input_error(self, tmp_path, capsys):
         # float(10**400) raised OverflowError, a numerical failure (exit 3)
         path = tmp_path / "op.json"

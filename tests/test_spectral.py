@@ -67,6 +67,16 @@ class TestClassifyDense:
         with pytest.raises(ss.SingularOperatorError):
             ss.classify_dense(ss.DenseOperator([[1.0, 1.0], [1.0, 1.0]]))
 
+    def test_dimension_past_the_eigenvalue_cap_is_refused_before_inverting(self, monkeypatch):
+        # inverse's SVD and inv took 4.7 s at d = 2048 before the cap's refusal
+        def no_inverse(a):
+            raise AssertionError("inverse called before the dimension cap")
+
+        monkeypatch.setattr(spectral, "inverse", no_inverse)
+        d = spectral.EIGEN_DIM_CAP + 1
+        with pytest.raises(ValueError, match=f"eigenvalues capped at dimension {d - 1}, got {d}"):
+            ss.classify_dense(ss.DenseOperator(np.zeros((d, d))))
+
     @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
     def test_rejects_a_nan_or_nonpositive_tol(self, tol):
         # tol = nan called diag(2, 0.5) non-hyperbolic three times
