@@ -72,7 +72,8 @@ def _sha(data: bytes) -> str:
 
 
 def _sweep_csv() -> str:
-    spec = importlib.util.spec_from_file_location("shadow_delta_sweep", ROOT / "scripts" / "shadow_delta_sweep.py")
+    path = ROOT / "scripts" / "shadow_delta_sweep.py"
+    spec = importlib.util.spec_from_file_location("shadow_delta_sweep", path)
     sweep = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(sweep)
     return sweep.run(0)

@@ -18,9 +18,8 @@ _spec.loader.exec_module(golden)
 
 MANIFEST = json.loads(golden.MANIFEST.read_text(encoding="utf-8"))
 # OpenBLAS takes the first of these that is set, else one thread per core
-ONE_BLAS_THREAD = (
-    os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS") or str(os.cpu_count())
-) == "1"
+BLAS_THREADS = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
+ONE_BLAS_THREAD = (BLAS_THREADS or str(os.cpu_count())) == "1"
 
 
 def test_manifest_lists_the_corpus():
