@@ -6,8 +6,8 @@ directory, holding a copy of its operator file, with relative paths, so the
 reports it writes embed no machine-specific path.  The corpus also holds the
 CSV of `shadow_delta_sweep.run(0)`.  `tests/test_golden.py` replays
 `tests/golden/manifest.json` through `replay`; this script rewrites that
-manifest and prints the name of every entry that changed, was added or was
-dropped.
+manifest and prints every entry that changed, with the parts that moved
+(`changed_parts`), or was added or dropped.
 
 The operator files in tests/golden/ are the two example-17 shifts (T with
 weights 2*sqrt(2) on the right and 1/(2*sqrt(2)) on the left, and its adjoint
@@ -102,6 +102,20 @@ def replay(entry: dict) -> dict:
             "stderr": _sha(err.getvalue().encode()), "files": files}
 
 
+def changed_parts(old: dict, new: dict) -> list:
+    """The parts of an entry that differ between two records of it, in record
+    order: `exit`, `stdout`, `stderr` or `csv` (any other key by its name), and
+    for `files` the name of each file whose hash differs or that one record lacks."""
+    parts = []
+    for key in dict.fromkeys([*old, *new]):
+        if key == "files":
+            was, now = old.get(key, {}), new.get(key, {})
+            parts += [f for f in dict.fromkeys([*was, *now]) if was.get(f) != now.get(f)]
+        elif old.get(key) != new.get(key):
+            parts.append(key)
+    return parts
+
+
 def record() -> list:
     entries = [{"name": name, "argv": argv, "input": op} for name, argv, op in invocations()]
     return [replay(e) for e in [*entries, {"name": SWEEP}]]
@@ -111,7 +125,12 @@ if __name__ == "__main__":
     old = {e["name"]: e for e in json.loads(MANIFEST.read_text())} if MANIFEST.exists() else {}
     new = record()
     MANIFEST.write_text(json.dumps(new, indent=1) + "\n", encoding="utf-8")
-    changed = [e["name"] for e in new if old.get(e["name"]) != e]
-    changed += [name for name in old if name not in {e["name"] for e in new}]
+    changed = []
+    for e in new:
+        if e["name"] not in old:
+            changed.append(f"{e['name']}: added")
+        elif old[e["name"]] != e:
+            changed.append(f"{e['name']}: " + ", ".join(changed_parts(old[e["name"]], e)))
+    changed += [f"{name}: dropped" for name in old if name not in {e["name"] for e in new}]
     print("\n".join(changed) if changed else "no entry changed")
     print(f"wrote {MANIFEST.relative_to(ROOT)} ({len(new)} entries, {len(changed)} changed)")

@@ -255,16 +255,19 @@ def _powers(step: np.ndarray, k_max: int, first: np.ndarray, project=None, out=N
             before=None, after=None):
     """Terms 0..k_max (matrices or vectors) stacked along a new axis 0 of `out`, a
     new array unless given: term 0 is first and term k is project @ (step @
-    (term_{k-1} + before[k-1]) + after[k-1]), each part applied only when given."""
+    (term_{k-1} + before[k-1]) + after[k-1]), each part applied only when given.
+    Each product is written into its term, through one scratch term with `project`."""
     if out is None:
         out = np.empty((k_max + 1, *np.shape(first)), dtype=np.complex128)
     out[0] = first
+    scratch = None if project is None else np.empty_like(out[0])
     for k in range(1, k_max + 1):
-        out[k] = step @ (out[k - 1] if before is None else out[k - 1] + before[k - 1])
+        term = out[k] if project is None else scratch
+        np.matmul(step, out[k - 1] if before is None else out[k - 1] + before[k - 1], out=term)
         if after is not None:
-            out[k] += after[k - 1]
+            term += after[k - 1]
         if project is not None:
-            out[k] = project @ out[k]
+            np.matmul(project, term, out=out[k])
     return out
 
 

@@ -384,9 +384,9 @@ def verify_laurent_relations(a: DenseOperator, table: LaurentTable) -> LaurentRe
 
 @dataclass(frozen=True, eq=False)
 class DecayRates:
-    """Decay certificate of a splitting B at order m = n_max (see `decay_rates`): the
-    rates r_plus / r_minus, both below 1 for a splitting, the kernel norms of orders
-    0..m, and the tail norms ||(BA)^m|| and ||((I-B)A^{-1})^m|| that `envelope` reads."""
+    """Decay certificate of a splitting B at order m = n_max (see `decay_rates`): the rates
+    r_plus / r_minus, both below 1 for a splitting, the norms of (BA)^k B and ((I-B)A^{-1})^k (I-B)
+    for k = 0..m, and the tail norms ||(BA)^m|| and ||((I-B)A^{-1})^m|| that `envelope` reads."""
 
     r_plus: float
     r_minus: float
@@ -421,51 +421,45 @@ class DecayRates:
         return _envelope_constant(self.norms_fwd, self.norms_bwd, q)
 
 
+def _range_basis(x: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (d x r, r = 0 for x = 0) of x's range by the `matrix_rank` rule."""
+    u, s, _ = np.linalg.svd(x)
+    return u[:, : int(np.count_nonzero(s > s[0] * len(s) * np.finfo(float).eps))]
+
+
 def splitting_power_stacks(a: DenseOperator, b: DenseOperator, k_max: int):
-    """The power kernels A^k B and A^{-k} (I-B) for k = 0..k_max, stacked.
+    """The kernels M_k = (BA)^k B and N_k = ((I-B)A^{-1})^k (I-B) for k = 0..k_max,
+    in the coordinates of their ranges, stacked.
 
-    Each step re-projects through the splitting:
-
-        M_k = B (A M_{k-1}),        N_k = (I-B) (A^{-1} N_{k-1}),
-
-    which reproduces the plain powers exactly whenever B is an idempotent
-    with A-invariant range (the intended splittings), while preventing
-    machine-level leakage into the complementary subspace from being
-    amplified exponentially.  Returns (fwd, bwd, norms_fwd, norms_bwd), the
-    norms taken on range(B) and range(I-B), where M_k and N_k lie.
+    With U an orthonormal basis of range(B) (`_range_basis`) and C = U^H B, UC = B,
+    so M_k = U G_k with G_k = (C A U)^k C: one r x r step per order on r x d
+    factors, for any B, idempotent or not.  Backward likewise, with a basis V of
+    range(I-B): N_k = V H_k, H_k = (D A^{-1} V)^k D, D = V^H (I-B).  Since U and V
+    have orthonormal columns, ||M_k|| = ||G_k|| and ||N_k|| = ||H_k||.  Returns
+    (fwd, bwd, norms_fwd, norms_bwd): the stacks of G_k (r x d) and H_k
+    ((d-r) x d) and their norms.
     """
     d, k_max = a.dim, _integer_field(k_max, "k_max")
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     if b.dim != d:
         raise ValueError("splitting operator dimension mismatch")
-    ainv = inverse(a).entries
-    comp = np.eye(d, dtype=np.complex128) - b.entries
+    stacks = []
     with np.errstate(over="ignore", invalid="ignore"):
-        fwd = _powers(a.entries, k_max, b.entries, project=b.entries)
-        bwd = _powers(ainv, k_max, comp, project=comp)
-        norms_fwd = _stack_spectral_norms(fwd, b.entries)
-        norms_bwd = _stack_spectral_norms(bwd, comp)
-    return fwd, bwd, norms_fwd, norms_bwd
+        for step, split in ((a.entries, b.entries), (inverse(a).entries, np.eye(d) - b.entries)):
+            u = _range_basis(split)
+            c = u.conj().T @ split
+            stacks.append(_powers(c @ step @ u, k_max, c))
+        return (*stacks, *map(_stack_spectral_norms, stacks))
 
 
-def _stack_spectral_norms(stack: np.ndarray, range_of: np.ndarray | None = None) -> np.ndarray:
-    """Largest singular value per slice; non-finite slices report 1e300.
-
-    Slices in range(range_of) are compressed to U^H M on an orthonormal basis
-    U of its numerical range (`matrix_rank` rule; rank 0 gives 0), which can
-    only lower a norm, and only at second order in the rounding-level leak
-    L = (I - U U^H) M, as ||M||^2 <= ||U^H M||^2 + ||L||^2.  An exact
-    power-of-two scaling keeps the Gram matrix's top eigenvalue, whose root
-    is the norm to a few eps relative, in range.
-    """
+def _stack_spectral_norms(stack: np.ndarray) -> np.ndarray:
+    """Largest singular value per slice; non-finite slices report 1e300, slices with no
+    rows 0.  An exact power-of-two scaling keeps the Gram matrix M M^H of each slice
+    (r x r for r x d) in range; the root of its top eigenvalue is the norm to a few eps
+    relative."""
     finite = np.all(np.isfinite(stack), axis=(1, 2))
-    if range_of is None:
-        c = stack.copy()
-    else:
-        u, s, _ = np.linalg.svd(range_of)
-        rank = int(np.count_nonzero(s > s[0] * len(s) * np.finfo(float).eps))
-        c = u[:, :rank].conj().T @ stack
+    c = stack.copy()
     c[~finite] = 0.0
     flat = c.view(np.float64)
     exponent = np.frexp(np.max(np.abs(flat), axis=(1, 2), initial=0.0))[1]
@@ -475,23 +469,23 @@ def _stack_spectral_norms(stack: np.ndarray, range_of: np.ndarray | None = None)
 
 
 def decay_rates(a: DenseOperator, b: DenseOperator, n_max: int) -> DecayRates:
-    """The decay certificate of B as a splitting of A at order n_max >= 8, from
-    one stack of power kernels with per-step re-projection (see
-    `splitting_power_stacks`): for a genuine splitting these are the plain power
-    norms, and for a broken one the tail norms or the construction's recurrence
-    residual expose the disagreement.  Rates are maxima over the last n_max/2 orders."""
+    """The decay certificate of B as a splitting of A at order m = n_max >= 8, from the
+    kernel factors G_k, H_k of `splitting_power_stacks`: their norms, and the tails
+    ||(BA)^m|| = ||G_{m-1} A|| and ||((I-B)A^{-1})^m|| = ||H_{m-1} A^{-1}||, which expose a
+    broken splitting, as may the construction's recurrence residual.  Rates are
+    maxima over the last n_max/2 orders."""
     n_max = _integer_field(n_max, "n_max")
     if n_max < 8:
         raise ValueError("n_max must be >= 8")
     fwd, bwd, norms_fwd, norms_bwd = splitting_power_stacks(a, b, n_max)
-    tails = np.stack([fwd[n_max - 1] @ a.entries, bwd[n_max - 1] @ inverse(a).entries])
+    steps = ((fwd, a.entries), (bwd, inverse(a).entries))
     return DecayRates(
         r_plus=_tail_max_root(np.clip(norms_fwd[1:], 1e-300, 1e300)),
         r_minus=_tail_max_root(np.clip(norms_bwd[1:], 1e-300, 1e300)),
         n_max=n_max,
         norms_fwd=norms_fwd,
         norms_bwd=norms_bwd,
-        tails=_stack_spectral_norms(tails),
+        tails=np.concatenate([_stack_spectral_norms(g[n_max - 1 : n_max] @ s) for g, s in steps]),
     )
 
 

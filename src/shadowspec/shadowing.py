@@ -396,7 +396,7 @@ def construct_shadow(
     worst rate and 1), which raises when the certificate does not hold.
 
     The correction is the two-sided series restricted to the window: two
-    `_powers` sweeps driven by the defects, re-projected per step as the kernels are,
+    `_powers` sweeps driven by the defects, re-projected per step through the splitting,
 
         u_n = B (A u_{n-1} + z_{n-1}),             u = 0 at the left edge,
         v_n = (I-B) A^{-1} (v_{n+1} + (I-B) z_n),  v = 0 at the right edge,

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from shadowspec import DenseOperator
+from shadowspec import DenseOperator, inverse
 
 # moduli bands with a deliberate margin around the unit circle
 HYPERBOLIC_BANDS = ((0.45, 0.8), (1.25, 2.2))
@@ -89,3 +89,19 @@ def eigen_projector_inside(op: DenseOperator) -> np.ndarray:
     w, v = np.linalg.eig(op.entries)
     mask = (np.abs(w) < 1.0).astype(np.complex128)
     return v @ np.diag(mask) @ np.linalg.inv(v)
+
+
+def reprojected_kernels(a: DenseOperator, b: DenseOperator, k_max: int):
+    """The d x d kernels M_k = B (A M_{k-1}) and N_k = (I-B) (A^{-1} N_{k-1}) from
+    M_0 = B and N_0 = I-B, one slot at a time: the re-projected recurrence that the
+    range-coordinate factors of `splitting_power_stacks` are held to."""
+    d = a.dim
+    ainv = inverse(a).entries
+    comp = np.eye(d, dtype=np.complex128) - b.entries
+    fwd = np.empty((k_max + 1, d, d), dtype=np.complex128)
+    bwd = np.empty((k_max + 1, d, d), dtype=np.complex128)
+    fwd[0], bwd[0] = b.entries, comp
+    for k in range(1, k_max + 1):
+        fwd[k] = b.entries @ (a.entries @ fwd[k - 1])
+        bwd[k] = comp @ (ainv @ bwd[k - 1])
+    return fwd, bwd

@@ -36,3 +36,14 @@ def test_replay_is_byte_identical(entry):
         # stdout and stderr do not depend on the thread count
         got, entry = {**got, "files": None}, {**entry, "files": None}
     assert got == entry
+
+
+def test_changed_parts_names_what_moved():
+    entry = {"name": "shadow d2 window 1", "argv": ["shadow"], "input": "d2.json", "exit": 0,
+             "stdout": "a", "stderr": "b", "files": {"out/a.json": "c", "out/b.csv": "d"}}
+    assert golden.changed_parts(entry, entry) == []
+    moved = {**entry, "exit": 3, "stderr": "e", "files": {"out/a.json": "f", "out/c.csv": "g"}}
+    assert golden.changed_parts(entry, moved) == [
+        "exit", "stderr", "out/a.json", "out/b.csv", "out/c.csv"]
+    sweep = {"name": golden.SWEEP, "csv": "h"}
+    assert golden.changed_parts(sweep, {**sweep, "csv": "i"}) == ["csv"]

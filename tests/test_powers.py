@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import shadowspec as ss
-from _helpers import HYPERBOLIC_BANDS, draw_moduli, random_unitary
+from _helpers import HYPERBOLIC_BANDS, draw_moduli, random_unitary, reprojected_kernels
 from shadowspec import projector, shadowing
 from shadowspec.operators import _powers
 
@@ -46,18 +46,22 @@ def _loop_power_blocks(op, n_lo, n_hi):
     return [blocks[n] for n in range(n_lo, n_hi + 1)]
 
 
-def _loop_kernels(a, b, k_max):
-    """M_k = B (A M_{k-1}) and N_k = (I-B) (A^{-1} N_{k-1}), one slot at a time."""
-    d = a.dim
-    ainv = ss.inverse(a).entries
-    comp = np.eye(d, dtype=np.complex128) - b.entries
-    fwd = np.empty((k_max + 1, d, d), dtype=np.complex128)
-    bwd = np.empty((k_max + 1, d, d), dtype=np.complex128)
-    fwd[0], bwd[0] = b.entries, comp
-    for k in range(1, k_max + 1):
-        fwd[k] = b.entries @ (a.entries @ fwd[k - 1])
-        bwd[k] = comp @ (ainv @ bwd[k - 1])
-    return fwd, bwd
+def _loop_factors(a, b, k_max):
+    """G_k = (C A U) G_{k-1} from G_0 = C = U^H B, and H_k = (D A^{-1} V) H_{k-1}
+    from H_0 = D = V^H (I-B), one slot at a time; with the bases U and V."""
+    comp = np.eye(a.dim, dtype=np.complex128) - b.entries
+    stacks, bases = [], []
+    for step, split in ((a.entries, b.entries), (ss.inverse(a).entries, comp)):
+        u = projector._range_basis(split)
+        c = u.conj().T @ split
+        cau = c @ step @ u
+        out = np.empty((k_max + 1, *c.shape), dtype=np.complex128)
+        out[0] = c
+        for k in range(1, k_max + 1):
+            out[k] = cau @ out[k - 1]
+        stacks.append(out)
+        bases.append(u)
+    return stacks, bases
 
 
 def _loop_trajectory(a, anchor, idx0, w):
@@ -95,12 +99,25 @@ def test_oracle_blocks_match_the_step_loops(dim, window):
 
 
 @pytest.mark.parametrize("dim", DIMS)
-def test_reprojected_kernels_match_the_step_loops(dim):
+def test_kernel_factors_match_the_step_loops(dim):
     a, _ = _case(dim)
     for b in (ss.riesz_projector(a), ss.identity(dim)):
         fwd, bwd, _, _ = projector.splitting_power_stacks(a, b, shadowing.DECAY_ORDER)
-        ref_fwd, ref_bwd = _loop_kernels(a, b, shadowing.DECAY_ORDER)
+        (ref_fwd, ref_bwd), _ = _loop_factors(a, b, shadowing.DECAY_ORDER)
         assert np.array_equal(fwd, ref_fwd) and np.array_equal(bwd, ref_bwd)
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_kernel_factors_rebuild_the_reprojected_kernels(dim):
+    # U G_k = (BA)^k B and V H_k = ((I-B)A^-1)^k (I-B), to rounding in each slice
+    # (the 1e-322 floor only matters for subnormal slices)
+    a, _ = _case(dim)
+    for b in (ss.riesz_projector(a), ss.identity(dim)):
+        factors, bases = _loop_factors(a, b, shadowing.DECAY_ORDER)
+        for g, u, ref in zip(factors, bases, reprojected_kernels(a, b, shadowing.DECAY_ORDER)):
+            scale = np.linalg.norm(ref, 2, axis=(1, 2))
+            error = np.max(np.abs(u @ g - ref), axis=(1, 2), initial=0.0)
+            assert np.all(error <= 1e-13 * scale + 1e-322)
 
 
 @pytest.mark.parametrize("dim", DIMS)

@@ -12,6 +12,7 @@ from _helpers import (
     eigen_projector_inside,
     random_hyperbolic,
     random_unitary,
+    reprojected_kernels,
 )
 from shadowspec import projector
 
@@ -154,9 +155,9 @@ class TestRieszProjector:
         assert max_abs(lo.entries - hi.entries) < 1e-8
 
 
-def _planted(rng, dim):
-    """V diag(lam) V^{-1}, moduli in the hyperbolic bands, V = I + (0.5/sqrt d) G."""
-    lam = draw_moduli(rng, dim, HYPERBOLIC_BANDS) * np.exp(2j * np.pi * rng.uniform(size=dim))
+def _planted(rng, dim, bands=HYPERBOLIC_BANDS):
+    """V diag(lam) V^{-1}, moduli in the bands, V = I + (0.5/sqrt d) G."""
+    lam = draw_moduli(rng, dim, bands) * np.exp(2j * np.pi * rng.uniform(size=dim))
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     v = np.eye(dim) + 0.5 / np.sqrt(dim) * g
     return ss.DenseOperator(v @ np.diag(lam) @ np.linalg.inv(v))
@@ -611,6 +612,63 @@ class TestDecayRates:
         assert norms_bwd[32] == pytest.approx(np.sqrt(2.0) * 1e-192, rel=1e-13)
 
 
+def _criterion_3_ensemble():
+    """The operators and Riesz splittings of acceptance criterion 3, drawn as it draws them."""
+    rng = np.random.default_rng(33)
+    bands = ((0.55, 0.80), (1.25, 1.80))
+    for _ in range(200):
+        dim = int(rng.integers(2, 7))
+        op, _ = conjugated_diagonal(rng, draw_moduli(rng, dim, bands))
+        yield op, ss.riesz_projector(op)
+
+
+def _reprojected_rates(a, b, m):
+    """The decay certificate from the d x d re-projected recurrence, every norm by SVD."""
+    fwd, bwd = reprojected_kernels(a, b, m)
+    norms_fwd, norms_bwd = _svd_norms(fwd), _svd_norms(bwd)
+    return projector.DecayRates(
+        r_plus=projector._tail_max_root(np.clip(norms_fwd[1:], 1e-300, 1e300)),
+        r_minus=projector._tail_max_root(np.clip(norms_bwd[1:], 1e-300, 1e300)),
+        n_max=m,
+        norms_fwd=norms_fwd,
+        norms_bwd=norms_bwd,
+        tails=_svd_norms(np.stack([fwd[m - 1] @ a.entries, bwd[m - 1] @ ss.inverse(a).entries])),
+    )
+
+
+class TestCertificateAgreement:
+    """The range-coordinate certificate against the re-projected d x d recurrence."""
+
+    @staticmethod
+    def _agree(a, b):
+        rates = ss.decay_rates(a, b, 32)
+        ref = _reprojected_rates(a, b, 32)
+        assert rates.r_plus == pytest.approx(ref.r_plus, rel=1e-13)
+        assert rates.r_minus == pytest.approx(ref.r_minus, rel=1e-13)
+        q = 0.5 * (1.0 + rates.worst)
+        assert rates.envelope(q) == pytest.approx(ref.envelope(q), rel=1e-13)
+        return rates
+
+    def test_criterion_3_ensemble(self):
+        for a, b in _criterion_3_ensemble():
+            self._agree(a, b)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_planted_d32(self, seed):
+        a = _planted(np.random.default_rng(70 + seed), 32)
+        self._agree(a, ss.riesz_projector(a))
+
+    def test_identity_and_zero_splittings(self):
+        # a contracting A with B = I and an expanding one with B = 0: the other
+        # side's range has rank 0 and its norms are exactly 0
+        rng = np.random.default_rng(73)
+        contracting, expanding = _planted(rng, 32, ((0.45, 0.8),)), _planted(rng, 32, ((1.25, 2.2),))
+        rates = self._agree(contracting, ss.identity(32))
+        assert not np.any(rates.norms_bwd) and rates.tails[1] == 0.0
+        rates = self._agree(expanding, ss.DenseOperator(np.zeros((32, 32))))
+        assert not np.any(rates.norms_fwd) and rates.tails[0] == 0.0
+
+
 def _svd_norms(stack):
     return np.linalg.svd(stack, compute_uv=False)[:, 0]
 
@@ -626,8 +684,10 @@ class TestSplittingPowerStacks:
         with pytest.raises(ValueError, match="k_max must be >= 0"):
             projector.splitting_power_stacks(a, b, -1)
         fwd, bwd, norms_fwd, norms_bwd = projector.splitting_power_stacks(a, b, 0)
-        assert fwd.shape == bwd.shape == (1, 2, 2) and len(norms_fwd) == len(norms_bwd) == 1
-        assert np.array_equal(fwd[0], b.entries) and np.array_equal(bwd[0], np.eye(2) - b.entries)
+        assert fwd.shape == bwd.shape == (1, 1, 2) and len(norms_fwd) == len(norms_bwd) == 1
+        # G_0 = U^H B and H_0 = V^H (I-B), on the bases of the two ranges
+        for g, split in ((fwd, b.entries), (bwd, np.eye(2) - b.entries)):
+            assert np.array_equal(g[0], projector._range_basis(split).conj().T @ split)
 
 
 class TestStackSpectralNorms:
@@ -645,9 +705,10 @@ class TestStackSpectralNorms:
         zero = ss.DenseOperator(np.zeros((32, 32)))
         identity = ss.identity(32)
         for b in (ss.riesz_projector(a), identity, zero, rank_16):
-            fwd, bwd, norms_fwd, norms_bwd = projector.splitting_power_stacks(a, b, 32)
-            np.testing.assert_allclose(norms_fwd, _svd_norms(fwd), **self.TOL)
-            np.testing.assert_allclose(norms_bwd, _svd_norms(bwd), **self.TOL)
+            _, _, norms_fwd, norms_bwd = projector.splitting_power_stacks(a, b, 32)
+            ref_fwd, ref_bwd = reprojected_kernels(a, b, 32)
+            np.testing.assert_allclose(norms_fwd, _svd_norms(ref_fwd), **self.TOL)
+            np.testing.assert_allclose(norms_bwd, _svd_norms(ref_bwd), **self.TOL)
             # a rank-0 range (I - B for the identity, B for zero) gives exact zeros
             assert np.any(norms_fwd) == (b is not zero)
             assert np.any(norms_bwd) == (b is not identity)
@@ -658,16 +719,19 @@ class TestStackSpectralNorms:
         subnormal = np.ldexp(g[2].real, -1060) + 1j * np.ldexp(g[2].imag, -1060)
         stack = np.stack([1e-192 * g[0], 1e192 * g[1], subnormal, 0.0 * g[3]])
         assert 0.0 < np.max(np.abs(subnormal)) < np.finfo(float).tiny
-        for range_of in (None, np.eye(6), g[3] @ np.diag([1.0, 1, 1, 0, 0, 0]) @ g[3].conj().T):
-            projected = stack if range_of is None else range_of @ stack
-            expected = _svd_norms(projected)
-            got = projector._stack_spectral_norms(projected, range_of)
-            np.testing.assert_allclose(got, expected, **self.TOL)
+        np.testing.assert_allclose(projector._stack_spectral_norms(stack), _svd_norms(stack), **self.TOL)
+        # slices in a range, compressed to U^H M on its basis as the kernel factors are
+        for split in (np.eye(6), g[3] @ np.diag([1.0, 1, 1, 0, 0, 0]) @ g[3].conj().T):
+            projected = split @ stack
+            factors = projector._range_basis(split).conj().T @ projected
+            got = projector._stack_spectral_norms(factors)
+            np.testing.assert_allclose(got, _svd_norms(projected), **self.TOL)
             assert got[3] == 0.0
 
     def test_non_finite_slices_report_1e300(self):
         stack = np.ones((3, 2, 2), dtype=complex)
         stack[0, 0, 0], stack[2, 1, 1] = np.inf, np.nan
         with np.errstate(invalid="ignore"):
-            got = projector._stack_spectral_norms(stack, np.eye(2))
-        assert got[0] == got[2] == 1e300 and got[1] == pytest.approx(2.0, rel=1e-15)
+            for got in (projector._stack_spectral_norms(stack),
+                        projector._stack_spectral_norms(projector._range_basis(np.eye(2)).conj().T @ stack)):
+                assert got[0] == got[2] == 1e300 and got[1] == pytest.approx(2.0, rel=1e-15)
