@@ -64,6 +64,17 @@ def invocations() -> list:
                 if cmd != "analyze":  # analyze writes its report to stdout
                     argv += ["--output", f"{cmd}.out"]
                 runs.append((f"{cmd} {op} window {w}", argv, f"{op}.json"))
+    # refusals (exit 2): each flag check, the --input checks, and flags checked before the file
+    for name, argv in (("analyze tol nan", ["--tol", "nan"]), ("analyze tol 0", ["--tol", "0"]),
+                       ("shadow delta -1", ["--delta", "-1"]), ("shadow q 1.5", ["--q", "1.5"]),
+                       ("probe window -1", ["--window", "-1"]), ("shadow nodes 100", ["--nodes", "100"]),
+                       ("analyze kind shift", ["--kind", "shift"])):
+        argv = [name.split()[0], "--input", "dense_d2.json", *argv]
+        runs.append((f"refuse {name} dense_d2", argv, "dense_d2.json"))
+    runs += [("refuse analyze missing input", ["analyze", "--input", "missing.json"], None),
+             ("refuse analyze tol nan missing input",
+              ["analyze", "--input", "missing.json", "--tol", "nan"], None),
+             ("refuse analyze no input", ["analyze"], None)]
     return runs
 
 
