@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -48,41 +47,28 @@ EXIT_CERTIFICATE = 4
 GAIN_SWEEP_Q = (1.2, 1.1, 1.05, 1.01)
 TREND_WINDOWS = (8, 16, 32, 64)
 
-@dataclass(frozen=True)
-class RunConfig:
-    """The parsed flags, one field per parser dest."""
+def _check_flags(cfg: argparse.Namespace) -> None:
+    """ValueError for a flag value out of range, FileNotFoundError for a missing --input."""
+    if not (math.isfinite(cfg.tol) and cfg.tol > 0):
+        raise ValueError(f"--tol must be a finite positive number, got {cfg.tol}")
+    if not (math.isfinite(cfg.delta) and cfg.delta >= 0):
+        raise ValueError(f"--delta must be a finite number >= 0, got {cfg.delta}")
+    if cfg.q is not None and not (0.0 < cfg.q < 1.0):
+        raise ValueError("q must lie in (0, 1)")
+    if cfg.window < 0:
+        raise ValueError(f"--window must be nonnegative, got {cfg.window}")
+    try:
+        ContourConfig(nodes=cfg.nodes)
+    except ValueError as exc:
+        raise ValueError(f"--nodes {cfg.nodes}: {exc}") from None
+    if cfg.input and not Path(cfg.input).is_file():
+        raise FileNotFoundError(cfg.input)
 
-    command: str
-    input: str | None
-    output: str | None
-    tol: float
-    seed: int
-    nodes: int
-    window: int
-    delta: float
-    q: float | None
-    kind: str | None
 
-    def __post_init__(self):
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ValueError(f"--tol must be a finite positive number, got {self.tol}")
-        if not (math.isfinite(self.delta) and self.delta >= 0):
-            raise ValueError(f"--delta must be a finite number >= 0, got {self.delta}")
-        if self.q is not None and not (0.0 < self.q < 1.0):
-            raise ValueError("q must lie in (0, 1)")
-        if self.window < 0:
-            raise ValueError(f"--window must be nonnegative, got {self.window}")
-        try:
-            ContourConfig(nodes=self.nodes)
-        except ValueError as exc:
-            raise ValueError(f"--nodes {self.nodes}: {exc}") from None
-
-    def to_json(self) -> dict:
-        # the destination path is deliberately not embedded: identical
-        # invocations must produce byte-identical reports wherever they land
-        doc = asdict(self)
-        del doc["output"]
-        return doc
+def _config_json(cfg: argparse.Namespace) -> dict:
+    # the destination path is deliberately not embedded: identical
+    # invocations must produce byte-identical reports wherever they land
+    return {k: v for k, v in vars(cfg).items() if k != "output"}
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -107,7 +93,7 @@ def _dump_json(doc: dict) -> str:
         raise FloatingPointError(f"report holds a non-finite value: {exc}") from None
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
+def _emit(cfg: argparse.Namespace, text: str) -> None:
     if cfg.output:
         _write_atomic(Path(cfg.output), text)
         print(f"wrote {cfg.output}")
@@ -115,7 +101,7 @@ def _emit(cfg: RunConfig, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _load_operator(cfg: RunConfig):
+def _load_operator(cfg: argparse.Namespace):
     if not cfg.input:
         raise ValueError("--input is required for this command")
     data = json.loads(Path(cfg.input).read_text(encoding="utf-8"))
@@ -140,7 +126,7 @@ def _verdict_line(name: str, verdicts) -> str:
     )
 
 
-def cmd_analyze(cfg: RunConfig) -> int:
+def cmd_analyze(cfg: argparse.Namespace) -> int:
     op, _ = _load_operator(cfg)
     extra = {}
     if isinstance(op, DenseOperator):
@@ -156,7 +142,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
                 "values": [[0.0, 0.0]] * (2 * cfg.window + 1),
             }
     doc = {
-        "config": cfg.to_json(),
+        "config": _config_json(cfg),
         "operator": operator_to_json(op),
         "report": {**report.to_json(), **extra},
     }
@@ -167,7 +153,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_shadow(cfg: RunConfig) -> int:
+def cmd_shadow(cfg: argparse.Namespace) -> int:
     op, splitting = _load_operator(cfg)
     if not isinstance(op, DenseOperator):
         raise ValueError("shadow experiments need a dense operator (or a dense splitting)")
@@ -188,7 +174,7 @@ def cmd_shadow(cfg: RunConfig) -> int:
     result = construct_shadow(op, splitting, orbit, q=cfg.q)
     oracle = shadow_oracle_lsq(op, orbit)
     doc = {
-        "config": cfg.to_json(),
+        "config": _config_json(cfg),
         "operator": operator_to_json(op),
         "splitting": {
             "source": source,
@@ -216,7 +202,7 @@ def _probe_ladder(n: int) -> list:
     return sorted({k for k in (n // 8, n // 4, n // 2) if k >= 1} | {n})
 
 
-def cmd_probe(cfg: RunConfig) -> int:
+def cmd_probe(cfg: argparse.Namespace) -> int:
     op, _ = _load_operator(cfg)
     m = None if isinstance(op, DenseOperator) else cfg.window + 8
     rows = []
@@ -228,7 +214,7 @@ def cmd_probe(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_example17(cfg: RunConfig) -> int:
+def cmd_example17(cfg: argparse.Namespace) -> int:
     """Reproduction bundle for the classic two-sided weighted shift pair:
     the forward shift is uniformly expansive yet fails shadowing, its adjoint
     shadows without being expansive, and neither is hyperbolic."""
@@ -261,7 +247,7 @@ def cmd_example17(cfg: RunConfig) -> int:
         "no theoretical delta(epsilon) constant is claimed for it.",
     ]
     bundle = {
-        "config": cfg.to_json(),
+        "config": _config_json(cfg),
         "annulus_radii": {"inner": w_lo, "outer": w_hi},
         "verdicts": {"T": report_t.to_json(), "S": report_s.to_json()},
         "gain_sweep_for_T": sweep,
@@ -329,11 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    cfg = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig(**vars(args))
-        if cfg.input and not Path(cfg.input).is_file():
-            raise FileNotFoundError(cfg.input)
+        _check_flags(cfg)
     except (ValueError, FileNotFoundError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -43,6 +43,7 @@ only to (time +- 1, index +- 1), so it splits into scalar bidiagonal chains,
 each read off its first node and resolved to high relative accuracy (`_shift_chain_gain`).
 """
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 
@@ -151,13 +152,13 @@ class PseudoOrbit:
     def window(self) -> tuple:
         return (self.n_lo, self.n_hi)
 
-    @property
+    @functools.cached_property
     def states(self) -> tuple:
-        return self._all("states")
+        return tuple(map(self.state, range(self.n_lo, self.n_hi + 1)))
 
-    @property
+    @functools.cached_property
     def defects(self) -> tuple:
-        return self._all("defects")
+        return tuple(map(self.defect, range(self.n_lo, self.n_hi)))
 
     def state(self, n: int):
         return self._at("states", n)
@@ -170,23 +171,14 @@ class PseudoOrbit:
         if not 0 <= j < len(vectors):  # a negative j would wrap to the far end
             raise IndexError(f"index {n} outside the orbit window {self.window}")
         if vectors[j] is None:
-            vectors[j] = self._vector(kind, j)
+            defect = kind == "defects"
+            values = self._defects if defect else self._states
+            if self._chains is None:
+                vectors[j] = values[:, j]
+            else:
+                index = self._chains[self._order] + (n + defect) * self._step
+                vectors[j] = SupportedVector(dict(zip(index.tolist(), values[self._order, j].tolist())))
         return vectors[j]
-
-    def _all(self, kind: str) -> tuple:
-        vectors = self._vectors[kind]
-        if not isinstance(vectors, tuple):
-            vectors = tuple(self._at(kind, self.n_lo + j) for j in range(len(vectors)))
-            self._vectors[kind] = vectors
-        return vectors
-
-    def _vector(self, kind: str, j: int):
-        defect = kind == "defects"
-        values = self._defects if defect else self._states
-        if self._chains is None:
-            return values[:, j]
-        index = self._chains[self._order] + (self.n_lo + j + defect) * self._step
-        return SupportedVector(dict(zip(index.tolist(), values[self._order, j].tolist())))
 
     def _norms(self) -> tuple:
         """`vec_norm` of every state and defect, bit for bit: `_row_norms` of a dense
