@@ -130,6 +130,8 @@ class PseudoOrbit:
         """The orbit of states x and defects z (see above) from the seed at time 0;
         delta=None takes the largest defect norm."""
         orbit = cls.__new__(cls)
+        x.setflags(write=False)  # every dense state and defect is a view into these
+        z.setflags(write=False)
         vectors = {"states": [None] * (n_hi - n_lo + 1), "defects": [None] * (n_hi - n_lo)}
         vectors["states"][-n_lo] = seed  # a shift orbit's state at time 0 is its seed itself
         orbit.__dict__.update(n_lo=n_lo, n_hi=n_hi, _vectors=vectors, _states=x, _defects=z,

@@ -105,6 +105,22 @@ class TestGeneratePseudoOrbit:
             with pytest.raises(IndexError, match=r"window \(-3, 3\)"):
                 lookup(n)
 
+    @pytest.mark.parametrize("build", ["drawn", "from_defects", "constructor"])
+    def test_dense_states_and_defects_are_read_only(self, build):
+        # a state is a view into the orbit's table: a write through it once moved the
+        # shadow's epsilon from 1e-3 to 1e6 while delta and the defect norms read 1e-3
+        a = ss.diagonal([2.0, 0.5])
+        drawn = ss.generate_pseudo_orbit(a, np.zeros(2), 1e-3, (-3, 3), rng_seed=0)
+        orbit = {
+            "drawn": drawn,
+            "from_defects": ss.orbit_from_defects(a, np.zeros(2), drawn.defects, (-3, 3)),
+            "constructor": ss.PseudoOrbit(-3, 3, drawn.states, drawn.delta, drawn.defects),
+        }[build]
+        for vector in (orbit.state(1), orbit.defects[0]):
+            with pytest.raises(ValueError, match="read-only"):
+                vector[0] = 1e6
+        assert ss.construct_shadow(a, ss.diagonal([0.0, 1.0]), orbit).epsilon_achieved < 2e-3
+
 
 class TestRowNorms:
     def test_rows_match_linalg_norm_bit_for_bit(self):
