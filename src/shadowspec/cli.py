@@ -218,6 +218,9 @@ def cmd_example17(cfg: argparse.Namespace) -> int:
     """Reproduction bundle for the classic two-sided weighted shift pair:
     the forward shift is uniformly expansive yet fails shadowing, its adjoint
     shadows without being expansive, and neither is hyperbolic."""
+    if cfg.delta == 0:
+        raise ValueError("--delta must be positive for example17: at delta 0 its oracle "
+                         "trend is rounding alone")
     w_hi = 2.0 * math.sqrt(2.0)
     w_lo = 1.0 / w_hi
     t = ShiftOperator("forward", w_hi, w_lo, 0)
@@ -229,12 +232,11 @@ def cmd_example17(cfg: argparse.Namespace) -> int:
     eigvec = shift_eigenvector(s, 1.0, radius=30)
     sweep = [bgain_test_sequence(t, eigvec, q).to_json() for q in GAIN_SWEEP_Q]
 
-    delta = cfg.delta if cfg.delta > 0 else 1e-3
     trend = []
     for name, op in (("S", s), ("T", t)):
         for n in TREND_WINDOWS:
             orbit = generate_pseudo_orbit(
-                op, basis_vector(0), delta, (-n, n), rng_seed=cfg.seed + n
+                op, basis_vector(0), cfg.delta, (-n, n), rng_seed=cfg.seed + n
             )
             oracle = shadow_oracle_lsq(op, orbit)
             trend.append({"operator": name, "N": n, "epsilon": oracle.epsilon_achieved})
@@ -251,7 +253,7 @@ def cmd_example17(cfg: argparse.Namespace) -> int:
         "annulus_radii": {"inner": w_lo, "outer": w_hi},
         "verdicts": {"T": report_t.to_json(), "S": report_s.to_json()},
         "gain_sweep_for_T": sweep,
-        "oracle_epsilon_trend": {"delta": delta, "rows": trend},
+        "oracle_epsilon_trend": {"delta": cfg.delta, "rows": trend},
         "notes": notes,
     }
 

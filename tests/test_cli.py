@@ -724,6 +724,13 @@ class TestExample17:
         assert (out_dir / "oracle_trend.csv").exists()
         assert any("trend" in note for note in report["notes"])
 
+    def test_zero_delta_is_input_error(self, tmp_path, capsys):
+        # it used to run the trend at delta 1e-3 while the report's config read 0.0
+        out_dir = tmp_path / "bundle"
+        assert main(["example17", "--delta", "0", "--output", str(out_dir)]) == 2
+        assert "--delta must be positive for example17" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_seed_17_tables_are_pinned(self, tmp_path):
         out_dir = tmp_path / "bundle"
         assert main(["example17", "--output", str(out_dir), "--seed", "17"]) == 0
