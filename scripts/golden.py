@@ -74,7 +74,8 @@ def invocations() -> list:
     runs += [("refuse analyze missing input", ["analyze", "--input", "missing.json"], None),
              ("refuse analyze tol nan missing input",
               ["analyze", "--input", "missing.json", "--tol", "nan"], None),
-             ("refuse analyze no input", ["analyze"], None)]
+             ("refuse analyze no input", ["analyze"], None),
+             ("refuse example17 delta 0", ["example17", "--delta", "0", "--output", "out"], None)]
     return runs
 
 
