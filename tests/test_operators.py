@@ -305,6 +305,35 @@ class TestSupportedVector:
             np.ones(3) * a
 
 
+# refusals of malformed operators and of non-operators: (call, exception, message)
+OPERATOR_REFUSALS = {
+    "dense non-square": (lambda: ss.DenseOperator(np.ones((2, 3))), ValueError, "square matrix"),
+    "dense 0x0": (lambda: ss.DenseOperator(np.ones((0, 0))), ValueError, "square matrix"),
+    "dense NaN": (lambda: ss.DenseOperator([[1.0, math.nan], [0.0, 1.0]]), ValueError,
+                  r"finite \(no NaN/Inf\)"),
+    "shift sideways": (lambda: ss.ShiftOperator("sideways", 2.0, 0.5), ValueError,
+                       "direction must be 'forward' or 'backward'"),
+    "JSON array": (lambda: ss.operator_from_json([]), ValueError, "object with a 'kind' field"),
+    "JSON dim 0": (lambda: ss.operator_from_json({"kind": "dense", "dim": 0, "entries": []}),
+                   ValueError, "square matrix of dimension >= 1"),
+    "materialize dense": (lambda: ss.materialize(ss.diagonal([2.0, 0.5]), 3), TypeError,
+                          "materialize takes a ShiftOperator"),
+    "materialize half-width 0": (lambda: ss.materialize(example_shift_pair()[0], 0), ValueError,
+                                 "half_width must be >= 1"),
+    "adjoint array": (lambda: ss.adjoint(np.eye(2)), TypeError, "not an operator"),
+    "inverse array": (lambda: ss.inverse(np.eye(2)), TypeError, "not an operator"),
+    "rotate array": (lambda: ss.rotate(np.eye(2), 1.0), TypeError, "not an operator"),
+    "to JSON array": (lambda: ss.operator_to_json(np.eye(2)), TypeError, "not an operator"),
+}
+
+
+@pytest.mark.parametrize("name", OPERATOR_REFUSALS)
+def test_malformed_operators_and_non_operators_are_refused(name):
+    call, exc, message = OPERATOR_REFUSALS[name]
+    with pytest.raises(exc, match=message):
+        call()
+
+
 # every size a caller passes, as a function of that size; 3 is a valid value of each
 SIZED_CALLS = {
     "orbit window": lambda k: ss.generate_pseudo_orbit(

@@ -258,6 +258,17 @@ class TestSquaringProjector:
         with pytest.raises(ss.ContourThroughSpectrumError, match="no spectral projector"):
             ss.riesz_projector(ss.DenseOperator([[0.5, 1.0], [0.3, 2.0]]))
 
+    def test_idempotency_and_commutation_gate(self, monkeypatch):
+        # max|P^2 - P| is 1.8e-15 here, so only the tightened gate refuses it;
+        # the trace gate, which PROJECTOR_RTOL = 0 trips first, still passes
+        monkeypatch.setattr(projector, "PROJECTOR_RTOL", 1e-20)
+        rng = np.random.default_rng(0)
+        v = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        a = ss.DenseOperator(v @ np.diag([2.0, 0.5, 0.3]) @ np.linalg.inv(v))
+        gate = r"max\|P\^2 - P\| = .*, max\|AP - PA\| = "
+        with pytest.raises(ss.ContourThroughSpectrumError, match=gate):
+            ss.riesz_splitting(a)
+
     def test_radius_two(self):
         p = ss.riesz_projector(ss.diagonal([0.5, 1.5, 3.0]), ss.ContourConfig(radius=2.0))
         assert max_abs(p.entries - np.diag([1.0, 1.0, 0.0])) < 1e-12

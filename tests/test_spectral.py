@@ -132,6 +132,14 @@ class TestClassifyShift:
         with pytest.raises(ValueError, match="tol must be a finite positive number"):
             ss.classify_shift(ss.ShiftOperator("forward", 2.0, 0.5), tol=tol)
 
+    @pytest.mark.parametrize("inner, outer, radii, message", [
+        (2.0, 0.5, (), "annulus_inner must not exceed annulus_outer"),
+        (0.5, 2.0, (0.5, 1.0), "approx point circles must sit on the annulus boundary"),
+    ])
+    def test_shift_spectra_refuse_an_inconsistent_annulus(self, inner, outer, radii, message):
+        with pytest.raises(ValueError, match=message):
+            ss.ShiftSpectra(inner, outer, "circles", radii, None)
+
     def test_uniform_weight_two(self):
         op = ss.ShiftOperator("forward", 2.0, 2.0, 0)
         report = ss.classify_shift(op)
