@@ -66,8 +66,7 @@ def _check_flags(cfg: argparse.Namespace) -> None:
 
 
 def _config_json(cfg: argparse.Namespace) -> dict:
-    # the destination path is deliberately not embedded: identical
-    # invocations must produce byte-identical reports wherever they land
+    """The flags a report embeds: all but --output, so its bytes do not depend on where it lands."""
     return {k: v for k, v in vars(cfg).items() if k != "output"}
 
 
@@ -218,9 +217,8 @@ def cmd_example17(cfg: argparse.Namespace) -> int:
     """Reproduction bundle for the classic two-sided weighted shift pair:
     the forward shift is uniformly expansive yet fails shadowing, its adjoint
     shadows without being expansive, and neither is hyperbolic."""
-    if cfg.delta == 0:
-        raise ValueError("--delta must be positive for example17: at delta 0 its oracle "
-                         "trend is rounding alone")
+    if cfg.delta == 0:  # an exact orbit: the oracle trend would be rounding alone
+        raise ValueError("--delta must be positive for example17, got 0.0")
     w_hi = 2.0 * math.sqrt(2.0)
     w_lo = 1.0 / w_hi
     t = ShiftOperator("forward", w_hi, w_lo, 0)

@@ -98,10 +98,11 @@ class PseudoOrbit:
     length; DimensionMismatchError for a SupportedVector, since only
     `generate_pseudo_orbit` builds a shift orbit.
 
-    Every orbit is one coordinate x time table whose vectors are built when
-    first read: column j of the states is time n_lo + j, of the defects time
-    n_lo + j + 1.  A dense orbit's rows are its coordinates (no chains), its
-    tables transposed views of time-major arrays.  A shift orbit's row r is
+    Every orbit is one read-only coordinate x time table whose vectors are
+    built and kept when first read, `states` and `defects` all at once: column
+    j of the states is time n_lo + j, of the defects time n_lo + j + 1.  A
+    dense orbit's rows are its coordinates, its tables transposed views of
+    time-major arrays and its vectors their columns.  A shift orbit's row r is
     chain chains[r], sorted, which holds index chains[r] + n*step at time n;
     every state and defect lists every chain, in the seed's listing order `order`.
     """
