@@ -47,6 +47,7 @@ EXIT_CERTIFICATE = 4
 GAIN_SWEEP_Q = (1.2, 1.1, 1.05, 1.01)
 TREND_WINDOWS = (8, 16, 32, 64)
 
+
 def _check_flags(cfg: argparse.Namespace) -> None:
     """ValueError for a flag value out of range, FileNotFoundError for a missing --input."""
     if not (math.isfinite(cfg.tol) and cfg.tol > 0):
@@ -66,7 +67,7 @@ def _check_flags(cfg: argparse.Namespace) -> None:
 
 
 def _config_json(cfg: argparse.Namespace) -> dict:
-    """The flags a report embeds: all but --output, so its bytes do not depend on where it lands."""
+    """The flags a report embeds: all but --output, so its bytes do not depend on its path."""
     return {k: v for k, v in vars(cfg).items() if k != "output"}
 
 
