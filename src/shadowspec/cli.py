@@ -219,7 +219,7 @@ def cmd_example17(cfg: argparse.Namespace) -> int:
     the forward shift is uniformly expansive yet fails shadowing, its adjoint
     shadows without being expansive, and neither is hyperbolic."""
     if cfg.delta == 0:  # an exact orbit: the oracle trend would be rounding alone
-        raise ValueError("--delta must be positive for example17, got 0.0")
+        raise ValueError(f"--delta must be positive for example17, got {cfg.delta}")
     w_hi = 2.0 * math.sqrt(2.0)
     w_lo = 1.0 / w_hi
     t = ShiftOperator("forward", w_hi, w_lo, 0)
