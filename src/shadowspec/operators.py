@@ -18,7 +18,9 @@ operator's inverse on it, and racing threads store the same value).
 
 import cmath
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -128,10 +130,10 @@ class SupportedVector:
     Only listed indices are nonzero; the norm is the l2 norm over the listed
     support; ``a + b``, ``a - b`` and ``c * v`` keep the listing order.
     Instances are value-immutable: the coefficient map is copied at
-    construction and never mutated afterwards.
+    construction and kept as a read-only mapping, so a write raises TypeError.
     """
 
-    coefficients: dict
+    coefficients: Mapping
     # numpy scalars and arrays defer to __rmul__ instead of broadcasting
     __array_ufunc__ = None
 
@@ -140,7 +142,10 @@ class SupportedVector:
         for v in coeffs.values():
             if not cmath.isfinite(v):
                 raise ValueError("coefficients must be finite")
-        object.__setattr__(self, "coefficients", coeffs)
+        object.__setattr__(self, "coefficients", MappingProxyType(coeffs))
+
+    def __reduce__(self):  # a mappingproxy does not pickle: copy and pickle rebuild from a dict
+        return SupportedVector, (dict(self.coefficients),)
 
     def support(self):
         return sorted(self.coefficients)

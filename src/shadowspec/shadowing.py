@@ -469,22 +469,30 @@ def _window_powers(op: DenseOperator, n_lo: int, n_hi: int, first, defects=None)
 def shadow_oracle_lsq(op, orbit: PseudoOrbit) -> OracleResult:
     """Independent shadowing oracle: minimize sum_n ||y_n - T^n x||^2 over x.
 
-    Dense operators: the stacked linear system over all window powers is
-    solved by orthogonal factorization (SVD least squares); the reported
-    condition number grows like |lambda|_max^N for strongly hyperbolic
-    operators over long windows, which is expected and handled by the
-    factorization.  Shifts: T^n maps each basis vector to a single weighted
-    basis vector, so the objective decouples into independent scalar chains
-    solved in closed form.  Either way the reported distance is the sup norm
-    over the window.
+    Dense operators: the stack [A^n | y_n] over the window is reduced by
+    Householder QR, one factorization per half (n < 0 and n >= 0) and one of
+    the two stacked R factors, and the top d x d triangle is solved for x.
+    The stack holds A^0 = I, so it has full column rank with sigma_min >= 1
+    and needs no rank cutoff; the halves keep each QR panel in cache.  The
+    reported condition number, the triangle's sigma_max / sigma_min (the
+    stack's own), grows like |lambda|_max^N for strongly hyperbolic operators
+    over long windows, which the orthogonal factorization handles.  Shifts:
+    T^n maps each basis vector to a single weighted basis vector, so the
+    objective decouples into independent scalar chains solved in closed
+    form.  Either way the reported distance is the sup norm over the window.
     """
     if isinstance(op, DenseOperator):
         d, ys = op.dim, orbit._table_for(op)[0].T  # time-major, W x d
-        blocks = _window_powers(op, orbit.n_lo, orbit.n_hi, np.eye(d))
-        sol, _, _, svals = np.linalg.lstsq(blocks.reshape(-1, d), ys.ravel(), rcond=None)
-        eps = float(np.max(_row_norms(ys - blocks @ sol)))
-        cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else float("inf")
-        return OracleResult(best_anchor=sol, epsilon_achieved=eps, condition=cond)
+        stack = _window_powers(op, orbit.n_lo, orbit.n_hi, np.eye(d, d + 1))  # [A^n | 0]
+        stack[:, :, d] = ys
+        k0 = -orbit.n_lo
+        tops = [np.linalg.qr(h.reshape(-1, d + 1), mode="r") for h in (stack[:k0], stack[k0:])]
+        r = np.linalg.qr(np.vstack(tops), mode="r")
+        tri = r[:d, :d]
+        sol = np.linalg.solve(tri, r[:d, d])  # upper triangular, |r_kk| >= 1: LU swaps no rows
+        eps = float(np.max(_row_norms(ys - stack[:, :, :d] @ sol)))
+        svals = np.linalg.svd(tri, compute_uv=False)
+        return OracleResult(best_anchor=sol, epsilon_achieved=eps, condition=float(svals[0] / svals[-1]))
 
     chains, ys = orbit._table_for(op)
     times = np.arange(orbit.n_lo, orbit.n_hi + 1)

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -296,6 +298,26 @@ class TestSupportedVector:
         for scaled in (2 * a, a * 2, np.float64(2.0) * a, (2 + 0j) * a):
             assert list(scaled.coefficients.items()) == [(3, 2.0), (-1, 4j)]
         assert list((a - b).coefficients.items()) == [(3, 1.0), (-1, -1 + 2j), (5, -1.0)]
+        assert list((b + a).coefficients.items()) == [(5, 1.0), (-1, 1 + 2j), (3, 1.0)]
+
+    def test_coefficients_are_read_only(self):
+        v = ss.SupportedVector({3: 1.0, -1: 2j})
+        with pytest.raises(TypeError):
+            v.coefficients[3] = 1e6
+        with pytest.raises(TypeError):
+            del v.coefficients[-1]
+        assert list(v.coefficients.items()) == [(3, 1.0), (-1, 2j)]
+
+    def test_copies_keep_listing_order_and_stay_read_only(self):
+        a = ss.SupportedVector({3: 1.0, -1: 2j})
+        assert list(dict(a.coefficients).items()) == [(3, 1.0), (-1, 2j)]
+        copies = (ss.SupportedVector(a.coefficients), copy.copy(a), copy.deepcopy(a),
+                  pickle.loads(pickle.dumps(a)))
+        for c in copies:
+            assert c is not a
+            assert list(c.coefficients.items()) == [(3, 1.0), (-1, 2j)]
+            with pytest.raises(TypeError):
+                c.coefficients[3] = 1e6
 
     def test_product_with_a_non_scalar_is_a_type_error(self):
         a = ss.SupportedVector({0: 1.0})

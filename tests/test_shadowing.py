@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -120,6 +121,20 @@ class TestGeneratePseudoOrbit:
             with pytest.raises(ValueError, match="read-only"):
                 vector[0] = 1e6
         assert ss.construct_shadow(a, ss.diagonal([0.0, 1.0]), orbit).epsilon_achieved < 2e-3
+
+    def test_shift_seed_and_states_are_read_only(self):
+        # state(0) is the caller's seed: a write through either once moved the step
+        # defect ||T state(0) - state(1)|| to 2e6 while the defect norms read 1e-3
+        t = ss.ShiftOperator("forward", 2.0, 0.5)
+        seed = ss.basis_vector(0)
+        orbit = ss.generate_pseudo_orbit(t, seed, 1e-3, (-3, 3), rng_seed=0)
+        assert orbit.state(0) is seed
+        for vector in (seed, orbit.state(0), orbit.state(1), orbit.defects[0]):
+            with pytest.raises(TypeError):
+                vector.coefficients[0] = 1e6
+        step = vec_norm(orbit.state(1) - ss.apply(t, orbit.state(0)))
+        assert step == pytest.approx(orbit.defect_norms()[3], rel=1e-12)
+        assert max(orbit.defect_norms()) <= 1e-3 * (1 + 1e-12)
 
 
 class TestRowNorms:
@@ -349,6 +364,53 @@ class TestShadowOracle:
                 return float(np.sum(np.abs(ys - powers @ x) ** 2))
 
             assert objective(oracle.best_anchor) <= objective(res.anchor) * (1 + 1e-12)
+
+    def test_no_rank_cutoff_where_lstsq_truncates(self):
+        # diag(4, 0.9) over (-30, 30): cond 2.2e16, past lstsq's default cutoff, so
+        # lstsq reports rank 1 and drops the second coordinate; the stack holds
+        # A^0 = I, so sigma_min >= 1 and the QR solve keeps both
+        a = ss.diagonal([4.0, 0.9])
+        orbit = ss.generate_pseudo_orbit(a, np.zeros(2), 1e-3, (-30, 30), rng_seed=1)
+        powers = shadowing._window_powers(a, -30, 30, np.eye(2)).reshape(-1, 2)
+        ys = np.stack(orbit.states).ravel()
+        sol, _, rank, _ = np.linalg.lstsq(powers, ys, rcond=None)
+        oracle = ss.shadow_oracle_lsq(a, orbit)
+        assert rank == 1
+        assert oracle.best_anchor[1] != 0
+
+        def objective(x):
+            # exact: at |A^30| = 1.2e18 a float sum rounds off the difference sought
+            parts = [(Fraction(c.real), Fraction(c.imag)) for c in x]
+            total = Fraction(0)
+            for row, y in zip(powers, ys):
+                re, im = Fraction(y.real), Fraction(y.imag)
+                for p, (xr, xi) in zip(row, parts):
+                    pr, pi = Fraction(p.real), Fraction(p.imag)
+                    re, im = re - pr * xr + pi * xi, im - pr * xi - pi * xr
+                total += re * re + im * im
+            return total
+
+        assert objective(oracle.best_anchor) < objective(sol)
+
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    @pytest.mark.parametrize("window", [(-12, 12), (0, 6), (-6, 0)])
+    def test_agrees_with_lstsq_on_well_conditioned_stacks(self, d, window):
+        # objective no worse than lstsq's beyond rounding, and the condition read off
+        # the d x d triangle is the stack's own
+        rng = np.random.default_rng(2900 + d)
+        a, _ = random_hyperbolic(rng, d)
+        orbit = ss.generate_pseudo_orbit(a, rng.standard_normal(d), 1e-3, window, rng_seed=d)
+        powers = shadowing._window_powers(a, *window, np.eye(d))
+        ys = np.stack(orbit.states)
+        sol = np.linalg.lstsq(powers.reshape(-1, d), ys.ravel(), rcond=None)[0]
+        oracle = ss.shadow_oracle_lsq(a, orbit)
+
+        def objective(x):
+            return float(np.sum(np.abs(ys - powers @ x) ** 2))
+
+        assert objective(oracle.best_anchor) <= objective(sol) * (1 + 1e-9)
+        svals = np.linalg.svd(powers.reshape(-1, d), compute_uv=False)
+        assert oracle.condition == pytest.approx(svals[0] / svals[-1], rel=1e-12)
 
     def test_identity_accumulates_linear_error(self):
         # constant defect on T = I gives states n*delta; the best constant
@@ -1105,15 +1167,15 @@ DENSE_DIGITS_HEX = {
         "0x1.1614af20526fep-2", "0x1.370f67748ca87p-1", "-0x1.ab021565abef8p-1",
         "0x1.111509a9d2b57p-1",
     ],
-    "oracle_epsilon_achieved": "0x1.3da1a662e2b33p-9",
-    "condition": "0x1.2b6410a91f4c9p+8",
+    "oracle_epsilon_achieved": "0x1.3da1a66437617p-9",
+    "condition": "0x1.2b6410a91f4c3p+8",
     "best_anchor": [
-        "0x1.e4016f83cb958p+0", "-0x1.448988ed35868p-2", "-0x1.cabd2c87daa58p-7",
-        "0x1.178d316adfd0fp-2", "-0x1.a0a9e63831e8ap-3", "0x1.ecee6cad66351p+0",
-        "0x1.cd524117c0652p-1", "-0x1.cfc8b1f5b7bc9p-1", "-0x1.d4037f25c4fb0p-5",
-        "-0x1.05afb08d16e74p-3", "0x1.15a0830562679p+0", "0x1.3d55dfc0347c1p-1",
-        "0x1.16148435b759dp-2", "0x1.370fa56437942p-1", "-0x1.ab01b9df5ea43p-1",
-        "0x1.11153e82ffab7p-1",
+        "0x1.e4016f83cb957p+0", "-0x1.448988ed3586fp-2", "-0x1.cabd2c87da4f7p-7",
+        "0x1.178d316adfd04p-2", "-0x1.a0a9e63831efep-3", "0x1.ecee6cad66353p+0",
+        "0x1.cd524117c0645p-1", "-0x1.cfc8b1f5b7ba6p-1", "-0x1.d4037f25c518ap-5",
+        "-0x1.05afb08d16ef0p-3", "0x1.15a0830562659p+0", "0x1.3d55dfc03479ep-1",
+        "0x1.16148435b7573p-2", "0x1.370fa56437937p-1", "-0x1.ab01b9df5eac2p-1",
+        "0x1.11153e82ffaf8p-1",
     ],
 }
 
@@ -1132,15 +1194,15 @@ EDGE_DIGITS_HEX = {
             "0x1.166ac13c7ad62p-2", "0x1.36f37bff98f0ap-1", "-0x1.aad5632927ab4p-1",
             "0x1.113bf70f36e47p-1",
         ],
-        "oracle_epsilon_achieved": "0x1.8168b2eee93aep-10",
-        "condition": "0x1.2e5acaa9da259p+5",
+        "oracle_epsilon_achieved": "0x1.8168b2eeed94cp-10",
+        "condition": "0x1.2e5acaa9da25cp+5",
         "best_anchor": [
-            "0x1.e3e673c721d17p+0", "-0x1.4430a9cc65f82p-2", "-0x1.d8ca00e1f0280p-7",
-            "0x1.17c14e1c3b32cp-2", "-0x1.a01587faf20b3p-3", "0x1.ed0dafbea9100p+0",
-            "0x1.cd02210e4a5efp-1", "-0x1.cff86f48d160cp-1", "-0x1.d27d3c5aade1cp-5",
-            "-0x1.0589827d08a1cp-3", "0x1.15abfc7288e38p+0", "0x1.3d73fce782957p-1",
-            "0x1.1659f0da0326ap-2", "0x1.3715259114c08p-1", "-0x1.aac5900dca068p-1",
-            "0x1.11268d11e8167p-1",
+            "0x1.e3e673c721d0ep+0", "-0x1.4430a9cc65f89p-2", "-0x1.d8ca00e1f01ebp-7",
+            "0x1.17c14e1c3b32ep-2", "-0x1.a01587faf2098p-3", "0x1.ed0dafbea9104p+0",
+            "0x1.cd02210e4a5f7p-1", "-0x1.cff86f48d15f7p-1", "-0x1.d27d3c5aade21p-5",
+            "-0x1.0589827d08a30p-3", "0x1.15abfc7288e3ap+0", "0x1.3d73fce782959p-1",
+            "0x1.1659f0da0326bp-2", "0x1.3715259114bfdp-1", "-0x1.aac5900dca060p-1",
+            "0x1.11268d11e8166p-1",
         ],
     },
     (-6, 0): {
@@ -1154,15 +1216,15 @@ EDGE_DIGITS_HEX = {
             "0x1.16ed436c3292dp-2", "0x1.3745be65f3b4fp-1", "-0x1.aaa2dd8f8caabp-1",
             "0x1.112945ef23fd2p-1",
         ],
-        "oracle_epsilon_achieved": "0x1.4a0b4034c34abp-10",
-        "condition": "0x1.7a10deb5749a7p+5",
+        "oracle_epsilon_achieved": "0x1.4a0b4034bc89ap-10",
+        "condition": "0x1.7a10deb5749acp+5",
         "best_anchor": [
-            "0x1.e3d14fb0b5b67p+0", "-0x1.444e35b554f01p-2", "-0x1.dacbfdad969b8p-7",
-            "0x1.181a9f84b0578p-2", "-0x1.9edd9b845235cp-3", "0x1.ecf0e6d7d71f8p+0",
-            "0x1.ccf698e920317p-1", "-0x1.cff8d195da821p-1", "-0x1.d0e29aba2fab0p-5",
-            "-0x1.0598f0faaf26ep-3", "0x1.15a457c5069c8p+0", "0x1.3daa6f53d2b84p-1",
-            "0x1.16b4ae2515007p-2", "0x1.37258a631024ep-1", "-0x1.aab186a22b245p-1",
-            "0x1.111ced9d92111p-1",
+            "0x1.e3d14fb0b5b5bp+0", "-0x1.444e35b554f16p-2", "-0x1.dacbfdad964aep-7",
+            "0x1.181a9f84b0520p-2", "-0x1.9edd9b845233cp-3", "0x1.ecf0e6d7d7203p+0",
+            "0x1.ccf698e920321p-1", "-0x1.cff8d195da816p-1", "-0x1.d0e29aba2faedp-5",
+            "-0x1.0598f0faaf253p-3", "0x1.15a457c5069cep+0", "0x1.3daa6f53d2b7cp-1",
+            "0x1.16b4ae2514feep-2", "0x1.37258a631024fp-1", "-0x1.aab186a22b251p-1",
+            "0x1.111ced9d92113p-1",
         ],
     },
     (0, 0): {
