@@ -361,12 +361,19 @@ def operator_to_json(op) -> dict:
 
 
 def _integer_field(value, key: str) -> int:
-    try:
-        if float(value).is_integer():
+    try:  # a bool is no size, though Python reads True as 1
+        if not isinstance(value, bool) and float(value).is_integer():
             return int(value)
     except OverflowError:  # an int past the float range, which numpy could not hold either
         raise ValueError(f"{key!r} must be an integer within the float range") from None
     raise ValueError(f"{key!r} must be an integer, got {value!r}")
+
+
+def _number_field(value, key: str):
+    """value itself; ValueError for a JSON boolean, which Python would read as 0 or 1."""
+    if isinstance(value, bool):
+        raise ValueError(f"{key!r} must be a number, got {value!r}")
+    return value
 
 
 def operator_from_json(data: dict):
@@ -378,13 +385,14 @@ def operator_from_json(data: dict):
         pairs = data["entries"]
         if len(pairs) != dim * dim:
             raise ValueError(f"dense operator needs {dim * dim} entries, got {len(pairs)}")
-        flat = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
+        flat = np.array([complex(_number_field(re, "entries"), _number_field(im, "entries"))
+                         for re, im in pairs], dtype=np.complex128)
         return DenseOperator(flat.reshape(dim, dim))
     if kind == "shift":
         return ShiftOperator(
             str(data["direction"]),
-            float(data["weight_pos"]),
-            float(data["weight_neg"]),
+            float(_number_field(data["weight_pos"], "weight_pos")),
+            float(_number_field(data["weight_neg"], "weight_neg")),
             _integer_field(data.get("crossover", 0), "crossover"),
         )
     raise ValueError(f"unknown operator kind {kind!r}")

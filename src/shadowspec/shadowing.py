@@ -1,8 +1,9 @@
 """Pseudo-orbits, constructive shadowing, and sequence-space probes.
 
-A delta-pseudo-orbit is a finite window of states whose one-step recurrence
-defect never exceeds delta: arrays for dense operators, `SupportedVector`s
-for shifts, each seed and defect checked by `operators._vector_of`.
+A delta-pseudo-orbit of T is a finite window of states whose one-step
+recurrence defect under T never exceeds delta: arrays for dense operators,
+`SupportedVector`s for shifts, each seed and defect checked by
+`operators._vector_of`, and each orbit built by its T, which it records.
 `generate_pseudo_orbit` draws its defects up front, as one array, for either
 kind; `orbit_from_defects` takes them from the caller, for a dense operator
 only; both read integer window bounds.  Every orbit is its own coordinate x
@@ -10,9 +11,9 @@ time table and builds a state's or defect's vector only when it is read:
 a dense orbit's rows are its d coordinates; a shift orbit's rows are its
 seed's chains c = i - n*step, which T never leaves and every state lists,
 each index in int64, with one multiply per coefficient and step.
-`construct_shadow` and the oracles read the table itself, kind and size
-checked once.  Every dense window sequence is one two-sided fill outward
-from n = 0, `_window_powers`: the pseudo-orbit from its defects, the
+`construct_shadow` and the oracles read the table itself, and only the
+orbit's own T reads it.  Every dense window sequence is one two-sided fill
+outward from n = 0, `_window_powers`: the pseudo-orbit from its defects, the
 oracle's blocks A^n and the genuine trajectory A^n x_0 with none.  For a
 dense operator with a certified splitting B (forward powers of A damped
 through B, backward powers damped through I-B), the bounded solution of
@@ -49,7 +50,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError
 from .operators import (
     DenseOperator,
     ShiftOperator,
@@ -57,10 +57,10 @@ from .operators import (
     _complex_pairs,
     _integer_field,
     _powers,
-    _unimodular,
     _vector_of,
     adjoint,
     inverse,
+    rotate,
     vec_norm,
 )
 from .projector import decay_rates
@@ -87,16 +87,14 @@ BGAIN_MIN_Q = 1.00033
 
 
 class PseudoOrbit:
-    """Finite window n_lo..n_hi of states with the per-step defect sequence.
+    """Finite window n_lo..n_hi of states of T with the per-step defect sequence.
 
     defects[j] = states[j+1] - T states[j]; every defect norm is bounded by
     delta (up to a float-roundoff slack proportional to the state scale).
-    FloatingPointError when a state or defect norm is not finite (overflow).
-    The window, its bounds read as sizes are, straddles index 0, where the
-    seed state lives.  ValueError for a delta that is not a finite number >= 0
-    (None included) and for a state or defect that is not 1-D of one shared
-    length; DimensionMismatchError for a SupportedVector, since only
-    `generate_pseudo_orbit` builds a shift orbit.
+    The window straddles index 0, where the seed state lives.  There is no
+    public constructor: `generate_pseudo_orbit`, `orbit_from_defects` and
+    `rotate_orbit` build every orbit and record the T whose recurrence built
+    it, the one operator that reads it (`_table_for`).
 
     Every orbit is one read-only coordinate x time table whose vectors are
     built and kept when first read, `states` and `defects` all at once: column
@@ -107,36 +105,19 @@ class PseudoOrbit:
     every state and defect lists every chain, in the seed's listing order `order`.
     """
 
-    def __init__(self, n_lo: int, n_hi: int, states, delta: float, defects):
-        n_lo, n_hi = _window_bounds((n_lo, n_hi))
-        states, defects = tuple(states), tuple(defects)
-        if len(states) != n_hi - n_lo + 1:
-            raise ValueError("state count does not match the window")
-        if len(defects) != len(states) - 1:
-            raise ValueError("need exactly one defect per step")
-        if any(isinstance(v, SupportedVector) for v in (*states, *defects)):
-            raise DimensionMismatchError("PseudoOrbit takes arrays: shift orbits are drawn "
-                                         "by generate_pseudo_orbit")
-        x = [np.asarray(v, dtype=np.complex128) for v in (*states, *defects)]
-        shapes = list(dict.fromkeys(v.shape for v in x))
-        if len(shapes) > 1 or len(shapes[0]) != 1:
-            raise ValueError(f"dense states and defects must be 1-D of one length, got {shapes}")
-        x = np.array(x).T
-        delta = _require_delta(delta)  # None too, which `_built` reads as the largest defect norm
-        self.__dict__.update(self._built(n_lo, n_hi, delta, x[:, : len(states)],
-                                         x[:, len(states):]).__dict__)
-
     @classmethod
-    def _built(cls, n_lo: int, n_hi: int, delta, x, z, seed=None, step=0, chains=None, order=None):
-        """The orbit of states x and defects z (see above) from the seed at time 0;
-        delta=None takes the largest defect norm."""
+    def _built(cls, op, n_lo: int, n_hi: int, delta, x, z, seed=None, chains=None, order=None):
+        """The orbit of op with states x and defects z (see above) from the seed at
+        time 0; delta=None takes the largest defect norm.  FloatingPointError when a
+        state or defect norm is not finite (overflow), ValueError for a delta that
+        is not a finite number >= 0 and for a defect norm above delta."""
         orbit = cls.__new__(cls)
         x.setflags(write=False)  # every dense state and defect is a view into these
         z.setflags(write=False)
         vectors = {"states": [None] * (n_hi - n_lo + 1), "defects": [None] * (n_hi - n_lo)}
         vectors["states"][-n_lo] = seed  # a shift orbit's state at time 0 is its seed itself
         orbit.__dict__.update(n_lo=n_lo, n_hi=n_hi, _vectors=vectors, _states=x, _defects=z,
-                              _step=step, _chains=chains, _order=order)
+                              _op=op, _chains=chains, _order=order)
         state_norms, defect_norms = orbit._norms()
         delta = _require_delta(float(defect_norms.max(initial=0.0)) if delta is None else delta)
         if not (np.isfinite(state_norms).all() and np.isfinite(defect_norms).all()):
@@ -179,7 +160,7 @@ class PseudoOrbit:
             if self._chains is None:
                 vectors[j] = values[:, j]
             else:
-                index = self._chains[self._order] + (n + defect) * self._step
+                index = self._chains[self._order] + (n + defect) * self._op.step
                 vectors[j] = SupportedVector(dict(zip(index.tolist(), values[self._order, j].tolist())))
         return vectors[j]
 
@@ -201,16 +182,19 @@ class PseudoOrbit:
         return self._defect_norms.tolist()
 
     def _table_for(self, op) -> tuple:
-        """The table op reads, kind and size checked once on the state at time
-        0: d x W states and d x (W-1) defects for a dense op; a shift's sorted
-        chains and chain x time states.  ValueError for a shift of the other
-        direction than the orbit's, whose chains are not the orbit's rows."""
-        _vector_of(op, self.state(0))
-        if isinstance(op, DenseOperator):
-            return self._states, self._defects
-        if self._step != op.step:
-            raise ValueError("a shift orbit is read only by a shift of its own direction")
-        return self._chains, self._states
+        """The table op reads: d x W states and d x (W-1) defects of a dense
+        orbit; a shift orbit's sorted chains and chain x time states.  Only the
+        orbit's own operator reads it, the one that built it or one equal to it
+        (a dense operator's entries, a shift's fields): delta and the defect
+        norms hold for that T alone.  ValueError for any other operator,
+        TypeError for what is no operator."""
+        own = self._op
+        if not isinstance(op, (DenseOperator, ShiftOperator)):
+            raise TypeError(f"not an operator: {op!r}")
+        dense = isinstance(op, DenseOperator) and isinstance(own, DenseOperator)
+        if not (op == own or dense and np.array_equal(op.entries, own.entries)):
+            raise ValueError("a pseudo-orbit is read only by the operator that built it")
+        return (self._states, self._defects) if self._chains is None else (self._chains, self._states)
 
 
 def _require_delta(delta):
@@ -292,7 +276,7 @@ def _shift_orbit(op: ShiftOperator, x0, defects, zero, n_lo: int, n_hi: int, del
     if not (np.isfinite(x).all() and np.isfinite(actual).all()):
         raise ValueError("coefficients must be finite")
     order = np.searchsorted(chains, list(x0.coefficients))
-    return PseudoOrbit._built(n_lo, n_hi, delta, x, actual, x0, op.step, chains, order)
+    return PseudoOrbit._built(op, n_lo, n_hi, delta, x, actual, x0, chains, order)
 
 
 def _dense_orbit(op: DenseOperator, x0, defects, n_lo: int, n_hi: int, delta) -> PseudoOrbit:
@@ -303,7 +287,7 @@ def _dense_orbit(op: DenseOperator, x0, defects, n_lo: int, n_hi: int, delta) ->
     with np.errstate(over="ignore", invalid="ignore"):  # the norm check refuses what overflowed
         x = _window_powers(op, n_lo, n_hi, x0, np.asarray(defects, dtype=np.complex128))
         actual = x[1:] - (op.entries @ x[:-1, :, None])[:, :, 0]
-    return PseudoOrbit._built(n_lo, n_hi, delta, x.T, actual.T)
+    return PseudoOrbit._built(op, n_lo, n_hi, delta, x.T, actual.T)
 
 
 def generate_pseudo_orbit(
@@ -747,20 +731,19 @@ def bgain_test_sequence(op, x, q: float) -> BGainResult:
 def rotate_orbit(orbit: PseudoOrbit, lam: complex) -> PseudoOrbit:
     """Unimodular reindexing: states become lam^{-n} y_n.
 
-    A pseudo-orbit of T maps to a pseudo-orbit of lam^{-1} T with identical
-    per-step defect norms (each defect is multiplied by a unimodular factor),
-    so the result composes with `rotate` on the operator side.  As `rotate`
+    A pseudo-orbit of T maps to a pseudo-orbit of lam^{-1} T = rotate(T, lam),
+    which the result records as its operator, with identical per-step defect
+    norms (each defect is multiplied by a unimodular factor).  As `rotate`
     does for a shift, a shift orbit comes back as it is for lam == 1 and
     raises ValueError for any other lam.  Kept for acceptance criterion 8
     (rotation invariance).
     """
-    lam = _unimodular(lam)
+    op, lam = rotate(orbit._op, lam), complex(lam)  # NotUnimodularError; ValueError for a shift
     if orbit._chains is not None:
-        if lam == 1:
-            return orbit
-        raise ValueError("rotation of a shift orbit by lambda != 1 leaves the shift family")
-    states = tuple(lam ** (-n) * orbit.state(n) for n in range(orbit.n_lo, orbit.n_hi + 1))
-    defects = tuple(lam ** (-(n + 1)) * orbit.defect(n) for n in range(orbit.n_lo, orbit.n_hi))
-    return PseudoOrbit(
-        n_lo=orbit.n_lo, n_hi=orbit.n_hi, states=states, delta=orbit.delta, defects=defects
-    )
+        return orbit
+    times = range(orbit.n_lo, orbit.n_hi + 1)
+    # one product per vector: a multiply of the whole table rounds a few entries differently
+    x = np.array([*(lam ** -n * orbit.state(n) for n in times),
+                  *(lam ** -(n + 1) * orbit.defect(n) for n in times[:-1])]).T
+    return PseudoOrbit._built(op, orbit.n_lo, orbit.n_hi, orbit.delta, x[:, : len(times)],
+                              x[:, len(times):])

@@ -333,6 +333,35 @@ class TestAnalyze:
         assert "must be an integer" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"kind": "dense", "dim": True, "entries": [[2.0, 0.0]]},
+             "'dim' must be an integer, got True"),
+            ({"kind": "dense", "dim": 1, "entries": [[True, False]]},
+             "'entries' must be a number, got True"),
+            ({"kind": "shift", "direction": "forward", "weight_pos": True,
+              "weight_neg": W_LO, "crossover": 0},
+             "'weight_pos' must be a number, got True"),
+            ({"kind": "shift", "direction": "forward", "weight_pos": W_HI,
+              "weight_neg": True, "crossover": 0},
+             "'weight_neg' must be a number, got True"),
+            ({"kind": "shift", "direction": "forward", "weight_pos": W_HI,
+              "weight_neg": W_LO, "crossover": False},
+             "'crossover' must be an integer, got False"),
+        ],
+        ids=["dim", "entries", "weight_pos", "weight_neg", "crossover"],
+    )
+    def test_json_boolean_is_input_error(self, tmp_path, capsys, payload, message):
+        # Python reads true as 1 and false as 0: a 1 x 1 operator, a weight of 1.0,
+        # crossover 0, an entry 1+0j
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps(payload))
+        out = tmp_path / "x.json"
+        assert main(["analyze", "--input", str(path), "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"input error: {message}\n"
+        assert not out.exists()
+
     def test_operator_past_the_eigenvalue_cap_is_input_error(self, tmp_path, capsys):
         # singular as well: it exited 3 while inverse ran before the cap's check
         d = ss.spectral.EIGEN_DIM_CAP + 1

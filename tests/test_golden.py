@@ -4,9 +4,12 @@ Every entry was recorded by `scripts/golden.py` with one BLAS thread; a change
 that means to move an output rewrites the manifest with that script.
 """
 
+import hashlib
 import importlib.util
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,6 +39,20 @@ def test_replay_is_byte_identical(entry):
         # stdout and stderr do not depend on the thread count
         got, entry = {**got, "files": None}, {**entry, "files": None}
     assert got == entry
+
+
+def test_module_entry_point_prints_the_recorded_report():
+    # `python -m shadowspec`, which the corpus (run through cli.main) does not reach
+    entry = next(e for e in MANIFEST if e["name"] == "analyze dense_d2 window 0")
+    corpus = ROOT / "tests" / "golden"
+    before = sorted(p.name for p in corpus.iterdir())
+    src = str(ROOT / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    run = subprocess.run([sys.executable, "-m", "shadowspec", *entry["argv"]], cwd=corpus, env=env,
+                         capture_output=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert hashlib.sha256(run.stdout).hexdigest() == entry["stdout"]
+    assert sorted(p.name for p in corpus.iterdir()) == before
 
 
 def test_changed_parts_names_what_moved():

@@ -346,6 +346,8 @@ OPERATOR_REFUSALS = {
     "inverse array": (lambda: ss.inverse(np.eye(2)), TypeError, "not an operator"),
     "rotate array": (lambda: ss.rotate(np.eye(2), 1.0), TypeError, "not an operator"),
     "to JSON array": (lambda: ss.operator_to_json(np.eye(2)), TypeError, "not an operator"),
+    "oracle array": (lambda: ss.shadow_oracle_lsq(np.eye(2), ss.generate_pseudo_orbit(
+        ss.diagonal([2.0, 0.5]), np.zeros(2), 1e-3, (-2, 2), rng_seed=0)), TypeError, "not an operator"),
 }
 
 
@@ -376,7 +378,6 @@ SIZED_CALLS = {
         ss.diagonal([2.0, 0.5]), ss.diagonal([0.0, 1.0]), k
     ),
     "eigenvector radius": lambda k: ss.shift_eigenvector(example_shift_pair()[1], 1.0, k),
-    "orbit bounds": lambda k: ss.PseudoOrbit(-k, 0, [np.zeros(2)] * 4, 0.0, [np.zeros(2)] * 3),
 }
 
 

@@ -23,6 +23,15 @@ W_LO = 1.0 / W_HI
 
 ONE_DIM_DOUBLE = ss.DenseOperator([[2.0]])
 
+FOREIGN = "a pseudo-orbit is read only by the operator that built it"
+
+
+def _assert_foreign(call):
+    """call raises the ValueError of an orbit read by an operator other than its own."""
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert type(exc.value) is ValueError and str(exc.value) == FOREIGN
+
 
 class TestGeneratePseudoOrbit:
     def test_zero_delta_is_exact_trajectory(self):
@@ -52,19 +61,24 @@ class TestGeneratePseudoOrbit:
         a = ss.diagonal([2.0, 0.5])
         with pytest.raises(ValueError, match="delta must be a finite number"):
             ss.generate_pseudo_orbit(a, np.zeros(2), delta, (-3, 3), rng_seed=0)
-        good = ss.generate_pseudo_orbit(a, np.zeros(2), 1e-3, (-3, 3), rng_seed=0)
-        with pytest.raises(ValueError, match="delta must be a finite number"):
-            ss.PseudoOrbit(n_lo=-3, n_hi=3, states=good.states, delta=delta, defects=good.defects)
+
+    def test_caller_defects_that_overflow_leave_no_delta(self):
+        # orbit_from_defects takes delta as the largest defect norm, here inf
+        with pytest.raises(ValueError, match="delta must be a finite number >= 0, got inf"):
+            ss.orbit_from_defects(ss.diagonal([2.0, 0.5]), np.zeros(2), [np.full(2, 1e300)] * 2, (0, 2))
+
+    def test_a_drawn_defect_above_delta_is_refused(self):
+        # kappa(A) ~ 2e10: re-read as y_{n+1} - A y_n, a backward step's defect loses
+        # far more than the slack of 1e-12 of the largest state norm
+        a = ss.DenseOperator([[1e5, 1e5], [0.0, 1e-5]])
+        with pytest.raises(ValueError, match=r"defect norm 1\.020e-03 exceeds delta 1\.000e-03"):
+            ss.generate_pseudo_orbit(a, np.zeros(2), 1e-3, (-2, 2), rng_seed=2)
 
     def test_overflowed_orbit_is_refused(self):
         # states grow like 2^n * delta and overflow past the largest float
         a = ss.diagonal([2.0, 0.5])
         with pytest.raises(FloatingPointError, match="non-finite"):
             ss.generate_pseudo_orbit(a, np.zeros(2), 1e300, (-3, 3), rng_seed=0)
-        good = ss.generate_pseudo_orbit(a, np.zeros(2), 1e-3, (-3, 3), rng_seed=0)
-        states = (*good.states[:-1], np.array([np.inf, 0.0]))
-        with pytest.raises(FloatingPointError, match="non-finite"):
-            ss.PseudoOrbit(n_lo=-3, n_hi=3, states=states, delta=1e-3, defects=good.defects)
 
     def test_overflowed_shift_orbit_is_refused(self):
         # (2 sqrt 2)^345 ~ 1e156, so the square inside the state's norm overflows
@@ -90,13 +104,20 @@ class TestGeneratePseudoOrbit:
     def test_orbit_bounds_are_read_as_sizes(self):
         # float bounds were kept as floats, and every read raised a bare TypeError
         a = ss.diagonal([2.0, 0.5])
-        orbit = ss.PseudoOrbit(-1.0, 1.0, [np.zeros(2)] * 3, 0.0, [np.zeros(2)] * 2)
+        orbit = ss.generate_pseudo_orbit(a, np.zeros(2), 0.0, (-1.0, 1.0), rng_seed=0)
         assert orbit.window == (-1, 1) and isinstance(orbit.n_lo, int)
         assert np.array_equal(orbit.state(0), np.zeros(2)) and len(orbit.states) == 3
         assert ss.construct_shadow(a, ss.diagonal([0.0, 1.0]), orbit).epsilon_achieved == 0.0
         assert ss.shadow_oracle_lsq(a, orbit).epsilon_achieved == 0.0
         with pytest.raises(ValueError, match="'window' must be an integer, got -0.5"):
-            ss.PseudoOrbit(-0.5, 1.0, [np.zeros(2)] * 3, 0.0, [np.zeros(2)] * 2)
+            ss.generate_pseudo_orbit(a, np.zeros(2), 0.0, (-0.5, 1.0), rng_seed=0)
+
+    def test_there_is_no_public_constructor(self):
+        # states 0 and (1, 1) with defect 0 made an orbit of no operator: shadowed on
+        # diag(2, 0.5) it read delta 1e-3 and defect norms [0.0], and epsilon 1.414
+        # against a bound of 0.007
+        with pytest.raises(TypeError):
+            ss.PseudoOrbit(0, 1, [np.zeros(2), np.ones(2)], 1e-3, [np.zeros(2)])
 
     def test_lookups_outside_the_window_raise(self):
         orbit = ss.generate_pseudo_orbit(ONE_DIM_DOUBLE, np.zeros(1, dtype=complex), 1e-3, (-3, 3), 0)
@@ -106,7 +127,7 @@ class TestGeneratePseudoOrbit:
             with pytest.raises(IndexError, match=r"window \(-3, 3\)"):
                 lookup(n)
 
-    @pytest.mark.parametrize("build", ["drawn", "from_defects", "constructor"])
+    @pytest.mark.parametrize("build", ["drawn", "from_defects"])
     def test_dense_states_and_defects_are_read_only(self, build):
         # a state is a view into the orbit's table: a write through it once moved the
         # shadow's epsilon from 1e-3 to 1e6 while delta and the defect norms read 1e-3
@@ -115,7 +136,6 @@ class TestGeneratePseudoOrbit:
         orbit = {
             "drawn": drawn,
             "from_defects": ss.orbit_from_defects(a, np.zeros(2), drawn.defects, (-3, 3)),
-            "constructor": ss.PseudoOrbit(-3, 3, drawn.states, drawn.delta, drawn.defects),
         }[build]
         for vector in (orbit.state(1), orbit.defects[0]):
             with pytest.raises(ValueError, match="read-only"):
@@ -322,16 +342,14 @@ class TestShadowOracle:
 
     def test_shift_oracle_refuses_a_dense_orbit(self):
         orbit = ss.generate_pseudo_orbit(ss.diagonal([2.0, 0.5]), np.zeros(2), 1e-3, (-2, 2), 0)
-        with pytest.raises(ss.DimensionMismatchError, match="SupportedVector"):
-            ss.shadow_oracle_lsq(ss.ShiftOperator("forward", W_HI, W_LO, 0), orbit)
+        _assert_foreign(lambda: ss.shadow_oracle_lsq(ss.ShiftOperator("forward", W_HI, W_LO, 0), orbit))
 
     @pytest.mark.parametrize("direction", ["forward", "backward"])
     def test_shift_oracle_refuses_the_other_direction(self, direction):
         op = ss.ShiftOperator(direction, W_HI, W_LO, 0)
         orbit = ss.generate_pseudo_orbit(op, ss.basis_vector(0), 1e-3, (-2, 2), 0)
         for other in (ss.adjoint(op), ss.inverse(op)):
-            with pytest.raises(ValueError, match="only by a shift of its own direction"):
-                ss.shadow_oracle_lsq(other, orbit)
+            _assert_foreign(lambda: ss.shadow_oracle_lsq(other, orbit))
 
     def test_oracle_never_beaten_by_construction(self):
         rng = np.random.default_rng(77)
@@ -632,6 +650,28 @@ class TestRotateOrbit:
             assert np.linalg.norm(defect) == pytest.approx(
                 np.linalg.norm(orbit.defect(n)), abs=1e-12
             )
+
+    def test_a_rotated_orbit_is_read_by_the_rotated_operator(self):
+        # a rotated orbit is a pseudo-orbit of lam^-1 A, not of A
+        lam = np.exp(0.6j)
+        a = random_invertible(np.random.default_rng(23), 3)
+        orbit = ss.rotate_orbit(ss.generate_pseudo_orbit(a, np.ones(3), 1e-3, (-6, 6), rng_seed=8), lam)
+        assert ss.shadow_oracle_lsq(ss.rotate(a, lam), orbit).epsilon_achieved < 1e-2
+        _assert_foreign(lambda: ss.shadow_oracle_lsq(a, orbit))
+        _assert_foreign(lambda: ss.construct_shadow(a, ss.identity(3), orbit))
+
+    def test_rotation_is_one_product_per_vector(self):
+        # a multiply of the whole table at once rounds a few entries differently
+        rng = np.random.default_rng(5)
+        a = random_invertible(rng, 4)
+        orbit = ss.generate_pseudo_orbit(a, rng.standard_normal(4), 1e-3, (-9, 7), rng_seed=6)
+        for lam in (np.exp(0.6j), np.exp(-2.1j), -1.0, 1j):
+            rotated, lam = ss.rotate_orbit(orbit, lam), complex(lam)
+            for n in range(-9, 8):
+                assert rotated.state(n).tobytes() == (lam ** -n * orbit.state(n)).tobytes()
+            expected = [lam ** -(n + 1) * orbit.defect(n) for n in range(-9, 7)]
+            assert [z.tobytes() for z in rotated.defects] == [z.tobytes() for z in expected]
+            assert rotated.defect_norms() == [float(np.linalg.norm(z)) for z in expected]
 
     def test_rejects_non_unimodular(self):
         a = ss.diagonal([2.0])
@@ -1252,113 +1292,74 @@ EDGE_DIGITS_HEX = {
 }
 
 
-class TestPseudoOrbitConstructor:
-    """The refusals of a caller's own states and defects: arrays, or SupportedVectors
-    refused once the counts match the window."""
+class TestOrbitOwnership:
+    """An orbit is read only by the operator whose recurrence built it, or by one
+    equal to it: delta and the defect norms hold for that operator alone."""
 
-    VECTORS = {
-        "dense": ((np.zeros(1), np.ones(1)), (np.ones(1),)),
-        "shift": ((ss.SupportedVector({}), ss.basis_vector(1)), (ss.basis_vector(1),)),
-    }
+    def test_a_foreign_dense_operator_is_refused(self):
+        # diag(3, 0.25) read this diag(2, 0.5) orbit as its own: epsilon 0.904
+        # against a bound of 0.005, with no error
+        a, other = ss.diagonal([2.0, 0.5]), ss.diagonal([3.0, 0.25])
+        orbit = ss.generate_pseudo_orbit(a, np.zeros(2), 1e-3, (-5, 5), rng_seed=0)
+        _assert_foreign(lambda: ss.construct_shadow(other, ss.diagonal([0.0, 1.0]), orbit))
+        _assert_foreign(lambda: ss.shadow_oracle_lsq(other, orbit))
 
-    @pytest.mark.parametrize("kind", sorted(VECTORS))
-    def test_state_and_defect_counts_must_match_the_window(self, kind):
-        states, defects = self.VECTORS[kind]
-        with pytest.raises(ValueError, match="state count does not match the window"):
-            ss.PseudoOrbit(0, 2, states, 1.0, defects)
-        with pytest.raises(ValueError, match="need exactly one defect per step"):
-            ss.PseudoOrbit(0, 1, states, 1.0, defects * 2)
+    def test_a_foreign_shift_is_refused(self):
+        # the oracle of the forward shift (3, 0.3) read example 17's T orbit at N = 8
+        # (seed 8, as `example17 --seed 0` draws it) as 1927, where T itself reads 2.15
+        t = ss.ShiftOperator("forward", W_HI, W_LO, 0)
+        orbit = ss.generate_pseudo_orbit(t, ss.basis_vector(0), 1e-3, (-8, 8), rng_seed=8)
+        _assert_foreign(lambda: ss.shadow_oracle_lsq(ss.ShiftOperator("forward", 3.0, 0.3, 0), orbit))
 
-    def test_defect_norm_above_delta_is_refused(self):
-        states, defects = self.VECTORS["dense"]
-        with pytest.raises(ValueError, match=r"defect norm 1\.000e\+00 exceeds delta 5\.000e-01"):
-            ss.PseudoOrbit(0, 1, states, 0.5, defects)
-        assert ss.PseudoOrbit(0, 1, states, 1.0, defects).defect_norms() == [1.0]
+    def test_an_equal_shift_reads_the_orbit_bit_for_bit(self):
+        # an equal dense operator reads its orbit in test_dense_digits_are_pinned
+        t = ss.ShiftOperator("backward", W_HI, W_LO, 0)
+        orbit = ss.generate_pseudo_orbit(t, TABLE_SEEDS[1], 1e-3, (-6, 6), rng_seed=4)
 
-    @pytest.mark.parametrize("delta", [None, math.nan], ids=["None", "nan"])
-    def test_delta_must_be_a_finite_number(self, delta):
-        # None, which the builders read as the largest defect norm, gave delta 1.0 here
-        states, defects = self.VECTORS["dense"]
-        with pytest.raises(ValueError, match=f"delta must be a finite number >= 0, got {delta!r}"):
-            ss.PseudoOrbit(0, 1, states, delta, defects)
+        def bits(op):
+            res = ss.shadow_oracle_lsq(op, orbit)
+            anchor = [(i, c.real.hex(), c.imag.hex()) for i, c in res.best_anchor.coefficients.items()]
+            return res.epsilon_achieved.hex(), res.condition.hex(), anchor
 
-    def test_supported_vectors_are_refused(self):
-        # only generate_pseudo_orbit builds a shift orbit, as a chain x time table
-        states, defects = self.VECTORS["shift"]
-        drawn = ss.generate_pseudo_orbit(ss.ShiftOperator("forward", W_HI, W_LO, 0),
-                                         ss.basis_vector(0), 1e-3, (-2, 2), rng_seed=0)
-        for args in ((0, 1, states, 1.0, defects), (-2, 2, drawn.states, 1e-3, drawn.defects)):
-            with pytest.raises(ss.DimensionMismatchError, match="PseudoOrbit takes arrays"):
-                ss.PseudoOrbit(*args)
+        assert bits(ss.ShiftOperator("backward", W_HI, W_LO, 0)) == bits(t)
 
 
 class TestDenseOrbitTable:
-    """Dense orbits are one d x W table, checked once by each reader."""
-
-    @pytest.mark.parametrize("case", ["row-states", "column-defects", "longer-state", "scalar-state"])
-    def test_malformed_dense_vectors_are_refused(self, case):
-        good = ss.generate_pseudo_orbit(ss.diagonal([2.0, 0.5]), np.ones(2), 1e-3, (-2, 2), 0)
-        states, defects = list(good.states), list(good.defects)
-        if case == "row-states":  # both raveled to length 2, delta 1e-3
-            states, defects = [s.reshape(1, 2) for s in states], [z.reshape(2, 1) for z in defects]
-        elif case == "column-defects":
-            defects = [z.reshape(2, 1) for z in defects]
-        elif case == "longer-state":
-            states[-1] = np.zeros(3)
-        else:
-            states[0] = np.complex128(1.0)
-        shape = {"row-states": (1, 2), "column-defects": (2, 1), "longer-state": (3,),
-                 "scalar-state": ()}[case]
-        with pytest.raises(ValueError, match=r"1-D of one length, got \[.*" + re.escape(str(shape))):
-            ss.PseudoOrbit(n_lo=-2, n_hi=2, states=states, delta=1e-3, defects=defects)
-
-    @pytest.mark.parametrize("mixed", ["defect", "state"])
-    def test_mixed_vector_kinds_are_refused(self, mixed):
-        # numpy's bare "TypeError: must be real number, not SupportedVector" before
-        states, defects = [ss.basis_vector(0), ss.basis_vector(1)], [ss.basis_vector(1)]
-        if mixed == "defect":
-            defects = [np.zeros(1)]
-        else:
-            states[1] = np.zeros(1)
-        with pytest.raises(ss.DimensionMismatchError, match="PseudoOrbit takes arrays"):
-            ss.PseudoOrbit(0, 1, states, 1.0, defects)
+    """Dense orbits are one d x W table, read only by the orbit's own operator."""
 
     def test_shadow_and_oracle_refuse_another_kind_or_dimension(self):
         a = ss.diagonal([2.0, 0.5])
         t = ss.ShiftOperator("forward", W_HI, W_LO, 0)
         shift = ss.generate_pseudo_orbit(t, ss.basis_vector(0), 1e-3, (-2, 2), rng_seed=0)
         wide = ss.generate_pseudo_orbit(ss.diagonal([2.0, 0.5, 3.0]), np.ones(3), 1e-3, (-2, 2), 0)
-        for orbit, message in ((shift, "not a SupportedVector"), (wide, "does not match dimension 2")):
-            with pytest.raises(ss.DimensionMismatchError, match=message):
-                ss.construct_shadow(a, ss.riesz_projector(a), orbit)
-            with pytest.raises(ss.DimensionMismatchError, match=message):
-                ss.shadow_oracle_lsq(a, orbit)
+        for orbit in (shift, wide):
+            _assert_foreign(lambda: ss.construct_shadow(a, ss.riesz_projector(a), orbit))
+            _assert_foreign(lambda: ss.shadow_oracle_lsq(a, orbit))
 
-    def test_shadow_and_oracle_check_one_vector(self, monkeypatch):
+    def test_shadow_and_oracle_read_no_vector(self, monkeypatch):
+        # they read the table through the ownership check: no vector is checked or built
         a, _ = random_hyperbolic(np.random.default_rng(32), 32, normal=True)
         orbit = ss.generate_pseudo_orbit(a, np.zeros(32), 1e-3, (-30, 30), rng_seed=5)
         b = ss.riesz_projector(a)
         calls, check = [], shadowing._vector_of
         monkeypatch.setattr(shadowing, "_vector_of", lambda op, v: calls.append(v) or check(op, v))
         ss.construct_shadow(a, b, orbit)
-        assert len(calls) == 1
         ss.shadow_oracle_lsq(a, orbit)
-        assert len(calls) == 2
+        assert calls == [] and "states" not in orbit.__dict__
+        assert all(v is None for v in (*orbit._vectors["states"], *orbit._vectors["defects"]))
 
     def test_dense_digits_are_pinned(self):
         rng = np.random.default_rng(2101)
         a, _ = random_hyperbolic(rng, 8, normal=False)
         x0 = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         orbit = ss.generate_pseudo_orbit(a, x0, 1e-3, (-20, 20), rng_seed=21)
-        copy = ss.PseudoOrbit(n_lo=orbit.n_lo, n_hi=orbit.n_hi, states=orbit.states,
-                              delta=orbit.delta, defects=orbit.defects)
 
         def hexes(v):
             return [h for c in v for h in (c.real.hex(), c.imag.hex())]
 
-        for o in (orbit, copy):
-            res = ss.construct_shadow(a, ss.riesz_projector(a), o)
-            oracle = ss.shadow_oracle_lsq(a, o)
+        for op in (a, ss.DenseOperator(a.entries.copy())):  # the operator, and one equal to it
+            res = ss.construct_shadow(op, ss.riesz_projector(a), orbit)
+            oracle = ss.shadow_oracle_lsq(op, orbit)
             assert {
                 "epsilon_achieved": res.epsilon_achieved.hex(),
                 "recurrence_residual": res.recurrence_residual.hex(),
