@@ -42,11 +42,6 @@ MANIFEST = GOLDEN / "manifest.json"
 SWEEP = "shadow_delta_sweep.run(0)"
 
 DENSE = ("dense_d2", "dense_d3_circle", "dense_d5", "dense_d16", "dense_d32")
-# At d = 32 the oracle's Householder QR of each half stack (33 columns, 384 to 992 rows at
-# these windows) is large enough that OpenBLAS splits its updates across threads: with two
-# to four threads the report's last oracle digits move.  Every other report, d = 16 at
-# window 30 (17 columns, up to 496 rows) included, keeps its bytes at those thread counts.
-BLAS_THREAD_BOUND = ("shadow dense_d32 window 12", "shadow dense_d32 window 30")
 # probe windows build a (62 d) x (61 d) SVD at window 30: too slow for the corpus at d >= 16
 SLOW = {("probe", "dense_d16", 30), ("probe", "dense_d32", 30)}
 

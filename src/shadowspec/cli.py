@@ -3,10 +3,9 @@
 Exit codes are a stable scripting contract: 0 ok, 2 input error, 3 numerical
 failure, 4 decay certificate failure.  Reports embed the config that
 produced them and contain no timestamps, so identical invocations produce
-byte-identical files at a fixed BLAS thread count (the shadow oracle's QR
-factorizations round by how BLAS splits them across threads).  Output
-files are written atomically: each write goes to its own temporary file in
-the target directory, which is then renamed.
+byte-identical files at a fixed BLAS thread count, and up to d = 32 at one or
+two threads alike.  Output files are written atomically: each write goes to
+its own temporary file in the target directory, which is then renamed.
 """
 
 import argparse

@@ -84,6 +84,8 @@ __all__ = [
 DECAY_ORDER = 32
 # Least q of `bgain_test_sequence`, whose window has N ~ 14 / log10 q <= 97,702 terms a side
 BGAIN_MIN_Q = 1.00033
+# Rows per oracle QR block: OpenBLAS threads a QR only past about 1e4 entries, and 256 x 33 is not
+QR_BLOCK_ROWS = 256
 
 
 class PseudoOrbit:
@@ -105,12 +107,15 @@ class PseudoOrbit:
     every state and defect lists every chain, in the seed's listing order `order`.
     """
 
+    def __init__(self, *args, **kwargs):
+        raise TypeError("PseudoOrbit has no public constructor: use generate_pseudo_orbit")
+
     @classmethod
     def _built(cls, op, n_lo: int, n_hi: int, delta, x, z, seed=None, chains=None, order=None):
         """The orbit of op with states x and defects z (see above) from the seed at
-        time 0; delta=None takes the largest defect norm.  FloatingPointError when a
-        state or defect norm is not finite (overflow), ValueError for a delta that
-        is not a finite number >= 0 and for a defect norm above delta."""
+        time 0; delta=None takes the largest defect norm.  ValueError for a delta that
+        is not a finite number >= 0; FloatingPointError for a state or defect norm that
+        is not finite (overflow) or a re-read defect norm above delta (rounding)."""
         orbit = cls.__new__(cls)
         x.setflags(write=False)  # every dense state and defect is a view into these
         z.setflags(write=False)
@@ -125,7 +130,7 @@ class PseudoOrbit:
         slack = 1e-12 * (1.0 + float(state_norms.max())) + 1e-15
         over = np.flatnonzero(defect_norms > delta + slack)
         if len(over):
-            raise ValueError(f"defect norm {defect_norms[over[0]]:.3e} exceeds delta {delta:.3e}")
+            raise FloatingPointError(f"defect norm {defect_norms[over[0]]:.3e} exceeds delta {delta:.3e}")
         orbit.__dict__.update(delta=delta, _defect_norms=defect_norms)
         return orbit
 
@@ -453,11 +458,11 @@ def _window_powers(op: DenseOperator, n_lo: int, n_hi: int, first, defects=None)
 def shadow_oracle_lsq(op, orbit: PseudoOrbit) -> OracleResult:
     """Independent shadowing oracle: minimize sum_n ||y_n - T^n x||^2 over x.
 
-    Dense operators: the stack [A^n | y_n] over the window is reduced by
-    Householder QR, one factorization per half (n < 0 and n >= 0) and one of
-    the two stacked R factors, and the top d x d triangle is solved for x.
-    The stack holds A^0 = I, so it has full column rank with sigma_min >= 1
-    and needs no rank cutoff; the halves keep each QR panel in cache.  The
+    Dense operators: the stack [A^n | y_n] is reduced by tall-skinny QR, each
+    half (n < 0 and n >= 0) in blocks of QR_BLOCK_ROWS rows, whose digits do
+    not depend on the BLAS thread count up to d = 32, then the stacked R
+    factors; the top d x d triangle is solved for x.  The stack holds A^0 = I,
+    so it has full column rank with sigma_min >= 1 and needs no rank cutoff.  The
     reported condition number, the triangle's sigma_max / sigma_min (the
     stack's own), grows like |lambda|_max^N for strongly hyperbolic operators
     over long windows, which the orthogonal factorization handles.  Shifts:
@@ -469,8 +474,9 @@ def shadow_oracle_lsq(op, orbit: PseudoOrbit) -> OracleResult:
         d, ys = op.dim, orbit._table_for(op)[0].T  # time-major, W x d
         stack = _window_powers(op, orbit.n_lo, orbit.n_hi, np.eye(d, d + 1))  # [A^n | 0]
         stack[:, :, d] = ys
-        k0 = -orbit.n_lo
-        tops = [np.linalg.qr(h.reshape(-1, d + 1), mode="r") for h in (stack[:k0], stack[k0:])]
+        halves = [h.reshape(-1, d + 1) for h in (stack[:-orbit.n_lo], stack[-orbit.n_lo:])]
+        tops = [np.linalg.qr(h[i : i + QR_BLOCK_ROWS], mode="r")
+                for h in halves for i in range(0, len(h), QR_BLOCK_ROWS)]
         r = np.linalg.qr(np.vstack(tops), mode="r")
         tri = r[:d, :d]
         sol = np.linalg.solve(tri, r[:d, d])  # upper triangular, |r_kk| >= 1: LU swaps no rows

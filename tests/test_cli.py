@@ -431,6 +431,17 @@ class TestFlagValidation:
         assert captured.out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["op.json"]
 
+    def test_drawn_defect_above_delta_is_a_numerical_failure(self, tmp_path, capsys):
+        # kappa(A) ~ 2e10: seed 2's re-read defect exceeds delta by rounding alone,
+        # a numerical failure of a valid operator file, not an input error
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps(ss.operator_to_json(ss.DenseOperator([[1e5, 1e5], [0.0, 1e-5]]))))
+        rc = main(["shadow", "--input", str(path), "--output", str(tmp_path / "out"),
+                   "--window", "2", "--seed", "2"])
+        assert rc == 3
+        assert capsys.readouterr().err == "numerical failure: defect norm 1.020e-03 exceeds delta 1.000e-03\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["op.json"]
+
 
 class TestShadow:
     def test_reports_both_epsilons_and_bound(self, dense_op_file, tmp_path):

@@ -1,7 +1,10 @@
 """Replay the golden CLI corpus, tests/golden/manifest.json, byte for byte.
 
 Every entry was recorded by `scripts/golden.py` with one BLAS thread; a change
-that means to move an output rewrites the manifest with that script.
+that means to move an output rewrites the manifest with that script.  The
+entries replay at two threads too: the shadow oracle takes its QRs in blocks of
+at most `shadowing.QR_BLOCK_ROWS` rows, which OpenBLAS does not split across
+threads up to d = 32.
 """
 
 import hashlib
@@ -20,25 +23,36 @@ golden = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(golden)
 
 MANIFEST = json.loads(golden.MANIFEST.read_text(encoding="utf-8"))
-# OpenBLAS takes the first of these that is set, else one thread per core
-BLAS_THREADS = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
-ONE_BLAS_THREAD = (BLAS_THREADS or str(os.cpu_count())) == "1"
+# the reports whose oracle halves pass QR_BLOCK_ROWS rows, so each takes more than one block
+MULTI_BLOCK = ["shadow dense_d16 window 30", "shadow dense_d32 window 12", "shadow dense_d32 window 30"]
+# numpy reads the BLAS thread count once, on import, so the two-thread replay runs in its own process
+REPLAY = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("golden", sys.argv[1])
+golden = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(golden)
+entries = json.loads(golden.MANIFEST.read_text(encoding="utf-8"))
+print(json.dumps([e["name"] for e in entries if e["name"] in sys.argv[2:] and golden.replay(e) == e]))
+"""
 
 
 def test_manifest_lists_the_corpus():
     names = [name for name, _, _ in golden.invocations()] + [golden.SWEEP]
     assert [e["name"] for e in MANIFEST] == names
-    assert set(golden.BLAS_THREAD_BOUND) <= set(names)
 
 
 @pytest.mark.parametrize("entry", MANIFEST, ids=[e["name"] for e in MANIFEST])
 def test_replay_is_byte_identical(entry):
-    got = golden.replay(entry)
-    if entry["name"] in golden.BLAS_THREAD_BOUND and not ONE_BLAS_THREAD:
-        # the report's oracle digits are recorded for one BLAS thread; exit code,
-        # stdout and stderr do not depend on the thread count
-        got, entry = {**got, "files": None}, {**entry, "files": None}
-    assert got == entry
+    assert golden.replay(entry) == entry
+
+
+def test_multi_block_oracle_reports_replay_at_two_blas_threads():
+    # a QR of a whole half (up to 992 rows at d = 32) rounds by how OpenBLAS splits it across threads
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2"}
+    run = subprocess.run([sys.executable, "-c", REPLAY, str(ROOT / "scripts" / "golden.py"), *MULTI_BLOCK],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == MULTI_BLOCK
 
 
 def test_module_entry_point_prints_the_recorded_report():

@@ -69,9 +69,9 @@ class TestGeneratePseudoOrbit:
 
     def test_a_drawn_defect_above_delta_is_refused(self):
         # kappa(A) ~ 2e10: re-read as y_{n+1} - A y_n, a backward step's defect loses
-        # far more than the slack of 1e-12 of the largest state norm
+        # far more than the slack of 1e-12 of the largest state norm, a rounding failure
         a = ss.DenseOperator([[1e5, 1e5], [0.0, 1e-5]])
-        with pytest.raises(ValueError, match=r"defect norm 1\.020e-03 exceeds delta 1\.000e-03"):
+        with pytest.raises(FloatingPointError, match=r"defect norm 1\.020e-03 exceeds delta 1\.000e-03"):
             ss.generate_pseudo_orbit(a, np.zeros(2), 1e-3, (-2, 2), rng_seed=2)
 
     def test_overflowed_orbit_is_refused(self):
@@ -118,6 +118,9 @@ class TestGeneratePseudoOrbit:
         # against a bound of 0.007
         with pytest.raises(TypeError):
             ss.PseudoOrbit(0, 1, [np.zeros(2), np.ones(2)], 1e-3, [np.zeros(2)])
+        # nor with no arguments, which would make an orbit without a window or states
+        with pytest.raises(TypeError, match="no public constructor"):
+            ss.PseudoOrbit()
 
     def test_lookups_outside_the_window_raise(self):
         orbit = ss.generate_pseudo_orbit(ONE_DIM_DOUBLE, np.zeros(1, dtype=complex), 1e-3, (-3, 3), 0)
