@@ -20,6 +20,12 @@ n with max(||A^n x||, ||A^-n x||) >= 2 on the unit sphere) by its dual.  With
 P = (A^n)* A^n and Q = (A^-n)* A^-n the joint numerical range of (P, Q) is
 convex (Toeplitz-Hausdorff), so min over unit x of max(x*Px, x*Qx) equals
 max over t in [0, 1] of lambda_min(t P + (1-t) Q), which is concave in t.
+
+`duality_check` brackets both sides of rho_sh(A) = rho_ex(A*), each the least
+sigma_min(lambda I - M) on the unit circle.  That is 1-Lipschitz in lambda, so
+an SVD at angle t giving s > tol, less rounding slack, bounds it below by
+s - |theta - t|.  The next SVD goes s further on, and between two nodes their
+bounds cross no lower than half the smaller s, so the walk covers the circle.
 """
 
 import math
@@ -59,7 +65,7 @@ DEFAULT_GAP_TOL = 1e-6
 
 EIGEN_DIM_CAP = 512
 DUALITY_DIM_CAP = 64
-DUALITY_GRID = 360
+DUALITY_NODE_CAP = 360  # SVDs per side of duality_check: the old grid's count
 
 WITNESS_SLACK = 1e-6  # expansivity_witness certifies norms >= 2 - WITNESS_SLACK
 WITNESS_GAP_RTOL = 1e-12  # relative dual/primal gap that ends its bisection
@@ -102,10 +108,7 @@ class ShiftSpectra:
         return {
             "annulus_inner": self.annulus_inner,
             "annulus_outer": self.annulus_outer,
-            "approx_point": {
-                "kind": self.approx_point_kind,
-                "radii": list(self.approx_point_radii),
-            },
+            "approx_point": dict(kind=self.approx_point_kind, radii=list(self.approx_point_radii)),
             "point_spectrum": None
             if self.point_spectrum is None
             else {"open_annulus": list(self.point_spectrum)},
@@ -199,12 +202,8 @@ def shift_spectra(op: ShiftOperator) -> ShiftSpectra:
     # the weight on the side T moves toward, then the one it moves away from
     near, far = (op.weight_pos, op.weight_neg)[:: op.step]
     pt = (near, far) if near < far else None
-    if pt is None:
-        kind = "circles"
-        radii = (w_lo,) if w_lo == w_hi else (w_lo, w_hi)
-    else:
-        kind = "annulus"
-        radii = (w_lo, w_hi)
+    kind = "circles" if pt is None else "annulus"
+    radii = (w_lo,) if pt is None and w_lo == w_hi else (w_lo, w_hi)
     return ShiftSpectra(
         annulus_inner=w_lo,
         annulus_outer=w_hi,
@@ -215,11 +214,7 @@ def shift_spectra(op: ShiftOperator) -> ShiftSpectra:
 
 
 def _annulus_gap(inner: float, outer: float) -> float:
-    if inner > 1.0:
-        return inner - 1.0
-    if outer < 1.0:
-        return 1.0 - outer
-    return 0.0
+    return max(inner - 1.0, 1.0 - outer, 0.0)  # inner <= outer
 
 
 def _approx_point_gap(spectra: ShiftSpectra) -> float:
@@ -275,11 +270,16 @@ def classify_shift(op: ShiftOperator, tol: float = DEFAULT_GAP_TOL) -> SpectralR
 
 @dataclass(frozen=True)
 class DualityReport:
-    """Grid check of one-sided-spectrum duality at the unit circle."""
+    """Arc-covering check of one-sided-spectrum duality on the unit circle: the
+    (lo, hi) brackets of rho_sh(A) (surjectivity of lambda I - A) and rho_ex(A*)
+    (A* bounded below), `nodes` SVDs in all; mismatches is 1 and the value
+    discrepancy their gap when the brackets are disjoint, else both are 0."""
 
     passes: bool
-    grid_points: int
+    nodes: int
     tol: float
+    surjectivity_bracket: tuple
+    expansivity_bracket: tuple
     surjectivity_mismatches: int
     worst_value_discrepancy: float
     eigen_multiset_discrepancy: float
@@ -287,48 +287,48 @@ class DualityReport:
 
 def _multiset_distance(xs: np.ndarray, ys: np.ndarray) -> float:
     """Greedy nearest-neighbour matching distance between two complex multisets."""
-    ys = list(ys)
-    worst = 0.0
+    ys, worst = list(ys), 0.0
     for x in xs:
         j = int(np.argmin([abs(x - y) for y in ys]))
-        worst = max(worst, abs(x - ys[j]))
-        ys.pop(j)
+        worst = max(worst, abs(x - ys.pop(j)))
     return float(worst)
 
 
-def duality_check(a: DenseOperator) -> DualityReport:
-    """Check, on a unit-circle grid, that lambda*I - A is surjective exactly when
-    conj(lambda)*I - A* is bounded below, and that the eigenvalue multiset of A
-    equals the conjugated eigenvalue multiset of A*.
+def _arc_cover(m: np.ndarray) -> tuple:
+    """((lo, hi), nodes) for min_theta sigma_min(e^{i theta} I - m) by the module docstring's
+    walk; lo = 0 when a node's s <= DEFAULT_GAP_TOL (the circle is met) or at the budget."""
+    eye = np.eye(len(m))
+    slack = float(len(m) * np.finfo(float).eps * (1.0 + np.linalg.norm(m)))
+    theta, least = 0.0, math.inf
+    for nodes in range(1, DUALITY_NODE_CAP + 1):
+        sigma = float(np.linalg.svd(np.exp(1j * theta) * eye - m, compute_uv=False)[-1])
+        least = min(least, sigma)
+        if sigma - slack <= DEFAULT_GAP_TOL:
+            break
+        theta += sigma - slack
+        if theta >= 2 * math.pi:
+            return ((least - slack) / 2, least + slack), nodes
+    return (0.0, least + slack), nodes
 
-    Finite dimension makes surjectivity, invertibility and bounded-belowness
-    the same thing, each measured by the smallest singular value against
-    DEFAULT_GAP_TOL; the two sides are equal in exact arithmetic, so the
-    report carries the worst numerical discrepancy actually observed.
-    """
+
+def duality_check(a: DenseOperator) -> DualityReport:
+    """Passes when the arc-covering brackets of rho_sh(A) and rho_ex(A*), equal by
+    the paper's duality, overlap, and the eigenvalue multisets of A and of
+    conj(A*) agree to 1e-8."""
     if a.dim > DUALITY_DIM_CAP:
         raise ValueError(f"duality_check capped at dimension {DUALITY_DIM_CAP}, got {a.dim}")
-    lam = np.exp(2j * np.pi * np.arange(DUALITY_GRID) / DUALITY_GRID)
-    eye = np.eye(a.dim, dtype=np.complex128)
-
-    left_stack = lam[:, None, None] * eye - a.entries
-    right_stack = left_stack.conj().transpose(0, 2, 1)  # (lambda I - A)^H = conj(lambda) I - A^H
-    sig_left = np.linalg.svd(left_stack, compute_uv=False)[:, -1]
-    sig_right = np.linalg.svd(right_stack, compute_uv=False)[:, -1]
-
-    mismatches = int(np.sum((sig_left > DEFAULT_GAP_TOL) != (sig_right > DEFAULT_GAP_TOL)))
-    worst_value = float(np.max(np.abs(sig_left - sig_right)))
-
-    eigs_a = np.linalg.eigvals(a.entries)
-    eigs_adj_conj = np.conj(np.linalg.eigvals(a.entries.conj().T))
-    multiset = _multiset_distance(eigs_a, eigs_adj_conj)
-
+    adj = a.entries.conj().T
+    (surj, n_surj), (expa, n_expa) = (_arc_cover(m) for m in (a.entries, adj))
+    gap = max(surj[0] - expa[1], expa[0] - surj[1], 0.0)
+    multiset = _multiset_distance(np.linalg.eigvals(a.entries), np.conj(np.linalg.eigvals(adj)))
     return DualityReport(
-        passes=bool(mismatches == 0 and multiset < 1e-8),
-        grid_points=DUALITY_GRID,
+        passes=bool(gap == 0.0 and multiset < 1e-8),
+        nodes=n_surj + n_expa,
         tol=DEFAULT_GAP_TOL,
-        surjectivity_mismatches=mismatches,
-        worst_value_discrepancy=worst_value,
+        surjectivity_bracket=surj,
+        expansivity_bracket=expa,
+        surjectivity_mismatches=int(gap > 0.0),
+        worst_value_discrepancy=gap,
         eigen_multiset_discrepancy=multiset,
     )
 

@@ -13,6 +13,7 @@ from _helpers import (
     draw_moduli,
     random_hyperbolic,
     random_invertible,
+    random_unitary,
 )
 
 W_HI = 2.0 * math.sqrt(2.0)
@@ -184,6 +185,61 @@ class TestDualityCheck:
         report = ss.duality_check(a)
         assert report.eigen_multiset_discrepancy < 1e-8
         assert report.passes
+
+    def test_the_covering_finds_what_a_fixed_grid_misses(self):
+        # e^{i pi/360} lies halfway between two nodes of a 360-point grid, where
+        # sigma_min >= 2 sin(pi/720) ~ 8.7e-3 at every node
+        report = ss.duality_check(ss.diagonal([np.exp(1j * np.pi / 360), 2.0]))
+        assert report.surjectivity_bracket[0] == 0.0
+        assert report.expansivity_bracket[0] == 0.0
+        assert report.passes
+        report = ss.duality_check(ss.diagonal([1.0 + 2e-6, 0.5]))
+        for lo, hi in (report.surjectivity_bracket, report.expansivity_bracket):
+            assert 0.0 < lo <= 2e-6 <= hi
+        assert report.passes
+
+    def test_brackets_hold_the_fine_grid_minimum(self):
+        rng = np.random.default_rng(33)
+        ops = []
+        for dim in range(2, 9):
+            moduli = draw_moduli(rng, dim, HYPERBOLIC_BANDS)
+            if dim % 3 == 0:
+                moduli[0] = 1.0  # planted on the circle
+            ops.append(conjugated_diagonal(rng, moduli)[0])
+        ops.append(conjugated_diagonal(rng, [2.0, 0.5, 1.7, 0.3, 1.1], normal=True)[0])
+        u = random_unitary(rng, 3)
+        ops.append(ss.DenseOperator(u @ (1.5 * np.eye(3) + np.eye(3, k=1)) @ u.conj().T))
+        n = 2**14
+        circle = np.exp(2j * np.pi * np.arange(n) / n)
+        chord = 2.0 * math.sin(math.pi / n)
+        for op in ops:
+            report = ss.duality_check(op)
+            assert report.nodes <= 2 * spectral.DUALITY_NODE_CAP
+            assert report.surjectivity_mismatches == 0
+            for m, (lo, hi) in (
+                (op.entries, report.surjectivity_bracket),
+                (op.entries.conj().T, report.expansivity_bracket),
+            ):
+                stack = circle[:, None, None] * np.eye(op.dim) - m
+                grid_min = np.linalg.svd(stack, compute_uv=False)[:, -1].min()
+                assert lo <= grid_min <= hi + chord / 2
+
+    def test_node_budget_leaves_a_side_undecided(self):
+        # J_6(1.3) has m ~ 6.6e-4 at lambda = 1; a closed covering would take
+        # 492 nodes per side
+        jordan = 1.3 * np.eye(6) + np.eye(6, k=1)
+        u = random_unitary(np.random.default_rng(6), 6)
+        for op in (ss.DenseOperator(jordan), ss.DenseOperator(u @ jordan @ u.conj().T)):
+            report = ss.duality_check(op)
+            assert report.nodes == 2 * spectral.DUALITY_NODE_CAP
+            for lo, hi in (report.surjectivity_bracket, report.expansivity_bracket):
+                assert lo == 0.0
+                assert 6.6e-4 < hi < 6.7e-4
+            assert report.surjectivity_mismatches == 0
+            assert report.worst_value_discrepancy == 0.0
+        # the rotated block's eigenvalues split by about eps^(1/6) ~ 2e-3 under
+        # rounding, so there only the multiset check decides `passes`
+        assert ss.duality_check(ss.DenseOperator(jordan)).passes
 
 
 class TestExpansivityWitness:
