@@ -31,7 +31,11 @@ genuine trajectory directly, with no knowledge of the splitting.
 The sequence-space operators probed here act on windows of vectors:
 "script-S" maps x to (x_{n+1} - T x_n) and "script-B" maps x to
 (x_{n-1} - T* x_n); surjectivity of the first / bounded-belowness of the
-second are the sequence-space signatures of shadowing.  Window probes use the
+second are the sequence-space signatures of shadowing.  Both probes read one
+window, L_k, the k x (k+1) block map (x_0..x_k) -> (x_{j+1} - T x_j): script-S
+at N is L_{2N}, and script-B at N, the compression of x_{r-1} - T* x_r to
+x_0..x_{2N} with zero outside, is L_{2N+1}^H, whose singular values are
+L_{2N+1}'s, so the adjoint is never formed.  Window probes use the
 l2 norm (exact minimum gain via SVD) although the sequence operators natively
 live on l1/l-infinity; on finite windows the norms are equivalent and every
 probe is labelled as the l2 surrogate it is.  The l1 gain itself is evaluated
@@ -39,8 +43,8 @@ exactly on the two-sided geometric test family via `bgain_test_sequence`, in
 one pass over a real support x row table (a shift's x and T*x placed straight
 from x's coefficients and edge weights), with SupportedVector's digits.
 
-Shift probes never build the window matrix: the stencils couple (time, index)
-only to (time +- 1, index +- 1), so it splits into scalar bidiagonal chains,
+Shift probes never build the window matrix: L_k couples (time, index) only
+to (time +- 1, index +- 1), so it splits into scalar bidiagonal chains,
 each read off its first node and resolved to high relative accuracy (`_shift_chain_gain`).
 """
 
@@ -516,40 +520,26 @@ def shadow_oracle_lsq(op, orbit: PseudoOrbit) -> OracleResult:
     )
 
 
-def _dense_window(a: DenseOperator, kind: str, n: int) -> np.ndarray:
-    """Window matrix of a dense operator, whose smallest singular value `window_probe` takes.
-
-    script-S: the 2N x (2N+1) block stencil mapping stacked (x_{-N}..x_N) to
-    x_{j+1} - T x_j.  script-B: the (2N+2) x (2N+1) compression to
-    window-supported sequences, row r realizing x_{r-1} - T* x_r with x indexed
-    0..2N and zero outside.  The interior 2N x (2N+1) stencil of script-B always
-    has a d-dimensional kernel (pick the last block state freely and
-    back-substitute), so its gain is identically zero; the padded compression's
-    gain is what witnesses bounded-belowness.
-    """
-    d, cols = a.dim, 2 * n + 1
-    if kind == "script-S":
-        rows, eye_at, block = 2 * n, 1, a.entries
-    else:
-        rows, eye_at, block = 2 * n + 2, -1, adjoint(a).entries
-    out = np.zeros((rows * d, cols * d), dtype=np.complex128)
-    # block row r holds I in block column r + eye_at and -block in column r
-    for offset, value in ((eye_at, np.eye(d)), (0, -block)):
-        r = np.arange(max(0, -offset), min(rows, cols - offset))
-        out.reshape(rows, d, cols, d)[r, :, r + offset, :] = value
+def _dense_window(a: DenseOperator, k: int) -> np.ndarray:
+    """L_k (module docstring): I at block (j, j+1) and -A at block (j, j), j < k.
+    script-B's own interior 2N x (2N+1) stencil has a d-dimensional kernel, so
+    its padded compression L_{2N+1}^H is what witnesses bounded-belowness."""
+    d = a.dim
+    out = np.zeros((k * d, (k + 1) * d), dtype=np.complex128)
+    blocks, j = out.reshape(k, d, k + 1, d), np.arange(k)
+    blocks[j, :, j + 1, :], blocks[j, :, j, :] = np.eye(d), -a.entries
     return out
 
 
-def _shift_chain_gain(op: ShiftOperator, kind: str, n: int, m) -> float:
-    """Smallest singular value of a shift's window matrix, chain by chain.
+def _shift_chain_gain(op: ShiftOperator, k: int, m) -> float:
+    """Smallest singular value of a shift's window L_k, chain by chain.
 
-    Both stencils couple (time, index) only to (time +- 1, index +- 1), so the
-    window matrix built on `materialize(., M)` blocks splits into scalar
-    chains.  Listed alternately by row and column, a chain is a path
-    whose hops carry 1 (identity block) or a shift weight (T block): a
-    bidiagonal matrix.  For both kinds the path runs in T's direction, so the
-    weights are `op.hop_weights` along it and T* is never built.  The gain is
-    the least smallest singular value.
+    L_k couples (time, index) only to (time +- 1, index +- 1), so built on
+    `materialize(T, M)` blocks it splits into scalar chains.  Listed
+    alternately by column and row, col_0, row_0, ..., row_{k-1}, col_k, a
+    chain is a path whose hops carry a shift weight (T block) or 1 (identity
+    block): a bidiagonal matrix whose weights are `op.hop_weights` along T's
+    direction.  The gain is the least smallest singular value.
 
     Every step is a product or hypot of hop weights, so tiny gains keep full
     relative accuracy: chains with an extra column are rotated square (Givens,
@@ -564,12 +554,9 @@ def _shift_chain_gain(op: ShiftOperator, kind: str, n: int, m) -> float:
     m = _integer_field(m, "M")
     if m < 1:
         raise ValueError("half_width must be >= 1")
-    # path nodes: script-B is row_0, col_0, row_1, ..., col_2N, row_2N+1 and
-    # script-S is col_0, row_0, ..., row_2N-1, col_2N; the hop after an even
-    # node crosses a T block (script-S, column to row) or a T* block
-    # (script-B, row to column), so either way it moves the index by T's own
-    # step across the edge T crosses; the next hop keeps the index
-    nodes = 4 * n + 3 if kind == "script-B" else 4 * n + 1
+    # the hop after an even node (a column) crosses a T block, moving the index by
+    # T's step across the edge T crosses; the next hop keeps the index
+    nodes = 2 * k + 1
     steps = min(nodes // 2, 2 * m + 1)  # a chain's most diagonal entries: one per index, at most
     # the step x chain grid first: numpy refuses a window too large before anything else its size
     grid = np.empty((steps, 2 * m + nodes // 2), dtype=np.int64)
@@ -642,10 +629,11 @@ def window_probe(op, kind: str, n: int, m: int | None = None) -> WindowProbe:
     floor = 1 if kind == "script-S" else 0
     if n < floor:
         raise ValueError(f"N must be >= {floor} for {kind}")
+    k = 2 * n + (kind == "script-B")  # script-S is L_{2N}; script-B is L_{2N+1}^H, same gain
     if isinstance(op, ShiftOperator):
-        gain = _shift_chain_gain(op, kind, n, m)
+        gain = _shift_chain_gain(op, k, m)
     elif isinstance(op, DenseOperator):
-        gain = float(np.linalg.svd(_dense_window(op, kind, n), compute_uv=False)[-1])
+        gain = float(np.linalg.svd(_dense_window(op, k), compute_uv=False)[-1])
     else:
         raise TypeError(f"not an operator: {op!r}")
     return WindowProbe(N=n, gain=gain, operator_kind=kind)

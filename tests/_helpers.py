@@ -22,6 +22,11 @@ def random_unitary(rng, dim):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def qr_unitary(rng, dim):
+    """The Q factor of a complex Gaussian's QR, phases as LAPACK leaves them."""
+    return np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]
+
+
 # The suite's calls (d <= 8) accept within 12 draws; at d = 8 a draw is
 # accepted with probability about 0.15, so 200 misses in a row has odds near
 # 1e-14.  At d = 64 cond(V) never gets near the cap.

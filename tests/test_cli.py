@@ -12,6 +12,7 @@ import pytest
 import shadowspec as ss
 import shadowspec.cli
 from shadowspec.cli import _write_atomic, main
+from _helpers import qr_unitary
 
 W_HI = 2.0 * math.sqrt(2.0)
 W_LO = 1.0 / W_HI
@@ -456,6 +457,20 @@ class TestShadow:
         assert shadow["epsilon_achieved"] <= shadow["epsilon_bound"]
         assert oracle["epsilon_achieved"] <= shadow["epsilon_achieved"] + 1e-8
         assert max(doc["orbit"]["defect_norms"]) <= 1e-3 * (1 + 1e-9)
+
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="ROADMAP item 1: a growing orbit's epsilon 6.06 passes its bound 4.54e-3, exit 0",
+    )
+    def test_growing_orbit_is_shadowed_within_its_bound_or_refused(self, tmp_path):
+        u = qr_unitary(np.random.default_rng(3), 4)
+        path, out = tmp_path / "op.json", tmp_path / "shadow.json"
+        op = ss.DenseOperator(u @ np.diag([4.0, 0.25, 3.6, 1 / 3.6]) @ u.conj().T)
+        path.write_text(json.dumps(ss.operator_to_json(op)))
+        rc = main(["shadow", "--input", str(path), "--output", str(out), "--window", "30"])
+        if rc != 3:
+            shadow = json.loads(out.read_text())["shadow"]
+            assert rc == 0 and shadow["epsilon_achieved"] <= shadow["epsilon_bound"]
 
     def test_zero_delta_gives_zero_epsilons(self, dense_op_file, tmp_path):
         out = tmp_path / "shadow.json"

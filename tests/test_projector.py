@@ -10,6 +10,7 @@ from _helpers import (
     conjugated_diagonal,
     draw_moduli,
     eigen_projector_inside,
+    qr_unitary,
     random_hyperbolic,
     random_unitary,
     reprojected_kernels,
@@ -153,6 +154,23 @@ class TestRieszProjector:
         lo = ss.laurent_coefficient(a, 2, ss.ContourConfig(radius=0.999))
         hi = ss.laurent_coefficient(a, 2, ss.ContourConfig(radius=1.001))
         assert max_abs(lo.entries - hi.entries) < 1e-8
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 9: riesz_splitting accepts projectors 12.6% and 28.2% off",
+)
+def test_ill_conditioned_splitting_is_accurate_or_refused():
+    rng = np.random.default_rng(0)
+    for _ in range(2):
+        u = qr_unitary(rng, 3)
+        a = u @ np.array([[0.5, 1e8, 0], [0, 2, 0], [0, 0, 3]]) @ u.conj().T
+        exact = u @ np.array([[1, 1e8 / (0.5 - 2), 0], [0, 0, 0], [0, 0, 0]]) @ u.conj().T
+        try:
+            p = ss.riesz_splitting(ss.DenseOperator(a)).projector.entries
+        except ss.ContourThroughSpectrumError:
+            continue
+        assert max_abs(p - exact) <= 1e-6 * max_abs(exact)
 
 
 def _planted(rng, dim, bands=HYPERBOLIC_BANDS):

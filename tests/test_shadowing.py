@@ -470,7 +470,7 @@ class TestShadowOracle:
 
 class TestWindowedOperator:
     def test_one_dim_stencil(self):
-        mat = shadowing._dense_window(ONE_DIM_DOUBLE, "script-S", 1)
+        mat = shadowing._dense_window(ONE_DIM_DOUBLE, 2)  # L_2: script-S at N = 1
         assert np.array_equal(mat.real, np.array([[-2.0, 1.0, 0.0], [0.0, -2.0, 1.0]]))
         assert np.all(mat.imag == 0)
 
@@ -792,16 +792,31 @@ def _reference_shift_oracle(op, orbit):
 class TestBlockAssembly:
     @pytest.mark.parametrize("n", [1, 3, 8])
     def test_dense_windows_match_the_block_loops(self, n):
+        # script-S at N is L_{2N}, script-B at N is L_{2N+1}^H
         rng = np.random.default_rng(100 + n)
         for dim in (1, 2, 4):
             a = random_invertible(rng, dim)
             adj = a.entries.conj().T
+            assert np.array_equal(shadowing._dense_window(a, 2 * n), _reference_stencil(a.entries, n))
             assert np.array_equal(
-                shadowing._dense_window(a, "script-S", n), _reference_stencil(a.entries, n)
+                shadowing._dense_window(a, 2 * n + 1).conj().T, _reference_compression(adj, n)
             )
-            assert np.array_equal(
-                shadowing._dense_window(a, "script-B", n), _reference_compression(adj, n)
-            )
+
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_script_b_gain_is_the_odd_window_sigma_min(self, dim):
+        # L_{2N+1}, (Lx)_j = x_{j+1} - A x_j on x_0..x_{2N+1}, looped block by block
+        rng = np.random.default_rng(200 + dim)
+        a = random_invertible(rng, dim)
+        for n in range(4):
+            k = 2 * n + 1
+            window = np.zeros((k * dim, (k + 1) * dim), dtype=np.complex128)
+            for j in range(k):
+                rows = slice(j * dim, (j + 1) * dim)
+                window[rows, j * dim : (j + 1) * dim] = -a.entries
+                window[rows, (j + 1) * dim : (j + 2) * dim] = np.eye(dim)
+            svals = np.linalg.svd(window, compute_uv=False)
+            gain = ss.window_probe(a, "script-B", n).gain
+            assert abs(gain - svals[-1]) <= 1e-12 * svals[0], n
 
 
 class TestShiftChainProbe:

@@ -11,6 +11,7 @@ from _helpers import (
     HYPERBOLIC_BANDS,
     conjugated_diagonal,
     draw_moduli,
+    qr_unitary,
     random_hyperbolic,
     random_invertible,
     random_unitary,
@@ -162,6 +163,34 @@ class TestClassifyShift:
         assert lhs == rhs
 
 
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 2: a rotated J_10(1.01) is called hyperbolic, sigma_min 1.2e-14 on the circle",
+)
+def test_hyperbolic_verdict_has_a_certified_surjectivity_margin():
+    u = qr_unitary(np.random.default_rng(0), 10)
+    op = ss.DenseOperator(u @ (1.01 * np.eye(10) + np.eye(10, k=1)) @ u.conj().T)
+    duality = ss.duality_check(op)
+    if ss.classify_dense(op).verdicts.hyperbolic:
+        assert duality.surjectivity_bracket[0] > duality.tol
+
+
+def _bracket_ops():
+    """d = 2..8 planted draws, three with an eigenvalue on the circle, one normal
+    and last a rotated J_3(1.5)."""
+    rng = np.random.default_rng(33)
+    ops = []
+    for dim in range(2, 9):
+        moduli = draw_moduli(rng, dim, HYPERBOLIC_BANDS)
+        if dim % 3 == 0:
+            moduli[0] = 1.0  # planted on the circle
+        ops.append(conjugated_diagonal(rng, moduli)[0])
+    ops.append(conjugated_diagonal(rng, [2.0, 0.5, 1.7, 0.3, 1.1], normal=True)[0])
+    u = random_unitary(rng, 3)
+    ops.append(ss.DenseOperator(u @ (1.5 * np.eye(3) + np.eye(3, k=1)) @ u.conj().T))
+    return ops
+
+
 class TestDualityCheck:
     def test_spectrum_off_circle_passes(self):
         report = ss.duality_check(ss.diagonal([2.0, 0.5]))
@@ -199,16 +228,7 @@ class TestDualityCheck:
         assert report.passes
 
     def test_brackets_hold_the_fine_grid_minimum(self):
-        rng = np.random.default_rng(33)
-        ops = []
-        for dim in range(2, 9):
-            moduli = draw_moduli(rng, dim, HYPERBOLIC_BANDS)
-            if dim % 3 == 0:
-                moduli[0] = 1.0  # planted on the circle
-            ops.append(conjugated_diagonal(rng, moduli)[0])
-        ops.append(conjugated_diagonal(rng, [2.0, 0.5, 1.7, 0.3, 1.1], normal=True)[0])
-        u = random_unitary(rng, 3)
-        ops.append(ss.DenseOperator(u @ (1.5 * np.eye(3) + np.eye(3, k=1)) @ u.conj().T))
+        ops = _bracket_ops()
         n = 2**14
         circle = np.exp(2j * np.pi * np.arange(n) / n)
         chord = 2.0 * math.sin(math.pi / n)
@@ -237,9 +257,34 @@ class TestDualityCheck:
                 assert 6.6e-4 < hi < 6.7e-4
             assert report.surjectivity_mismatches == 0
             assert report.worst_value_discrepancy == 0.0
-        # the rotated block's eigenvalues split by about eps^(1/6) ~ 2e-3 under
-        # rounding, so there only the multiset check decides `passes`
-        assert ss.duality_check(ss.DenseOperator(jordan)).passes
+            # the rotated block's eigenvalues split by about eps^(1/6) ~ 2e-3 under
+            # rounding, within the tolerance their condition numbers give
+            assert report.passes
+
+    def test_exactly_singular_eigenvectors_leave_the_pairs_unbounded(self):
+        # LAPACK's eigenvectors of J_40(1.3) are singular to the last bit: no kappa_i
+        report = ss.duality_check(ss.DenseOperator(1.3 * np.eye(40) + np.eye(40, k=1)))
+        assert report.passes
+
+    def test_rotated_jordan_blocks_pass_by_eigenvalue_conditioning(self):
+        # LAPACK moves a k-block's eigenvalues by about eps^(1/k): far past 1e-8,
+        # yet each matched pair sits within a tenth of 2 kappa_i c d eps ||A||_F
+        blocks = [_bracket_ops()[-1].entries]
+        jordan = 1.3 * np.eye(6) + np.eye(6, k=1)
+        for seed in range(12):
+            u = random_unitary(np.random.default_rng(seed), 6)
+            blocks.append(u @ jordan @ u.conj().T)
+        for m in blocks:
+            report = ss.duality_check(ss.DenseOperator(m))
+            assert report.eigen_multiset_discrepancy > 1e-6
+            assert report.passes
+            eigs, vecs = np.linalg.eig(m)
+            kappa = np.linalg.norm(np.linalg.inv(vecs), axis=1) * np.linalg.norm(vecs, axis=0)
+            ys = list(np.conj(np.linalg.eigvals(m.conj().T)))
+            for x, k in zip(eigs, kappa):
+                dist = abs(x - ys.pop(int(np.argmin([abs(x - y) for y in ys]))))
+                tol = 1e-8 + 2 * k * 10 * len(m) * np.finfo(float).eps * np.linalg.norm(m)
+                assert dist <= 0.1 * tol
 
 
 class TestExpansivityWitness:
